@@ -3,145 +3,21 @@
 Builds nonholonomic, large-friction, fast-relaxation and first-order
 corrected vector fields for mechanical systems on a chart, integrates them
 deterministically, and measures convergence rates, invariance defects and
-slow-manifold residuals.  See the README for the experiment CLI.
+slow-manifold residuals.  See the README for the experiment CLI; everything
+else is imported from its submodule.
 """
 
-from .analysis import (
-    ConvergenceReport,
-    LadderTooShort,
-    ManifoldFit,
-    TransientTooShort,
-    WindowMismatch,
-    energy_audit,
-    estimate_order,
-    fit_slope_through_origin,
-    manifold_fit,
-    pseudo_solution_defect,
-    sup_distance,
-)
-from .dynamics import (
-    ExpansionData,
-    NonPositiveEpsilon,
-    RayleighFriction,
-    SingularEtaBlock,
-    compute_h1,
-    corrected_field,
-    energy,
-    energy_frame,
-    expansion_defect,
-    fast_field_y0,
-    first_order_field,
-    friction_field,
-    friction_field_chart,
-    nonholonomic_field,
-    rayleigh_power,
-)
-from .geometry import (
-    ChartState,
-    FrameState,
-    MechanicalSystem,
-    MovingFrame,
-    SingularFrame,
-    SingularMetric,
-    chart_to_frame,
-    christoffel,
-    christoffel_to_frame,
-    connection_coefficients,
-    frame_metric,
-    frame_to_chart,
-    geodesic_rhs_conn,
-    geodesic_rhs_struct,
-    structure_functions,
-)
-from .ode import (
-    IntegratorConfig,
-    NonFiniteState,
-    OutOfRange,
-    StepUnderflow,
-    Trajectory,
-    integrate,
-    restrict_components,
-    sample_at,
-    transform_linear,
-)
-from .systems import (
-    OriginSingularity,
-    PendulumParams,
-    REGISTRY,
-    SleighParams,
-    get_system,
-    make_pendulum,
-    sleigh_constraint_force,
-    sleigh_fast_closed_form,
-    sleigh_friction_rhs,
-    sleigh_h1_rhs,
-    sleigh_nh_rhs,
-    sleigh_x1_rhs,
-)
+from .dynamics import compute_h1, friction_field, nonholonomic_field
+from .ode import IntegratorConfig, integrate
+from .systems import SleighParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartState",
-    "ConvergenceReport",
-    "ExpansionData",
-    "FrameState",
     "IntegratorConfig",
-    "LadderTooShort",
-    "ManifoldFit",
-    "MechanicalSystem",
-    "MovingFrame",
-    "NonFiniteState",
-    "NonPositiveEpsilon",
-    "OriginSingularity",
-    "OutOfRange",
-    "PendulumParams",
-    "REGISTRY",
-    "RayleighFriction",
-    "SingularEtaBlock",
-    "SingularFrame",
-    "SingularMetric",
     "SleighParams",
-    "StepUnderflow",
-    "Trajectory",
-    "TransientTooShort",
-    "WindowMismatch",
-    "chart_to_frame",
-    "christoffel",
-    "christoffel_to_frame",
     "compute_h1",
-    "connection_coefficients",
-    "corrected_field",
-    "energy",
-    "energy_audit",
-    "energy_frame",
-    "estimate_order",
-    "expansion_defect",
-    "fast_field_y0",
-    "first_order_field",
-    "fit_slope_through_origin",
-    "frame_metric",
-    "frame_to_chart",
     "friction_field",
-    "friction_field_chart",
-    "geodesic_rhs_conn",
-    "geodesic_rhs_struct",
-    "get_system",
     "integrate",
-    "make_pendulum",
-    "manifold_fit",
     "nonholonomic_field",
-    "pseudo_solution_defect",
-    "rayleigh_power",
-    "restrict_components",
-    "sample_at",
-    "sleigh_constraint_force",
-    "sleigh_fast_closed_form",
-    "sleigh_friction_rhs",
-    "sleigh_h1_rhs",
-    "sleigh_nh_rhs",
-    "sleigh_x1_rhs",
-    "structure_functions",
-    "sup_distance",
-    "transform_linear",
 ]

@@ -20,7 +20,6 @@ from .geometry import MechanicalSystem, MovingFrame
 from .ode import Trajectory
 
 DEFAULT_T1 = 0.5
-DEFAULT_T_END = 10.0
 
 
 class WindowMismatch(ValueError):
@@ -33,6 +32,10 @@ class LadderTooShort(ValueError):
 
 class TransientTooShort(ValueError):
     """Trajectory ends before the transient cutoff."""
+
+
+class DegenerateFit(ValueError):
+    """A fit's regressor is identically zero, so the fit is undetermined."""
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,6 @@ class ManifoldFit:
         res = np.linalg.norm(self.etas - self.predicted, axis=1)
         self.residual_sup = float(res.max()) if len(res) else 0.0
 
-    @property
-    def residuals(self) -> np.ndarray:
-        return np.linalg.norm(self.etas - self.predicted, axis=1)
-
 
 def _grid_step(traj: Trajectory) -> float:
     if len(traj) < 2:
@@ -136,17 +135,13 @@ def sup_distance(
     return float(np.max(np.linalg.norm(xa - xb, axis=1)))
 
 
-def estimate_order(eps_ladder, errors=None) -> np.ndarray:
+def estimate_order(eps_ladder, errors) -> np.ndarray:
     """Convergence order from adjacent ladder pairs.
 
     order_i = log(e_i / e_{i+1}) / log(eps_i / eps_{i+1}); for a halving
     ladder this is log2 of the error ratio.  Requires >= 2 entries with
-    strictly decreasing eps.  Accepts either (eps_ladder, errors) arrays or
-    a single :class:`ConvergenceReport`.
+    strictly decreasing eps.
     """
-    if errors is None:
-        report = eps_ladder
-        eps_ladder, errors = report.eps_ladder, report.errors
     eps_ladder = np.asarray(eps_ladder, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if eps_ladder.ndim != 1 or eps_ladder.shape != errors.shape:
@@ -277,5 +272,5 @@ def fit_slope_through_origin(x, y) -> float:
     y = np.asarray(y, dtype=float)
     denom = float(x @ x)
     if denom == 0.0:
-        raise ValueError("cannot fit a slope against identically zero data")
+        raise DegenerateFit("cannot fit a slope against identically zero data")
     return float(x @ y) / denom

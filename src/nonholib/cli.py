@@ -16,8 +16,9 @@ Outputs are deterministic: repeated runs of the same configuration produce
 byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 (falling back to the working directory).
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical blow-up,
-4 analysis precondition failure.
+Exit codes: 0 ok, 2 configuration error (including an rk4 step past the
+stability bound), 3 numerical blow-up or singular state, 4 analysis
+precondition failure.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, dynamics
+from .dynamics import SingularEtaBlock
+from .geometry import SingularFrame, SingularMetric
 from .ode import (
     IntegratorConfig,
     NonFiniteState,
@@ -42,7 +45,14 @@ from .ode import (
     restrict_window,
     transform_linear,
 )
-from .systems import REGISTRY, ModelSpec, SystemEntry, get_system
+from .systems import (
+    REGISTRY,
+    InvalidParameter,
+    ModelSpec,
+    OriginSingularity,
+    SystemEntry,
+    get_system,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,6 +63,10 @@ EXIT_ANALYSIS = 4
 #: resolve the fast relaxation rate, so dt = min(1e-3, eps/20).
 STIFF_DT_CAP = 1e-3
 STIFF_DT_FRACTION = 20.0
+
+#: Stability interval of classic RK4 on the negative real axis: a step h
+#: with h * fast_rate beyond it amplifies the fast relaxation mode.
+RK4_STABILITY_BOUND = 2.785
 
 
 class ConfigError(ValueError):
@@ -234,15 +248,25 @@ def _initial_state(cfg: ExperimentConfig, spec: ModelSpec) -> np.ndarray:
             f"state must have {len(spec.columns)} components "
             f"({','.join(spec.columns)}), got {state.size}"
         )
+    if not np.all(np.isfinite(state)):
+        raise ConfigError("state components must be finite")
     return state
 
 
 def _integrator_config(cfg: ExperimentConfig, spec: ModelSpec, eps) -> IntegratorConfig:
+    stiff = spec.fast_rate is not None and eps is not None
     dt = cfg.dt
     if dt is None:
-        dt = STIFF_DT_CAP
-        if spec.fast_rate is not None and eps is not None:
-            dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION)
+        dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if stiff else STIFF_DT_CAP
+    if stiff and cfg.method == "rk4":
+        # the effective step: rk4 lands exactly on every sample time
+        h = cfg.sample_dt / max(1, round(cfg.sample_dt / dt))
+        ratio = h * spec.fast_rate(cfg.params, eps)
+        if ratio > RK4_STABILITY_BOUND:
+            raise ConfigError(
+                f"rk4 step {h:g} times fast rate at eps={eps:g} is {ratio:.4g}, "
+                f"past the stability bound {RK4_STABILITY_BOUND}; lower --dt"
+            )
     try:
         return IntegratorConfig(
             t_span=(cfg.t0, cfg.t1),
@@ -314,9 +338,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     state = _initial_state(cfg, spec)
     eps_list = list(cfg.eps) if spec.needs_eps else [None]
     multi = len(eps_list) > 1
-    for eps in eps_list:
+    # every run's step is checked before the first file is written
+    icfgs = [_integrator_config(cfg, spec, eps) for eps in eps_list]
+    for eps, icfg in zip(eps_list, icfgs):
         field_fn = spec.build(cfg.params, eps)
-        icfg = _integrator_config(cfg, spec, eps)
         traj = integrate(field_fn, state, icfg)
         tag = f"_eps{eps:g}" if (multi and eps is not None) else ""
         suffix = ".json" if cfg.fmt == "json" else ".csv"
@@ -330,7 +355,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _reduced_trajectory(entry: SystemEntry, cfg, traj: Trajectory) -> Trajectory:
-    if entry.reduce_matrix is None:
+    if entry.frame_state_matrix is None:
         return traj
     return transform_linear(traj, entry.reduce_matrix(cfg.params))
 
@@ -338,13 +363,14 @@ def _reduced_trajectory(entry: SystemEntry, cfg, traj: Trajectory) -> Trajectory
 def _lift_state(entry: SystemEntry, cfg, reduced_state):
     """Embed a constraint-compatible reduced state into the friction model
     (zero slip components)."""
-    if entry.lift_state is None:
+    if entry.frame_state_matrix is None:
         return np.asarray(reduced_state, dtype=float)
     return entry.lift_state(cfg.params, reduced_state)
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
-    entry, _ = _resolve_model_for(cfg, "friction")
+    cfg.model = "friction"
+    entry, _ = _resolve_model(cfg)
     if "nh" not in entry.models:
         raise ConfigError(f"system {cfg.system!r} has no constrained model")
     if len(cfg.eps) < 3:
@@ -356,22 +382,17 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     nh_spec = entry.models["nh"]
     corr_spec = entry.models.get("corrected")
 
+    fric_icfgs = [_integrator_config(cfg, fric_spec, eps) for eps in cfg.eps]
     nh_state = _initial_state(cfg, nh_spec)
-    nh_traj = integrate(
-        nh_spec.build(cfg.params, None), nh_state, _integrator_config(cfg, nh_spec, None)
-    )
+    fric_state = _lift_state(entry, cfg, nh_state)
+    nh_field = nh_spec.build(cfg.params, None)
+    nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg, nh_spec, None))
     comps = entry.compare_components or None
     t1, t_end = cfg.window_start, cfg.t1
-    nh_field = nh_spec.build(cfg.params, None)
 
     errors, defects, corr_errors = [], [], []
-    for eps in cfg.eps:
-        fric_state = _lift_state(entry, cfg, nh_state)
-        fric_traj = integrate(
-            fric_spec.build(cfg.params, eps),
-            fric_state,
-            _integrator_config(cfg, fric_spec, eps),
-        )
+    for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
+        fric_traj = integrate(fric_spec.build(cfg.params, eps), fric_state, fric_icfg)
         reduced = _reduced_trajectory(entry, cfg, fric_traj)
         errors.append(analysis.sup_distance(reduced, nh_traj, t1, t_end, comps))
         # defect over the post-transient window, matching the report window
@@ -401,9 +422,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         **report.to_dict(),
     }
     if entry.energy_of_state is not None:
-        doc["initial_energy"] = float(
-            entry.energy_of_state(cfg.params, _lift_state(entry, cfg, nh_state))
-        )
+        doc["initial_energy"] = float(entry.energy_of_state(cfg.params, fric_state))
     if corr_errors:
         doc["corrected_errors"] = corr_errors
         doc["corrected_orders"] = list(
@@ -415,36 +434,21 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _resolve_model_for(cfg: ExperimentConfig, model: str):
-    sub = ExperimentConfig(**{**cfg.__dict__, "model": model})
-    sub.params = cfg.params
-    return _resolve_model(sub)
-
-
 def cmd_manifold(cfg: ExperimentConfig) -> int:
-    try:
-        entry = get_system(cfg.system)
-    except KeyError as exc:
-        raise ConfigError(str(exc))
     if cfg.model != "friction":
         raise ConfigError("manifold extraction requires the friction model")
-    if not entry.supports_manifold:
+    entry, fric_spec = _resolve_model(cfg)
+    if entry.generic_builders is None:
         raise ConfigError(f"system {cfg.system!r} has no slow-manifold support")
-    if not cfg.eps:
-        raise ConfigError("manifold extraction requires --eps")
-    fric_spec = entry.models["friction"]
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
-    n, k = entry.reduced_dims
+    n, k = sysm.n, frame.k
+    icfgs = [_integrator_config(cfg, fric_spec, eps) for eps in cfg.eps]
+    state = _initial_state(cfg, fric_spec)
 
     residuals, slopes, expected_slopes = [], [], []
-    for eps in cfg.eps:
-        state = _initial_state(cfg, fric_spec)
-        traj = integrate(
-            fric_spec.build(cfg.params, eps),
-            state,
-            _integrator_config(cfg, fric_spec, eps),
-        )
+    for eps, icfg in zip(cfg.eps, icfgs):
+        traj = integrate(fric_spec.build(cfg.params, eps), state, icfg)
         frame_traj = transform_linear(traj, entry.frame_state_matrix(cfg.params))
         fit = analysis.manifold_fit(
             frame_traj, expansion, eps, cfg.transient_cutoff, n, k
@@ -470,9 +474,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         "model": cfg.model,
         "eps_ladder": list(cfg.eps),
         "transient_cutoff": cfg.transient_cutoff,
-        "initial_energy": float(
-            entry.energy_of_state(cfg.params, _initial_state(cfg, fric_spec))
-        ),
+        "initial_energy": float(entry.energy_of_state(cfg.params, state)),
         "residual_sup": residuals,
         "residual_ratios": [
             residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
@@ -556,15 +558,26 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(cfg)
         return cmd_manifold(cfg)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonFiniteState, StepUnderflow) as exc:
+    except (
+        NonFiniteState,
+        StepUnderflow,
+        OriginSingularity,
+        SingularFrame,
+        SingularMetric,
+        SingularEtaBlock,
+    ) as exc:
         t = getattr(exc, "t", None)
         where = f" at t={t:.6g}" if t is not None else ""
-        print(f"numerical blow-up{where}: {exc}", file=sys.stderr)
+        print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except analysis.TransientTooShort as exc:
+    except (
+        analysis.TransientTooShort,
+        analysis.WindowMismatch,
+        analysis.DegenerateFit,
+    ) as exc:
         print(f"analysis precondition failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 

@@ -49,13 +49,12 @@ class RayleighFriction:
     """Positive semi-definite friction form in chart indices.
 
     ``nu(q)`` returns the n x n quadratic-form matrix; its kernel must be
-    the constraint distribution (the span of the frame's first
-    ``kernel_rank`` fields), and it must be positive definite on the
-    complement.  The dissipative force is -nu(qdot)/eps.
+    the constraint distribution (the span of the frame's first k fields),
+    and it must be positive definite on the complement.  The dissipative
+    force is -nu(qdot)/eps.
     """
 
     nu: Callable
-    kernel_rank: int
 
     def nu_at(self, q) -> np.ndarray:
         m = np.asarray(self.nu(q), dtype=float)
@@ -186,12 +185,11 @@ class ExpansionData:
 
     h1(q, xi) is the leading graph coefficient: the invariant manifold of
     the friction dynamics is eta = eps * h1 + O(eps^2).  The eta-block
-    operator and its inverse are exposed for diagnostics.
+    operator is exposed for diagnostics.
     """
 
     h1: Callable
     eta_block: Callable
-    eta_block_inv: Callable
 
 
 def compute_h1(sys, fr, fric: RayleighFriction) -> ExpansionData:
@@ -206,9 +204,6 @@ def compute_h1(sys, fr, fric: RayleighFriction) -> ExpansionData:
     def block_at(q):
         return eta_block_operator(sys, fr, fric, q)
 
-    def block_inv_at(q):
-        return np.linalg.inv(block_at(q))
-
     def h1(q, xi):
         q = np.asarray(q, dtype=float)
         xi = np.asarray(xi, dtype=float)
@@ -217,7 +212,7 @@ def compute_h1(sys, fr, fric: RayleighFriction) -> ExpansionData:
         g1 = _reduced_accel(sys, fr, q, w)[k:]
         return np.linalg.solve(block_at(q), g1)
 
-    return ExpansionData(h1=h1, eta_block=block_at, eta_block_inv=block_inv_at)
+    return ExpansionData(h1=h1, eta_block=block_at)
 
 
 def first_order_field(
@@ -291,12 +286,6 @@ def rayleigh_power(fric: RayleighFriction, q, qdot) -> float:
     """Instantaneous dissipation form nu(qdot, qdot) >= 0."""
     qdot = np.asarray(qdot, dtype=float)
     return float(qdot @ fric.nu_at(q) @ qdot)
-
-
-def rayleigh_power_frame(sys, fr, fric, q, w) -> float:
-    """Dissipation form evaluated from quasi-velocities."""
-    qdot = fr.fields_at(q) @ np.asarray(w, dtype=float)
-    return rayleigh_power(fric, q, qdot)
 
 
 def expansion_defect(sys, fr, fric, eps, q, xi, fd_step: float = 1e-6) -> np.ndarray:

@@ -131,16 +131,14 @@ class MovingFrame:
     """Invertible matrix field of frame vector fields.
 
     k is the split rank; the first k columns are meant to span the
-    constraint distribution D.  The ``orthogonal`` flag records that the
-    last n-k columns span the metric-orthogonal complement, which the
-    friction dynamics relies on.  Geometry operations work for any
-    invertible frame regardless of adaptation.
+    constraint distribution D.  The friction dynamics relies on the last
+    n-k columns spanning the metric-orthogonal complement.  Geometry
+    operations work for any invertible frame regardless of adaptation.
     """
 
     k: int
     fields: Callable
     field_derivs: Optional[Callable] = None
-    orthogonal: bool = False
 
     def fields_at(self, q) -> np.ndarray:
         f = np.asarray(self.fields(q), dtype=float)
@@ -177,31 +175,6 @@ class FrameState:
         self.eta = np.asarray(self.eta, dtype=float)
         if self.xi.size + self.eta.size != self.q.size:
             raise ValueError("xi and eta sizes must add up to dim(q)")
-
-    @classmethod
-    def from_vector(cls, y, n: int, k: int) -> "FrameState":
-        y = np.asarray(y, dtype=float)
-        return cls(y[:n], y[n : n + k], y[n + k :])
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, self.xi, self.eta])
-
-
-@dataclass
-class ChartState:
-    """Chart-coordinate state (q, qdot)."""
-
-    q: np.ndarray
-    qdot: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.qdot = np.asarray(self.qdot, dtype=float)
-        if self.q.shape != self.qdot.shape:
-            raise ValueError("q and qdot must have the same shape")
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, self.qdot])
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,6 @@ class Trajectory:
         return out[0] if scalar else out
 
 
-def sample_at(traj: Trajectory, t):
-    """Module-level alias for :meth:`Trajectory.sample_at`."""
-    return traj.sample_at(t)
-
-
 def transform_linear(traj: Trajectory, matrix) -> Trajectory:
     """Apply a constant linear map to states and derivatives.
 
@@ -176,15 +171,6 @@ def transform_linear(traj: Trajectory, matrix) -> Trajectory:
     """
     m = np.asarray(matrix, dtype=float)
     return Trajectory(traj.times, traj.states @ m.T, traj.derivs @ m.T)
-
-
-def restrict_components(traj: Trajectory, components) -> Trajectory:
-    """Keep only the given state components (a special linear map)."""
-    idx = list(components)
-    m = np.zeros((len(idx), traj.dim))
-    for row, col in enumerate(idx):
-        m[row, col] = 1.0
-    return transform_linear(traj, m)
 
 
 def restrict_window(traj: Trajectory, t_lo: float, t_hi: float) -> Trajectory:

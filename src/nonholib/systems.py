@@ -34,6 +34,10 @@ class OriginSingularity(ValueError):
     """Pendulum fields are undefined at the origin (no radial direction)."""
 
 
+class InvalidParameter(ValueError):
+    """A system parameter is outside its physical range."""
+
+
 # ---------------------------------------------------------------------------
 # sleigh
 # ---------------------------------------------------------------------------
@@ -47,11 +51,11 @@ class SleighParams:
 
     def __post_init__(self):
         if not self.m > 0:
-            raise ValueError("m must be positive")
+            raise InvalidParameter("m must be positive")
         if not self.I > 0:
-            raise ValueError("I must be positive")
+            raise InvalidParameter("I must be positive")
         if self.a < 0:
-            raise ValueError("a must be nonnegative")
+            raise InvalidParameter("a must be nonnegative")
 
     @property
     def itot(self) -> float:
@@ -284,7 +288,7 @@ def sleigh_ortho_frame(p: SleighParams) -> MovingFrame:
         )
         return out
 
-    return MovingFrame(k=2, fields=fields, field_derivs=field_derivs, orthogonal=True)
+    return MovingFrame(k=2, fields=fields, field_derivs=field_derivs)
 
 
 def sleigh_uvw_frame(p: SleighParams) -> MovingFrame:
@@ -319,7 +323,7 @@ def sleigh_uvw_frame(p: SleighParams) -> MovingFrame:
         )
         return out
 
-    return MovingFrame(k=2, fields=fields, field_derivs=field_derivs, orthogonal=False)
+    return MovingFrame(k=2, fields=fields, field_derivs=field_derivs)
 
 
 def sleigh_friction_form(p: SleighParams) -> RayleighFriction:
@@ -330,7 +334,7 @@ def sleigh_friction_form(p: SleighParams) -> RayleighFriction:
         w = np.array([-math.sin(phi), math.cos(phi), 0.0])
         return np.outer(w, w)
 
-    return RayleighFriction(nu=nu, kernel_rank=2)
+    return RayleighFriction(nu=nu)
 
 
 def sleigh_uvw_to_ortho_matrix(p: SleighParams) -> np.ndarray:
@@ -348,18 +352,6 @@ def sleigh_uvw_to_ortho_matrix(p: SleighParams) -> np.ndarray:
     return m
 
 
-def sleigh_projection_matrix(p: SleighParams) -> np.ndarray:
-    """Linear map (x, y, phi, u, v, omega) -> (x, y, phi, u, psi): project
-    the friction state onto the constraint distribution by dropping the
-    slip component."""
-    m = np.zeros((5, 6))
-    for i in range(4):
-        m[i, i] = 1.0
-    m[4, 5] = 1.0
-    m[4, 4] = p.coupling
-    return m
-
-
 # ---------------------------------------------------------------------------
 # pendulum
 # ---------------------------------------------------------------------------
@@ -372,9 +364,9 @@ class PendulumParams:
 
     def __post_init__(self):
         if not self.g > 0:
-            raise ValueError("g must be positive")
+            raise InvalidParameter("g must be positive")
         if not self.eps > 0:
-            raise ValueError("eps must be positive")
+            raise InvalidParameter("eps must be positive")
 
 
 PENDULUM_VARIANTS = ("potential", "friction", "inertial")
@@ -495,7 +487,7 @@ def pendulum_frame(p: PendulumParams) -> MovingFrame:
         out[:, 1, :] = proj  # d(e_r)/dq
         return out
 
-    return MovingFrame(k=1, fields=fields, field_derivs=field_derivs, orthogonal=True)
+    return MovingFrame(k=1, fields=fields, field_derivs=field_derivs)
 
 
 def pendulum_friction_form(p: PendulumParams) -> RayleighFriction:
@@ -506,7 +498,7 @@ def pendulum_friction_form(p: PendulumParams) -> RayleighFriction:
         e_r = np.array([ex, ey])
         return np.outer(e_r, e_r)
 
-    return RayleighFriction(nu=nu, kernel_rank=1)
+    return RayleighFriction(nu=nu)
 
 
 def pendulum_default_state() -> np.ndarray:
@@ -532,25 +524,39 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """Registry entry: models plus the adapters the analysis driver needs."""
+    """Registry entry: models plus the adapters the analysis driver needs.
+
+    A system with a frame-state map also has ``generic_builders``; its
+    reduce and lift maps are derived from the two.  Without one (the
+    pendulums) the friction and constrained states share one layout.
+    """
 
     name: str
     param_defaults: dict
     models: dict
-    # friction-state -> reduced-state linear map (None: identity)
-    reduce_matrix: Callable = None
-    # friction-state -> (q, xi, eta) frame layout linear map (None: identity)
+    # (params: dict) -> linear map from the friction-model state to the
+    # (q, xi, eta) layout of the generic frame; None: same layout
     frame_state_matrix: Callable = None
-    # constraint-compatible reduced state -> friction-model state (None: identity)
-    lift_state: Callable = None
     # (params: dict, friction-model state) -> total energy, used to flag
     # runs started outside the moderate-energy regime in the reports
     energy_of_state: Callable = None
-    reduced_dims: tuple = None  # (n, k) of the reduced frame layout
     compare_components: tuple = ()
-    supports_manifold: bool = False
     # (params: dict) -> (system, frame, friction) for manifold extraction
     generic_builders: Callable = None
+
+    def reduce_matrix(self, params: dict) -> np.ndarray:
+        """Friction-model state -> reduced state (q, xi): the first n + k
+        rows of the frame-state map, which drop the slip components eta."""
+        sysm, frame, _ = self.generic_builders(params)
+        return self.frame_state_matrix(params)[: sysm.n + frame.k]
+
+    def lift_state(self, params: dict, reduced_state) -> np.ndarray:
+        """Reduced state (q, xi) -> friction-model state with zero slip,
+        by inverting the frame-state map at eta = 0."""
+        m = self.frame_state_matrix(params)
+        frame_state = np.zeros(len(m))
+        frame_state[: len(reduced_state)] = reduced_state
+        return np.linalg.solve(m, frame_state)
 
 
 def _sleigh_params(params: dict) -> SleighParams:
@@ -606,10 +612,6 @@ def _sleigh_entry() -> SystemEntry:
         p = _sleigh_params(params)
         return sleigh_system(p), sleigh_ortho_frame(p), sleigh_friction_form(p)
 
-    def lift(params, reduced_state):
-        x, y, phi, u, omega = reduced_state
-        return np.array([x, y, phi, u, 0.0, omega])
-
     def energy_of(params, state):
         p = _sleigh_params(params)
         return sleigh_energy(p, state[3], state[4], state[5])
@@ -618,15 +620,11 @@ def _sleigh_entry() -> SystemEntry:
         name="sleigh",
         param_defaults={"m": 1.0, "I": 1.0, "a": 0.2},
         models=models,
-        reduce_matrix=lambda params: sleigh_projection_matrix(_sleigh_params(params)),
         frame_state_matrix=lambda params: sleigh_uvw_to_ortho_matrix(
             _sleigh_params(params)
         ),
-        lift_state=lift,
         energy_of_state=energy_of,
-        reduced_dims=(3, 2),
         compare_components=(3, 4),
-        supports_manifold=True,
         generic_builders=builders,
     )
 

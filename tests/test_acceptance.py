@@ -53,7 +53,6 @@ from nonholib.systems import (
     sleigh_nh_field,
     sleigh_nh_rhs,
     sleigh_ortho_frame,
-    sleigh_projection_matrix,
     sleigh_system,
     sleigh_uvw_frame,
     sleigh_uvw_to_ortho_matrix,
@@ -99,7 +98,7 @@ def friction_ladder():
 
 
 def reduced(traj):
-    return transform_linear(traj, sleigh_projection_matrix(P))
+    return transform_linear(traj, sleigh_uvw_to_ortho_matrix(P)[:5])
 
 
 # 1 ---------------------------------------------------------------------------

@@ -120,7 +120,6 @@ def test_convergence_report():
         [8e-3, 4e-3, 2e-3], [0.8, 0.4, 0.2], (0.5, 10.0), [1e-2, 5e-3, 2.5e-3]
     )
     assert_allclose(rep.orders, [1.0, 1.0])
-    assert_allclose(estimate_order(rep), [1.0, 1.0])  # report form
     doc = rep.to_dict()
     assert set(doc) == {"eps_ladder", "errors", "orders", "t_window", "defects"}
     with pytest.raises(ValueError):

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import nonholib
 from nonholib.cli import main
 
 
@@ -161,6 +167,66 @@ def test_simulate_blowup_exit_3(tmp_path, capsys):
     assert "t=" in captured.err
 
 
+def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
+    # h * fast_rate = 0.5 * 104 = 52, far past rk4's real-axis bound 2.785
+    out = tmp_path / "x.csv"
+    rc = run(
+        [
+            "simulate",
+            "--system", "sleigh",
+            "--model", "friction",
+            "--eps", "1e-2",
+            "--dt", "0.5",
+            "--sample-dt", "0.5",
+            "--t1", "1",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "52" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--system", "sleigh", "--model", "nh", "--param", "a=-1"], 2),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--state", "nan,0,0,-1,0.5"], 2),
+        (
+            ["simulate", "--system", "pendulum-friction", "--model", "friction",
+             "--eps", "1e-2", "--state", "0,0,0,0"],
+            3,
+        ),
+        (
+            ["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+             "--state", "0,0,0,-1,0,0", "--t1", "1"],
+            4,
+        ),
+        (
+            ["compare", "--system", "sleigh", "--eps", "8e-3", "--eps", "4e-3",
+             "--eps", "2e-3", "--t1", "0.4"],
+            4,
+        ),
+    ],
+    ids=["negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window"],
+)
+def test_failures_exit_with_one_line(tmp_path, argv, code):
+    env = dict(os.environ, NONHOLIB_OUT_DIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nonholib.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonholib", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_compare_report(tmp_path):
     out = tmp_path / "cmp.json"
     rc = run(
@@ -185,6 +251,7 @@ def test_compare_report(tmp_path):
     # errors decrease along the ladder
     assert report["errors"][0] > report["errors"][1] > report["errors"][2]
     assert "config_echo" in report
+    assert report["config_echo"]["model"] == report["model"]
 
 
 def test_compare_pendulum_defects_shrink(tmp_path):

@@ -190,7 +190,7 @@ def test_chart_field_free_motion():
     sysm = MechanicalSystem(
         n=2, metric=lambda q: np.eye(2), metric_derivs=lambda q: np.zeros((2, 2, 2))
     )
-    fric = RayleighFriction(nu=lambda q: np.zeros((2, 2)), kernel_rank=2)
+    fric = RayleighFriction(nu=lambda q: np.zeros((2, 2)))
     ff = friction_field_chart(sysm, fric, 1.0)
     out = ff(np.array([0.3, 0.4, 1.0, -2.0]))
     assert_allclose(out, [1.0, -2.0, 0.0, 0.0], atol=1e-14)
@@ -280,9 +280,8 @@ def test_fast_field_spectrum_synthetic():
             k=k,
             fields=lambda q, f0=f0: f0,
             field_derivs=lambda q: np.zeros((n, n, n)),
-            orthogonal=True,
         )
-        fric = RayleighFriction(nu=lambda q, nu=nu: nu, kernel_rank=k)
+        fric = RayleighFriction(nu=lambda q, nu=nu: nu)
         block = eta_block_operator(sysm, fr, fric, np.zeros(n))
         assert np.all(np.linalg.eigvals(block).real > 0)
 
@@ -313,9 +312,6 @@ def test_eta_block_inverse(sleigh, sleigh_setup):
     sysm, fr, fric = sleigh_setup
     exp = compute_h1(sysm, fr, fric)
     q = np.zeros(3)
-    assert_allclose(
-        exp.eta_block(q) @ exp.eta_block_inv(q), np.eye(1), atol=1e-12
-    )
     assert_allclose(exp.eta_block(q)[0, 0], 1.0 / sleigh.slaving, atol=1e-12)
 
 
@@ -327,9 +323,8 @@ def test_singular_eta_block():
         k=1,
         fields=lambda q: np.eye(2),
         field_derivs=lambda q: np.zeros((2, 2, 2)),
-        orthogonal=True,
     )
-    fric = RayleighFriction(nu=lambda q: np.zeros((2, 2)), kernel_rank=1)
+    fric = RayleighFriction(nu=lambda q: np.zeros((2, 2)))
     with pytest.raises(SingularEtaBlock):
         eta_block_operator(sysm, fr, fric, np.zeros(2))
 

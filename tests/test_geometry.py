@@ -36,7 +36,6 @@ def identity_frame(n, k=1):
         k=k,
         fields=lambda q: np.eye(n),
         field_derivs=lambda q: np.zeros((n, n, n)),
-        orthogonal=True,
     )
 
 
@@ -116,7 +115,7 @@ def test_structure_functions_match_finite_differences(sleigh):
     from nonholib.systems import sleigh_ortho_frame
 
     analytic = sleigh_ortho_frame(sleigh)
-    fd = MovingFrame(k=2, fields=analytic.fields, orthogonal=True)
+    fd = MovingFrame(k=2, fields=analytic.fields)
     rng = np.random.default_rng(3)
     for _ in range(5):
         q = random_sleigh_q(rng)
@@ -311,7 +310,7 @@ def scaled_tangent_frame():
         ex, ey = q[0] / r, q[1] / r
         return np.array([[-q[1], ex], [q[0], ey]])
 
-    return MovingFrame(k=1, fields=fields, orthogonal=True)
+    return MovingFrame(k=1, fields=fields)
 
 
 def test_geodesic_forms_agree_varying_frame_metric():

@@ -9,8 +9,6 @@ from nonholib.ode import (
     StepUnderflow,
     Trajectory,
     integrate,
-    restrict_components,
-    sample_at,
     transform_linear,
 )
 
@@ -101,9 +99,9 @@ def test_sample_at_out_of_range():
     cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=0.1, sample_dt=0.5)
     traj = integrate(decay, [1.0], cfg)
     with pytest.raises(OutOfRange):
-        sample_at(traj, 1.5)
+        traj.sample_at(1.5)
     with pytest.raises(OutOfRange):
-        sample_at(traj, -0.1)
+        traj.sample_at(-0.1)
 
 
 def test_non_finite_state_reports_time():
@@ -207,5 +205,3 @@ def test_transform_linear_consistency():
     mapped = transform_linear(traj, m)
     assert_allclose(mapped.states[:, 0], 2 * traj.states[:, 0] + traj.states[:, 1])
     assert_allclose(mapped.derivs[:, 0], 2 * traj.derivs[:, 0] + traj.derivs[:, 1])
-    sub = restrict_components(traj, [1])
-    assert_allclose(sub.states[:, 0], traj.states[:, 1])

@@ -309,3 +309,19 @@ def test_registry_builds_callable_fields():
         fld = spec.build({}, eps)
         out = fld(spec.default_state({}))
         assert out.shape == (len(spec.columns),)
+
+
+@pytest.mark.parametrize("params", [{}, {"m": 2.0, "I": 0.7, "a": 0.3}])
+def test_registry_derived_state_maps(params):
+    entry = get_system("sleigh")
+    frame_map = entry.frame_state_matrix(params)
+    reduce = entry.reduce_matrix(params)
+    assert reduce.tobytes() == frame_map[:5].tobytes()
+    for reduced in (
+        np.array([0.0, 0.0, 0.0, -1.0, 0.5]),
+        np.array([1.5, -2.0, 0.3, 0.8, -0.25]),
+        np.array([-3.0, 7.0, 2.5, 1e-9, 4.0]),
+    ):
+        lifted = entry.lift_state(params, reduced)
+        assert (reduce @ lifted).tobytes() == reduced.tobytes()
+        assert np.all(frame_map[5:] @ lifted == 0.0)  # no slip
