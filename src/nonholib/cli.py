@@ -10,8 +10,9 @@ manifold      extract slow-manifold samples from friction trajectories,
               write a JSON residual report plus scatter CSVs
 list-systems  show the registry
 
-Configuration is a flat key=value file with dotted namespaces
-(integrator.dt=1e-3, params.a=0.2); every CLI flag overrides its file key.
+Configuration is a flat key=value file with dotted namespaces (the keys
+of SETTINGS, plus params.<name> per system parameter); every CLI flag takes
+its file key's value syntax and overrides it.
 Outputs are deterministic: repeated runs of the same configuration produce
 byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 (falling back to the working directory).
@@ -27,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -50,7 +51,6 @@ from .systems import (
     InvalidParameter,
     ModelSpec,
     OriginSingularity,
-    SystemEntry,
     get_system,
 )
 
@@ -93,22 +93,8 @@ class ExperimentConfig:
     transient_cutoff: float = analysis.DEFAULT_T1
 
     def echo(self) -> dict:
-        return {
-            "system": self.system,
-            "model": self.model,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "eps": list(self.eps),
-            "initial_state": None
-            if self.initial_state is None
-            else list(self.initial_state),
-            "t0": self.t0,
-            "t1": self.t1,
-            "dt": self.dt,
-            "sample_dt": self.sample_dt,
-            "method": self.method,
-            "window_start": self.window_start,
-            "transient_cutoff": self.transient_cutoff,
-        }
+        """The settings a report depends on (JSON writes tuples as lists)."""
+        return {k: v for k, v in asdict(self).items() if k not in ("out", "fmt")}
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +103,38 @@ class ExperimentConfig:
 
 
 def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}")
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_format(text: str) -> str:
+    if text not in TRAJECTORY_WRITERS:
+        raise ValueError(f"expected {' or '.join(TRAJECTORY_WRITERS)}, got {text!r}")
+    return text
+
+
+#: Every setting once: config key, ExperimentConfig attribute, value parser
+#: and flag help.  The flag is "--" plus the key's last dotted part with "-"
+#: for "_"; it takes the key's value syntax and overrides the key.  Models
+#: and methods are checked where they are resolved.
+SETTINGS = (
+    ("system", "system", str, "registered system name"),
+    ("model", "model", str, "nh, friction, corrected or fast"),
+    ("eps", "eps", _parse_float_list, "friction scale; a list or repeats for a ladder"),
+    ("state", "initial_state", _parse_float_list, "comma-separated initial state"),
+    ("out", "out", str, "output path (default under $NONHOLIB_OUT_DIR)"),
+    ("format", "fmt", _parse_format, "csv or json"),
+    ("integrator.t0", "t0", float, "start time"),
+    ("integrator.t1", "t1", float, "end time"),
+    ("integrator.dt", "dt", float, "fixed step (default: min(1e-3, eps/20))"),
+    ("integrator.sample_dt", "sample_dt", float, "output sampling interval"),
+    ("integrator.method", "method", str, "rk4 or rkf45"),
+    ("compare.window_start", "window_start", float, "compare window start"),
+    ("manifold.transient_cutoff", "transient_cutoff", float, "end of the transient"),
+)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.rsplit(".", 1)[-1].replace("_", "-")
 
 
 def read_config_file(path: str) -> dict:
@@ -142,76 +156,32 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """File keys first, then the flags that override them."""
     cfg = ExperimentConfig()
     file_keys = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def take(key, cast=str):
-        if key in file_keys:
-            raw = file_keys.pop(key)
-            try:
-                return cast(raw)
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {raw!r}")
-        return None
-
-    for key, cast, attr in (
-        ("system", str, "system"),
-        ("model", str, "model"),
-        ("eps", _parse_float_list, "eps"),
-        ("state", _parse_float_list, "initial_state"),
-        ("out", str, "out"),
-        ("format", str, "fmt"),
-        ("integrator.t0", float, "t0"),
-        ("integrator.t1", float, "t1"),
-        ("integrator.dt", float, "dt"),
-        ("integrator.sample_dt", float, "sample_dt"),
-        ("integrator.method", str, "method"),
-        ("compare.window_start", float, "window_start"),
-        ("manifold.transient_cutoff", float, "transient_cutoff"),
-    ):
-        val = take(key, cast)
-        if val is not None:
-            setattr(cfg, attr, val)
+    for key, attr, parse, _ in SETTINGS:
+        flag_value = getattr(args, attr, None)  # the flag's raw string(s)
+        if isinstance(flag_value, list):  # a repeated flag lists its values
+            flag_value = ",".join(flag_value)
+        for name, raw in ((key, file_keys.pop(key, None)), (_flag(key), flag_value)):
+            if raw is not None:
+                try:
+                    setattr(cfg, attr, parse(raw))
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {name}: {exc}") from None
+    for kv in getattr(args, "param", None) or ():  # --param KEY=VAL is params.KEY
+        if "=" not in kv:
+            raise ConfigError(f"--param expects KEY=VALUE, got {kv!r}")
+        key, value = kv.split("=", 1)
+        file_keys[f"params.{key.strip()}"] = value
     for key in list(file_keys):
         if key.startswith("params."):
             try:
                 cfg.params[key.split(".", 1)[1]] = float(file_keys.pop(key))
-            except ValueError:
-                raise ConfigError(f"bad numeric value for {key}")
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from None
     if file_keys:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(file_keys))}")
-
-    # flag overrides
-    if getattr(args, "system", None):
-        cfg.system = args.system
-    if getattr(args, "model", None):
-        cfg.model = args.model
-    if getattr(args, "eps", None):
-        cfg.eps = tuple(args.eps)
-    if getattr(args, "state", None):
-        cfg.initial_state = _parse_float_list(args.state)
-    for flag, attr in (
-        ("t0", "t0"),
-        ("t1", "t1"),
-        ("dt", "dt"),
-        ("sample_dt", "sample_dt"),
-        ("out", "out"),
-        ("format", "fmt"),
-        ("method", "method"),
-        ("window_start", "window_start"),
-        ("transient_cutoff", "transient_cutoff"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    for kv in getattr(args, "param", None) or ():
-        if "=" not in kv:
-            raise ConfigError(f"--param expects KEY=VALUE, got {kv!r}")
-        key, value = kv.split("=", 1)
-        try:
-            cfg.params[key.strip()] = float(value)
-        except ValueError:
-            raise ConfigError(f"bad numeric value for param {key!r}: {value!r}")
     return cfg
 
 
@@ -234,14 +204,14 @@ def _resolve_model(cfg: ExperimentConfig):
     if spec.needs_eps and not cfg.eps:
         raise ConfigError(f"model {cfg.model!r} requires --eps > 0")
     for e in cfg.eps:
-        if not e > 0:
-            raise ConfigError(f"eps values must be positive, got {e}")
+        if not (np.isfinite(e) and e > 0):
+            raise ConfigError(f"eps values must be finite and positive, got {e}")
     return entry, spec
 
 
 def _initial_state(cfg: ExperimentConfig, spec: ModelSpec) -> np.ndarray:
     if cfg.initial_state is None:
-        return spec.default_state(cfg.params)
+        return np.array(spec.default_state)
     state = np.asarray(cfg.initial_state, dtype=float)
     if state.shape != (len(spec.columns),):
         raise ConfigError(
@@ -328,6 +298,10 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", newline="\n")
 
 
+#: --format value -> trajectory writer; the value is also the file suffix
+TRAJECTORY_WRITERS = {"csv": write_trajectory_csv, "json": write_trajectory_json}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -344,33 +318,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         field_fn = spec.build(cfg.params, eps)
         traj = integrate(field_fn, state, icfg)
         tag = f"_eps{eps:g}" if (multi and eps is not None) else ""
-        suffix = ".json" if cfg.fmt == "json" else ".csv"
-        path = _out_path(cfg, suffix, tag)
-        if cfg.fmt == "json":
-            write_trajectory_json(path, traj, spec.columns)
-        else:
-            write_trajectory_csv(path, traj, spec.columns)
+        path = _out_path(cfg, f".{cfg.fmt}", tag)
+        TRAJECTORY_WRITERS[cfg.fmt](path, traj, spec.columns)
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _reduced_trajectory(entry: SystemEntry, cfg, traj: Trajectory) -> Trajectory:
-    if entry.frame_state_matrix is None:
-        return traj
-    return transform_linear(traj, entry.reduce_matrix(cfg.params))
-
-
-def _lift_state(entry: SystemEntry, cfg, reduced_state):
-    """Embed a constraint-compatible reduced state into the friction model
-    (zero slip components)."""
-    if entry.frame_state_matrix is None:
-        return np.asarray(reduced_state, dtype=float)
-    return entry.lift_state(cfg.params, reduced_state)
-
-
 def cmd_compare(cfg: ExperimentConfig) -> int:
+    entry, _ = _resolve_model(cfg)  # checks the named model before it is replaced
     cfg.model = "friction"
-    entry, _ = _resolve_model(cfg)
     if "nh" not in entry.models:
         raise ConfigError(f"system {cfg.system!r} has no constrained model")
     if len(cfg.eps) < 3:
@@ -384,7 +340,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
     fric_icfgs = [_integrator_config(cfg, fric_spec, eps) for eps in cfg.eps]
     nh_state = _initial_state(cfg, nh_spec)
-    fric_state = _lift_state(entry, cfg, nh_state)
+    fric_state = entry.lift_state(cfg.params, nh_state)
     nh_field = nh_spec.build(cfg.params, None)
     nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg, nh_spec, None))
     comps = entry.compare_components or None
@@ -393,7 +349,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     errors, defects, corr_errors = [], [], []
     for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
         fric_traj = integrate(fric_spec.build(cfg.params, eps), fric_state, fric_icfg)
-        reduced = _reduced_trajectory(entry, cfg, fric_traj)
+        reduced = fric_traj
+        if entry.frame_state_matrix is not None:
+            reduced = transform_linear(fric_traj, entry.reduce_matrix(cfg.params))
         errors.append(analysis.sup_distance(reduced, nh_traj, t1, t_end, comps))
         # defect over the post-transient window, matching the report window
         defects.append(
@@ -419,10 +377,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         "system": cfg.system,
         "model": "friction",
         "config_echo": cfg.echo(),
+        "initial_energy": float(entry.energy_of_state(cfg.params, fric_state)),
         **report.to_dict(),
     }
-    if entry.energy_of_state is not None:
-        doc["initial_energy"] = float(entry.energy_of_state(cfg.params, fric_state))
     if corr_errors:
         doc["corrected_errors"] = corr_errors
         doc["corrected_orders"] = list(
@@ -507,30 +464,15 @@ def cmd_list_systems() -> int:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--system", help="registered system name")
-    p.add_argument("--model", choices=("nh", "friction", "corrected", "fast"))
-    p.add_argument(
-        "--eps",
-        type=float,
-        action="append",
-        help="friction scale; repeat the flag for a ladder",
-    )
-    p.add_argument("--state", help="comma-separated initial state")
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--dt", type=float, help="fixed step (default: min(1e-3, eps/20))")
-    p.add_argument("--sample-dt", dest="sample_dt", type=float)
-    p.add_argument("--method", choices=("rk4", "rkf45"))
-    p.add_argument("--out", help="output path (default under $NONHOLIB_OUT_DIR)")
-    p.add_argument("--format", choices=("csv", "json"))
+    for key, attr, _, help_text in SETTINGS:
+        action = "append" if key == "eps" else "store"
+        p.add_argument(_flag(key), dest=attr, action=action, help=help_text)
     p.add_argument(
         "--param",
         action="append",
         metavar="KEY=VAL",
         help="numeric system parameter, repeatable",
     )
-    p.add_argument("--window-start", dest="window_start", type=float)
-    p.add_argument("--transient-cutoff", dest="transient_cutoff", type=float)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ The friction force is -v/eps times the unit covector normal to the blade
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,11 @@ class InvalidParameter(ValueError):
     """A system parameter is outside its physical range."""
 
 
+def _require_finite(params) -> None:
+    if not all(map(math.isfinite, astuple(params))):
+        raise InvalidParameter(f"parameters must be finite, got {params}")
+
+
 # ---------------------------------------------------------------------------
 # sleigh
 # ---------------------------------------------------------------------------
@@ -50,6 +55,7 @@ class SleighParams:
     a: float = 0.2
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.m > 0:
             raise InvalidParameter("m must be positive")
         if not self.I > 0:
@@ -363,6 +369,7 @@ class PendulumParams:
     eps: float = 1e-2
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.g > 0:
             raise InvalidParameter("g must be positive")
         if not self.eps > 0:
@@ -518,7 +525,7 @@ class ModelSpec:
     columns: tuple
     needs_eps: bool
     build: Callable  # (params: dict, eps: float | None) -> field callable
-    default_state: Callable  # (params: dict) -> ndarray
+    default_state: tuple
     fast_rate: Callable = None  # (params: dict, eps) -> 1/s, None if nonstiff
 
 
@@ -534,12 +541,12 @@ class SystemEntry:
     name: str
     param_defaults: dict
     models: dict
+    # (params: dict, friction-model state) -> total energy, used to flag
+    # runs started outside the moderate-energy regime in the reports
+    energy_of_state: Callable
     # (params: dict) -> linear map from the friction-model state to the
     # (q, xi, eta) layout of the generic frame; None: same layout
     frame_state_matrix: Callable = None
-    # (params: dict, friction-model state) -> total energy, used to flag
-    # runs started outside the moderate-energy regime in the reports
-    energy_of_state: Callable = None
     compare_components: tuple = ()
     # (params: dict) -> (system, frame, friction) for manifold extraction
     generic_builders: Callable = None
@@ -552,78 +559,74 @@ class SystemEntry:
 
     def lift_state(self, params: dict, reduced_state) -> np.ndarray:
         """Reduced state (q, xi) -> friction-model state with zero slip,
-        by inverting the frame-state map at eta = 0."""
+        by inverting the frame-state map at eta = 0.  Without a frame-state
+        map the two states share one layout."""
+        if self.frame_state_matrix is None:
+            return np.asarray(reduced_state, dtype=float)
         m = self.frame_state_matrix(params)
         frame_state = np.zeros(len(m))
         frame_state[: len(reduced_state)] = reduced_state
         return np.linalg.solve(m, frame_state)
 
 
-def _sleigh_params(params: dict) -> SleighParams:
-    return SleighParams(
-        m=params.get("m", 1.0), I=params.get("I", 1.0), a=params.get("a", 0.2)
-    )
-
-
-def _pendulum_params(params: dict, eps: float) -> PendulumParams:
-    return PendulumParams(g=params.get("g", 9.81), eps=eps)
+def _param_defaults(params_cls) -> dict:
+    """The --param names of a system and their defaults: the fields of its
+    params dataclass, except eps, which comes from the eps ladder."""
+    return {f.name: f.default for f in fields(params_cls) if f.name != "eps"}
 
 
 def _sleigh_entry() -> SystemEntry:
-    def nh_state(params):
-        return np.array([0.0, 0.0, 0.0, -1.0, 0.5])
-
-    def friction_state(params):
-        return np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.5])
+    nh_state = (0.0, 0.0, 0.0, -1.0, 0.5)
+    friction_state = (0.0, 0.0, 0.0, -1.0, 0.0, 0.5)
 
     models = {
         "nh": ModelSpec(
             columns=("x", "y", "phi", "u", "omega"),
             needs_eps=False,
-            build=lambda params, eps: sleigh_nh_field(_sleigh_params(params)),
+            build=lambda params, eps: sleigh_nh_field(SleighParams(**params)),
             default_state=nh_state,
         ),
         "friction": ModelSpec(
             columns=("x", "y", "phi", "u", "v", "omega"),
             needs_eps=True,
             build=lambda params, eps: sleigh_friction_field(
-                _sleigh_params(params), eps
+                SleighParams(**params), eps
             ),
             default_state=friction_state,
-            fast_rate=lambda params, eps: _sleigh_params(params).fast_rate(eps),
+            fast_rate=lambda params, eps: SleighParams(**params).fast_rate(eps),
         ),
         "corrected": ModelSpec(
             columns=("x", "y", "phi", "u", "psi"),
             needs_eps=True,
             build=lambda params, eps: sleigh_corrected_field(
-                _sleigh_params(params), eps
+                SleighParams(**params), eps
             ),
             default_state=nh_state,
         ),
         "fast": ModelSpec(
             columns=("x", "y", "phi", "u", "v", "psi"),
             needs_eps=False,
-            build=lambda params, eps: sleigh_fast_field(_sleigh_params(params)),
+            build=lambda params, eps: sleigh_fast_field(SleighParams(**params)),
             default_state=friction_state,
         ),
     }
 
     def builders(params):
-        p = _sleigh_params(params)
+        p = SleighParams(**params)
         return sleigh_system(p), sleigh_ortho_frame(p), sleigh_friction_form(p)
 
     def energy_of(params, state):
-        p = _sleigh_params(params)
+        p = SleighParams(**params)
         return sleigh_energy(p, state[3], state[4], state[5])
 
     return SystemEntry(
         name="sleigh",
-        param_defaults={"m": 1.0, "I": 1.0, "a": 0.2},
+        param_defaults=_param_defaults(SleighParams),
         models=models,
-        frame_state_matrix=lambda params: sleigh_uvw_to_ortho_matrix(
-            _sleigh_params(params)
-        ),
         energy_of_state=energy_of,
+        frame_state_matrix=lambda params: sleigh_uvw_to_ortho_matrix(
+            SleighParams(**params)
+        ),
         compare_components=(3, 4),
         generic_builders=builders,
     )
@@ -631,16 +634,14 @@ def _sleigh_entry() -> SystemEntry:
 
 def _pendulum_entry(variant: str) -> SystemEntry:
     columns = ("x", "y", "vx", "vy")
-
-    def state(params):
-        return pendulum_default_state()
+    state = tuple(pendulum_default_state())
 
     models = {
         "nh": ModelSpec(
             columns=columns,
             needs_eps=False,
             build=lambda params, eps: pendulum_nh_field(
-                PendulumParams(g=params.get("g", 9.81), eps=1.0)
+                PendulumParams(**params, eps=1.0)
             ),
             default_state=state,
         ),
@@ -650,7 +651,7 @@ def _pendulum_entry(variant: str) -> SystemEntry:
             columns=columns,
             needs_eps=True,
             build=lambda params, eps: make_pendulum(
-                variant, _pendulum_params(params, eps)
+                variant, PendulumParams(**params, eps=eps)
             ),
             default_state=state,
             fast_rate=(
@@ -663,21 +664,20 @@ def _pendulum_entry(variant: str) -> SystemEntry:
             columns=columns,
             needs_eps=False,
             build=lambda params, eps: pendulum_fast_field(
-                PendulumParams(g=params.get("g", 9.81), eps=1.0)
+                PendulumParams(**params, eps=1.0)
             ),
             default_state=state,
         )
 
     def energy_of(params, state):
-        g = params.get("g", 9.81)
+        g = PendulumParams(**params, eps=1.0).g
         return 0.5 * float(state[2] ** 2 + state[3] ** 2) + g * float(state[1])
 
     return SystemEntry(
         name=f"pendulum-{variant}",
-        param_defaults={"g": 9.81},
+        param_defaults=_param_defaults(PendulumParams),
         models=models,
         energy_of_state=energy_of,
-        compare_components=(0, 1, 2, 3),
     )
 
 

@@ -140,6 +140,11 @@ def test_simulate_bad_config_exit_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense.key=1\n")
     assert run(["simulate", "--config", str(bad)]) == 2
+    # the format key is checked like its flag, before anything is written
+    xml = tmp_path / "xml.cfg"
+    xml.write_text(f"system=sleigh\nformat=xml\nout={tmp_path / 'xml_run'}\n")
+    assert run(["simulate", "--config", str(xml)]) == 2
+    assert not list(tmp_path.glob("xml_run*"))
     # unknown parameter name for the chosen system
     assert (
         run(["simulate", "--system", "sleigh", "--model", "nh", "--param", "mass=2"])
@@ -207,8 +212,24 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
              "--eps", "2e-3", "--t1", "0.4"],
             4,
         ),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--param", "a=nan"], 2),
+        (
+            ["simulate", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+             "--param", "m=inf", "--t1", "1"],
+            2,
+        ),
+        (["simulate", "--system", "pendulum-friction", "--model", "nh", "--param", "g=inf"], 2),
+        (["simulate", "--system", "sleigh", "--model", "friction", "--eps", "inf"], 2),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--t1", "abc"], 2),
+        (["simulate", "--system", "sleigh", "--model", "friction", "--eps", "abc"], 2),
+        (["simulate", "--system", "sleigh", "--model", "bogus"], 2),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--method", "bogus"], 2),
     ],
-    ids=["negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window"],
+    ids=[
+        "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
+        "nan-param", "inf-mass", "inf-gravity", "inf-eps", "malformed-t1", "malformed-eps",
+        "unknown-model", "unknown-method",
+    ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):
     env = dict(os.environ, NONHOLIB_OUT_DIR=str(tmp_path))

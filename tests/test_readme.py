@@ -1,9 +1,12 @@
-"""The README's library example runs as written against the package."""
+"""The README's library example and config block hold against the package."""
 
+import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 import nonholib
+from nonholib.cli import SETTINGS, ExperimentConfig, build_config, read_config_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,19 @@ def test_readme_library_example_runs():
     # the package exports exactly what the example imports from it
     imported = re.search(r"from nonholib import \((.*?)\)", block, re.S).group(1)
     assert sorted(n.strip() for n in imported.split(",")) == sorted(nonholib.__all__)
+
+
+def test_readme_config_block_matches_settings(tmp_path):
+    text = README.read_text()
+    match = re.search(r"^### Config files\n.*?^```\n(.*?)^```", text, re.S | re.M)
+    assert match, "README has no block under '### Config files'"
+    path = tmp_path / "readme.cfg"
+    path.write_text(match.group(1))
+    keys = read_config_file(str(path))
+    assert {k for k in keys if not k.startswith("params.")} == {s[0] for s in SETTINGS}
+    cfg = build_config(argparse.Namespace(config=str(path)))
+    assert cfg.eps == (8e-3, 4e-3, 2e-3)
+    assert cfg.params == {"m": 1, "I": 1, "a": 0.2}
+    # every ExperimentConfig field is set by one table row, params by --param
+    attrs = [s[1] for s in SETTINGS] + ["params"]
+    assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))

@@ -38,6 +38,9 @@ def test_sleigh_params_validation():
         SleighParams(I=0.0)
     with pytest.raises(ValueError):
         SleighParams(a=-0.1)
+    for bad in ({"a": float("nan")}, {"m": float("inf")}, {"I": float("inf")}):
+        with pytest.raises(ValueError):
+            SleighParams(**bad)
     p = SleighParams(m=2.0, I=3.0, a=0.5)
     assert_allclose(p.itot, 3.5)
     assert_allclose(p.fast_rate(0.01), 3.5 / (3.0 * 2.0 * 0.01))
@@ -48,6 +51,9 @@ def test_pendulum_params_validation():
         PendulumParams(g=0.0, eps=1e-3)
     with pytest.raises(ValueError):
         PendulumParams(g=9.81, eps=0.0)
+    for bad in ({"g": float("inf")}, {"g": float("nan")}, {"eps": float("inf")}):
+        with pytest.raises(ValueError):
+            PendulumParams(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +301,7 @@ def test_registry_names():
 def test_registry_models_and_states():
     sleigh_entry = get_system("sleigh")
     assert set(sleigh_entry.models) == {"nh", "friction", "corrected", "fast"}
-    st = sleigh_entry.models["friction"].default_state({})
+    st = np.array(sleigh_entry.models["friction"].default_state)
     assert st.shape == (6,)
     pend = get_system("pendulum-friction")
     assert "fast" in pend.models
@@ -307,7 +313,7 @@ def test_registry_builds_callable_fields():
     for name, spec in entry.models.items():
         eps = 0.01 if spec.needs_eps else None
         fld = spec.build({}, eps)
-        out = fld(spec.default_state({}))
+        out = fld(np.array(spec.default_state))
         assert out.shape == (len(spec.columns),)
 
 
