@@ -102,8 +102,15 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(_parse_finite(tok) for tok in text.split(",") if tok.strip())
 
 
 def _parse_format(text: str) -> str:
@@ -123,13 +130,13 @@ SETTINGS = (
     ("state", "initial_state", _parse_float_list, "comma-separated initial state"),
     ("out", "out", str, "output path (default under $NONHOLIB_OUT_DIR)"),
     ("format", "fmt", _parse_format, "csv or json"),
-    ("integrator.t0", "t0", float, "start time"),
-    ("integrator.t1", "t1", float, "end time"),
-    ("integrator.dt", "dt", float, "fixed step (default: min(1e-3, eps/20))"),
-    ("integrator.sample_dt", "sample_dt", float, "output sampling interval"),
+    ("integrator.t0", "t0", _parse_finite, "start time"),
+    ("integrator.t1", "t1", _parse_finite, "end time"),
+    ("integrator.dt", "dt", _parse_finite, "fixed step (default: min(1e-3, eps/20))"),
+    ("integrator.sample_dt", "sample_dt", _parse_finite, "output sampling interval"),
     ("integrator.method", "method", str, "rk4 or rkf45"),
-    ("compare.window_start", "window_start", float, "compare window start"),
-    ("manifold.transient_cutoff", "transient_cutoff", float, "end of the transient"),
+    ("compare.window_start", "window_start", _parse_finite, "compare window start"),
+    ("manifold.transient_cutoff", "transient_cutoff", _parse_finite, "end of the transient"),
 )
 
 
@@ -204,8 +211,8 @@ def _resolve_model(cfg: ExperimentConfig):
     if spec.needs_eps and not cfg.eps:
         raise ConfigError(f"model {cfg.model!r} requires --eps > 0")
     for e in cfg.eps:
-        if not (np.isfinite(e) and e > 0):
-            raise ConfigError(f"eps values must be finite and positive, got {e}")
+        if not e > 0:
+            raise ConfigError(f"eps values must be positive, got {e}")
     return entry, spec
 
 
@@ -218,8 +225,6 @@ def _initial_state(cfg: ExperimentConfig, spec: ModelSpec) -> np.ndarray:
             f"state must have {len(spec.columns)} components "
             f"({','.join(spec.columns)}), got {state.size}"
         )
-    if not np.all(np.isfinite(state)):
-        raise ConfigError("state components must be finite")
     return state
 
 
@@ -333,6 +338,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         raise ConfigError("compare needs an eps ladder with at least 3 entries")
     if not all(b < a for a, b in zip(cfg.eps, cfg.eps[1:])):
         raise ConfigError("eps ladder must be strictly decreasing")
+    if not cfg.window_start > 0:
+        raise ConfigError(
+            f"compare window start must be positive, got {cfg.window_start:g}"
+        )
 
     fric_spec = entry.models["friction"]
     nh_spec = entry.models["nh"]

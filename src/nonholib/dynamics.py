@@ -17,12 +17,15 @@ complement) and a Rayleigh friction form with kernel D, this module builds:
 State layouts are flat vectors: reduced (q, xi) of length n + k, frame
 (q, xi, eta) of length 2n, chart (q, qdot) of length 2n.  Field builders
 return pure callables and are safe to evaluate concurrently.
+
+Each evaluation of a frame-based field or of h1 reads its point data once
+(_Point): one connection evaluation, one frame read and one metric read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .geometry import (
     COND_LIMIT,
     MechanicalSystem,
     MovingFrame,
+    _central_difference,
     christoffel,
     connection_coefficients,
     frame_metric,
@@ -71,31 +75,77 @@ def friction_matrix(sys, fr, fric, q) -> np.ndarray:
     of D onto its orthogonal complement.
     """
     f = fr.fields_at(q)
-    lam = np.linalg.inv(f)
-    kappa = sys.metric_at(q)
-    nu = fric.nu_at(q)
-    return lam @ np.linalg.solve(kappa, nu) @ f
+    return _frame_friction(fric, q, f, np.linalg.inv(f), sys.metric_at(q))
+
+
+def _frame_friction(fric, q, f, lam, kappa) -> np.ndarray:
+    return lam @ np.linalg.solve(kappa, fric.nu_at(q)) @ f
 
 
 def eta_block_operator(sys, fr, fric, q) -> np.ndarray:
     """The eta-eta block of :func:`friction_matrix`; must be invertible."""
-    k = fr.k
-    block = friction_matrix(sys, fr, fric, q)[k:, k:]
+    return _eta_block(friction_matrix(sys, fr, fric, q), fr.k)
+
+
+def _eta_block(matrix, k) -> np.ndarray:
+    block = matrix[k:, k:]
     if block.size and np.linalg.cond(block) > COND_LIMIT:
         raise SingularEtaBlock("eta block of the friction operator is singular")
     return block
 
 
-def _reduced_accel(sys, fr, q, w) -> np.ndarray:
-    """Connection and potential contributions to all quasi-velocity rates."""
-    omega = connection_coefficients(sys, fr, q)
-    acc = -np.einsum("abg,b,g->a", omega, w, w)
-    dV = sys.potential_grad_at(q)
-    if np.any(dV):
-        lam = fr.inverse_at(q)
-        kappa = sys.metric_at(q)
-        acc = acc - lam @ np.linalg.solve(kappa, dV)
-    return acc
+class _Point:
+    """What the frame-based fields need at a state (q, w): the frame f, its
+    inverse lam, the metric kappa, the connection omega, and acc, the
+    connection and potential contributions to all quasi-velocity rates."""
+
+    def __init__(self, sys, fr, q, w):
+        self.q, self.w, self.k = q, w, fr.k
+        self.f = fr.fields_at(q)
+        self.lam = np.linalg.inv(self.f)
+        self.kappa = sys.metric_at(q)
+        self.omega = connection_coefficients(sys, fr, q)
+        self.acc = -np.einsum("abg,b,g->a", self.omega, w, w)
+        dV = sys.potential_grad_at(q)
+        if np.any(dV):
+            self.acc = self.acc - self.lam @ np.linalg.solve(self.kappa, dV)
+
+    @classmethod
+    def reduced(cls, sys, fr, q, xi):
+        """At a reduced state (q, xi), with w = (xi, 0)."""
+        w = np.zeros(sys.n)
+        w[: fr.k] = xi
+        return cls(sys, fr, q, w)
+
+    def friction(self, fric) -> np.ndarray:
+        return _frame_friction(fric, self.q, self.f, self.lam, self.kappa)
+
+    def nh_rates(self) -> np.ndarray:
+        return np.concatenate([self.f @ self.w, self.acc[: self.k]])
+
+    def h1(self, fric) -> np.ndarray:
+        block = _eta_block(self.friction(fric), self.k)
+        return np.linalg.solve(block, self.acc[self.k :])
+
+    def first_order_rates(self, fric) -> np.ndarray:
+        z = np.zeros(len(self.w))
+        z[self.k :] = self.h1(fric)
+        omega, w = self.omega, self.w
+        cross = np.einsum("abg,b,g->a", omega, w, z) + np.einsum(
+            "abg,b,g->a", omega, z, w
+        )
+        return np.concatenate([self.f @ z, -cross[: self.k]])
+
+
+def _reduced_field(sys, fr, rates: Callable) -> Callable:
+    """Field on reduced states y = (q, xi) with value rates(point at y)."""
+    n = sys.n
+
+    def rhs(y):
+        y = np.asarray(y, dtype=float)
+        return rates(_Point.reduced(sys, fr, y[:n], y[n:]))
+
+    return rhs
 
 
 def nonholonomic_field(sys: MechanicalSystem, fr: MovingFrame) -> Callable:
@@ -105,18 +155,7 @@ def nonholonomic_field(sys: MechanicalSystem, fr: MovingFrame) -> Callable:
     acceleration with the potential force; the energy
     0.5 kappa(qdot, qdot) + V is conserved along the flow.
     """
-    n, k = sys.n, fr.k
-
-    def rhs(y):
-        y = np.asarray(y, dtype=float)
-        q, xi = y[:n], y[n:]
-        w = np.zeros(n)
-        w[:k] = xi
-        qdot = fr.fields_at(q) @ w
-        acc = _reduced_accel(sys, fr, q, w)
-        return np.concatenate([qdot, acc[:k]])
-
-    return rhs
+    return _reduced_field(sys, fr, _Point.nh_rates)
 
 
 def friction_field(sys, fr, fric: RayleighFriction, eps: float) -> Callable:
@@ -134,10 +173,9 @@ def friction_field(sys, fr, fric: RayleighFriction, eps: float) -> Callable:
     def rhs(y):
         y = np.asarray(y, dtype=float)
         q, w = y[:n], y[n:]
-        qdot = fr.fields_at(q) @ w
-        acc = _reduced_accel(sys, fr, q, w)
-        acc = acc - friction_matrix(sys, fr, fric, q) @ w / eps
-        return np.concatenate([qdot, acc])
+        pt = _Point(sys, fr, q, w)
+        acc = pt.acc - pt.friction(fric) @ w / eps
+        return np.concatenate([pt.f @ w, acc])
 
     return rhs
 
@@ -184,12 +222,10 @@ class ExpansionData:
     """First-order slow-manifold data.
 
     h1(q, xi) is the leading graph coefficient: the invariant manifold of
-    the friction dynamics is eta = eps * h1 + O(eps^2).  The eta-block
-    operator is exposed for diagnostics.
+    the friction dynamics is eta = eps * h1 + O(eps^2).
     """
 
     h1: Callable
-    eta_block: Callable
 
 
 def compute_h1(sys, fr, fric: RayleighFriction) -> ExpansionData:
@@ -199,25 +235,14 @@ def compute_h1(sys, fr, fric: RayleighFriction) -> ExpansionData:
     (xi, 0)], where block is the eta-block of kappa^{-1} nu in the frame.
     With no potential and xi = 0 this vanishes: no drive, no drift.
     """
-    n, k = sys.n, fr.k
-
-    def block_at(q):
-        return eta_block_operator(sys, fr, fric, q)
 
     def h1(q, xi):
-        q = np.asarray(q, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        w = np.zeros(n)
-        w[:k] = xi
-        g1 = _reduced_accel(sys, fr, q, w)[k:]
-        return np.linalg.solve(block_at(q), g1)
+        return _Point.reduced(sys, fr, np.asarray(q, dtype=float), xi).h1(fric)
 
-    return ExpansionData(h1=h1, eta_block=block_at)
+    return ExpansionData(h1=h1)
 
 
-def first_order_field(
-    sys, fr, fric: RayleighFriction, expansion: Optional[ExpansionData] = None
-) -> Callable:
+def first_order_field(sys, fr, fric: RayleighFriction) -> Callable:
     """First-order correction to the nonholonomic field on (q, xi).
 
     The drift velocity eps * h1 violates the constraint, so the corrected
@@ -225,26 +250,7 @@ def first_order_field(
     xi' the symmetrized connection cross terms between (xi, 0) and
     (0, h1).
     """
-    n, k = sys.n, fr.k
-    if expansion is None:
-        expansion = compute_h1(sys, fr, fric)
-
-    def rhs(y):
-        y = np.asarray(y, dtype=float)
-        q, xi = y[:n], y[n:]
-        h = expansion.h1(q, xi)
-        w = np.zeros(n)
-        w[:k] = xi
-        z = np.zeros(n)
-        z[k:] = h
-        qdot = fr.fields_at(q) @ z
-        omega = connection_coefficients(sys, fr, q)
-        cross = np.einsum("abg,b,g->a", omega, w, z) + np.einsum(
-            "abg,b,g->a", omega, z, w
-        )
-        return np.concatenate([qdot, -cross[:k]])
-
-    return rhs
+    return _reduced_field(sys, fr, lambda pt: pt.first_order_rates(fric))
 
 
 def corrected_field(sys, fr, fric: RayleighFriction, eps: float) -> Callable:
@@ -254,13 +260,9 @@ def corrected_field(sys, fr, fric: RayleighFriction, eps: float) -> Callable:
     """
     if eps < 0:
         raise NonPositiveEpsilon(f"eps must be >= 0, got {eps}")
-    nh = nonholonomic_field(sys, fr)
-    x1 = first_order_field(sys, fr, fric)
-
-    def rhs(y):
-        return nh(y) + eps * x1(y)
-
-    return rhs
+    return _reduced_field(
+        sys, fr, lambda pt: pt.nh_rates() + eps * pt.first_order_rates(fric)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +290,7 @@ def rayleigh_power(fric: RayleighFriction, q, qdot) -> float:
     return float(qdot @ fric.nu_at(q) @ qdot)
 
 
-def expansion_defect(sys, fr, fric, eps, q, xi, fd_step: float = 1e-6) -> np.ndarray:
+def expansion_defect(sys, fr, fric, eps, q, xi) -> np.ndarray:
     """Fast-time invariance defect of the first-order graph eta = eps h1.
 
     Inserts the truncated graph into the invariance relation
@@ -308,15 +310,10 @@ def expansion_defect(sys, fr, fric, eps, q, xi, fd_step: float = 1e-6) -> np.nda
     slow_rates = rates[: n + k]  # (q', xi') in slow time
     eta_rate = rates[n + k :]
 
-    # Jacobian of (q, xi) -> eps * h1 by central differences.
-    y = np.concatenate([q, xi])
-    jac = np.empty((n - k, n + k))
-    for m in range(n + k):
-        dy = np.zeros(n + k)
-        dy[m] = fd_step
-        hp = expansion.h1((y + dy)[:n], (y + dy)[n:])
-        hm = expansion.h1((y - dy)[:n], (y - dy)[n:])
-        jac[:, m] = (hp - hm) / (2.0 * fd_step)
+    # Jacobian of (q, xi) -> h1 by central differences.
+    jac = _central_difference(lambda y: expansion.h1(y[:n], y[n:]), n + k)(
+        np.concatenate([q, xi])
+    )
     # Fast-time residual: both sides of the invariance relation carry one
     # factor of eps relative to slow time.
     return eps * (eta_rate - eps * jac @ slow_rates)

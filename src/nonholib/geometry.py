@@ -18,6 +18,9 @@ Index conventions used throughout (all arrays are plain ndarrays):
 
 Quasi-velocities split as (xi, eta) with xi the first k frame components
 (along D) and eta the rest; projections onto the blocks are plain slices.
+
+connection_coefficients and geodesic_rhs_struct read each of the four
+callbacks (fields, field_derivs, metric, metric_derivs) once per point.
 """
 
 from __future__ import annotations
@@ -43,32 +46,21 @@ class SingularMetric(RuntimeError):
     """Metric is not symmetric positive definite at the queried point."""
 
 
-def _fd_matrix_derivs(fn: Callable, n: int, step: float = FD_STEP) -> Callable:
-    """Central finite differences of a matrix-valued map q -> (n, n)."""
+def _central_difference(fn: Callable, n: int) -> Callable:
+    """Central finite differences of a scalar-, vector- or matrix-valued map
+    of q; the derivative index is the last axis."""
 
     def derivs(q):
         q = np.asarray(q, dtype=float)
-        out = np.empty((n, n, n))
+        cols = []
         for m in range(n):
             dq = np.zeros(n)
-            dq[m] = step
-            out[:, :, m] = (fn(q + dq) - fn(q - dq)) / (2.0 * step)
-        return out
+            dq[m] = FD_STEP
+            diff = np.asarray(fn(q + dq), float) - np.asarray(fn(q - dq), float)
+            cols.append(diff / (2.0 * FD_STEP))
+        return np.stack(cols, axis=-1)
 
     return derivs
-
-
-def _fd_gradient(fn: Callable, n: int, step: float = FD_STEP) -> Callable:
-    def grad(q):
-        q = np.asarray(q, dtype=float)
-        out = np.empty(n)
-        for m in range(n):
-            dq = np.zeros(n)
-            dq[m] = step
-            out[m] = (fn(q + dq) - fn(q - dq)) / (2.0 * step)
-        return out
-
-    return grad
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ class MechanicalSystem:
     def metric_derivs_at(self, q) -> np.ndarray:
         fn = self.metric_derivs
         if fn is None:
-            fn = _fd_matrix_derivs(lambda p: np.asarray(self.metric(p), float), self.n)
+            fn = _central_difference(self.metric, self.n)
         return np.asarray(fn(q), dtype=float)
 
     def potential_at(self, q) -> float:
@@ -117,7 +109,7 @@ class MechanicalSystem:
             return np.zeros(self.n)
         fn = self.potential_grad
         if fn is None:
-            fn = _fd_gradient(self.potential, self.n)
+            fn = _central_difference(self.potential, self.n)
         return np.asarray(fn(q), dtype=float)
 
 
@@ -156,8 +148,7 @@ class MovingFrame:
     def field_derivs_at(self, q) -> np.ndarray:
         fn = self.field_derivs
         if fn is None:
-            n = self.fields_at(np.asarray(q, dtype=float)).shape[0]
-            fn = _fd_matrix_derivs(lambda p: np.asarray(self.fields(p), float), n)
+            fn = _central_difference(self.fields, np.size(q))
         return np.asarray(fn(q), dtype=float)
 
 
@@ -195,26 +186,33 @@ def structure_functions(fr: MovingFrame, q) -> np.ndarray:
     Antisymmetric in the lower pair; identically zero for frames induced by
     coordinates.
     """
-    f = fr.fields_at(q)
-    df = fr.field_derivs_at(q)
+    return _brackets(fr.fields_at(q), fr.field_derivs_at(q))
+
+
+def _brackets(f, df) -> np.ndarray:
+    """Structure functions from the frame f and its chart derivatives df."""
     lam = np.linalg.inv(f)
     # bracket[i, b, g] = f^m_b d_m f^i_g - f^m_g d_m f^i_b
     bracket = np.einsum("mb,igm->ibg", f, df) - np.einsum("mg,ibm->ibg", f, df)
     return np.einsum("ai,ibg->abg", lam, bracket)
 
 
-def _frame_metric_directional_derivs(sys, fr, q) -> np.ndarray:
-    """DK[a, b, c] = f_c(kappa_ab), directional derivative along f_c."""
+def _connection_terms(sys, fr, q):
+    """Frame metric K, its inverse, its directional derivatives
+    DK[a, b, c] = f_c(K_ab) and the structure functions C at q, from one
+    read of each of the frame, metric and derivative callbacks."""
     f = fr.fields_at(q)
     df = fr.field_derivs_at(q)
     kappa = sys.metric_at(q)
     dkappa = sys.metric_derivs_at(q)
+    K = f.T @ kappa @ f
     dk_chart = (
         np.einsum("iam,ij,jb->abm", df, kappa, f)
         + np.einsum("ia,ijm,jb->abm", f, dkappa, f)
         + np.einsum("ia,ij,jbm->abm", f, kappa, df)
     )
-    return np.einsum("abm,mc->abc", dk_chart, f)
+    DK = np.einsum("abm,mc->abc", dk_chart, f)
+    return K, np.linalg.inv(K), DK, _brackets(f, df)
 
 
 def connection_coefficients(sys: MechanicalSystem, fr: MovingFrame, q) -> np.ndarray:
@@ -226,10 +224,7 @@ def connection_coefficients(sys: MechanicalSystem, fr: MovingFrame, q) -> np.nda
     The lower-index antisymmetric part reproduces the structure functions
     (torsion-freeness), which the test suite checks explicitly.
     """
-    K = frame_metric(sys, fr, q)
-    Kinv = np.linalg.inv(K)
-    DK = _frame_metric_directional_derivs(sys, fr, q)
-    C = structure_functions(fr, q)
+    K, Kinv, DK, C = _connection_terms(sys, fr, q)
     kosz = 0.5 * (
         np.einsum("eb,gbd->egd", Kinv, DK)
         + np.einsum("eb,dbg->egd", Kinv, DK)
@@ -314,10 +309,7 @@ def geodesic_rhs_struct(sys: MechanicalSystem, fr: MovingFrame, q, v) -> np.ndar
                            - kappa_{dg} C^d_ba ] v^b v^g
     """
     v = np.asarray(v, dtype=float)
-    K = frame_metric(sys, fr, q)
-    Kinv = np.linalg.inv(K)
-    DK = _frame_metric_directional_derivs(sys, fr, q)
-    C = structure_functions(fr, q)
+    K, Kinv, DK, C = _connection_terms(sys, fr, q)
     return -(
         np.einsum("ma,abg,b,g->m", Kinv, DK, v, v)
         - 0.5 * np.einsum("ma,bga,b,g->m", Kinv, DK, v, v)

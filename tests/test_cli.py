@@ -224,11 +224,33 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         (["simulate", "--system", "sleigh", "--model", "friction", "--eps", "abc"], 2),
         (["simulate", "--system", "sleigh", "--model", "bogus"], 2),
         (["simulate", "--system", "sleigh", "--model", "nh", "--method", "bogus"], 2),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--t1", "inf"], 2),
+        (
+            ["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "2",
+             "--window-start", "nan"],
+            2,
+        ),
+        (
+            ["simulate", "--system", "sleigh", "--model", "nh", "--sample-dt", "inf",
+             "--t1", "1"],
+            2,
+        ),
+        (
+            ["manifold", "--system", "sleigh", "--model", "friction", "--eps",
+             "1e-2,5e-3", "--t1", "2", "--transient-cutoff", "nan"],
+            2,
+        ),
+        (
+            ["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1",
+             "--window-start", "0"],
+            2,
+        ),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
         "nan-param", "inf-mass", "inf-gravity", "inf-eps", "malformed-t1", "malformed-eps",
-        "unknown-model", "unknown-method",
+        "unknown-model", "unknown-method", "inf-t1", "nan-window-start",
+        "inf-sample-dt", "nan-transient-cutoff", "zero-window-start",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,7 +23,13 @@ from nonholib.dynamics import (
     nonholonomic_field,
     rayleigh_power,
 )
-from nonholib.geometry import MechanicalSystem, MovingFrame, frame_metric
+from nonholib.geometry import (
+    MechanicalSystem,
+    MovingFrame,
+    connection_coefficients,
+    frame_metric,
+    geodesic_rhs_struct,
+)
 from nonholib.ode import IntegratorConfig, integrate
 from nonholib.systems import (
     PendulumParams,
@@ -310,9 +319,9 @@ def test_h1_zero_without_drive(sleigh_setup):
 
 def test_eta_block_inverse(sleigh, sleigh_setup):
     sysm, fr, fric = sleigh_setup
-    exp = compute_h1(sysm, fr, fric)
     q = np.zeros(3)
-    assert_allclose(exp.eta_block(q)[0, 0], 1.0 / sleigh.slaving, atol=1e-12)
+    block = eta_block_operator(sysm, fr, fric, q)
+    assert_allclose(block[0, 0], 1.0 / sleigh.slaving, atol=1e-12)
 
 
 def test_singular_eta_block():
@@ -384,6 +393,53 @@ def test_corrected_field_dissipates(sleigh, sleigh_setup):
     expected_rate = -eps * sleigh.slaving**2 * u0**2 * psi0**2
     measured = (es[1] - es[0]) / (traj.times[1] - traj.times[0])
     assert_allclose(measured, expected_rate, rtol=0.05)
+
+
+def test_each_point_read_once(sleigh_setup):
+    # callback reads per evaluation at one point: the connection reads each
+    # callback once, and the fields add at most one frame and one metric read
+    sysm, fr, fric = sleigh_setup
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def read(q):
+            counts[name] += 1
+            return fn(q)
+
+        return read
+
+    sysm = dataclasses.replace(
+        sysm,
+        metric=counted("metric", sysm.metric),
+        metric_derivs=counted("metric_derivs", sysm.metric_derivs),
+    )
+    fr = dataclasses.replace(
+        fr,
+        fields=counted("fields", fr.fields),
+        field_derivs=counted("field_derivs", fr.field_derivs),
+    )
+    q = np.array([0.1, -0.2, 0.3])
+    reduced = np.concatenate([q, [-1.0, 0.5]])
+    framed = np.concatenate([reduced, [0.2]])
+    once = {"fields": 1, "field_derivs": 1, "metric": 1, "metric_derivs": 1}
+    for evaluate in (
+        lambda: connection_coefficients(sysm, fr, q),
+        lambda: geodesic_rhs_struct(sysm, fr, q, framed[3:]),
+    ):
+        counts.clear()
+        evaluate()
+        assert counts == once
+    # (evaluation, most frame reads, most metric reads)
+    bounds = (
+        (lambda: compute_h1(sysm, fr, fric).h1(q, reduced[3:]), 2, 2),
+        (lambda: friction_field(sysm, fr, fric, 1e-2)(framed), 3, 2),
+        (lambda: first_order_field(sysm, fr, fric)(reduced), 3, 2),
+        (lambda: corrected_field(sysm, fr, fric, 1e-2)(reduced), 3, 2),
+    )
+    for evaluate, max_frame, max_metric in bounds:
+        counts.clear()
+        evaluate()
+        assert counts["fields"] <= max_frame and counts["metric"] <= max_metric, counts
 
 
 def test_slow_equation_coefficient_identity(sleigh):

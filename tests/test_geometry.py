@@ -156,6 +156,59 @@ def test_connection_sleigh_ortho_coefficient(sleigh, sleigh_setup):
     assert_allclose(coeff, sleigh.coupling, atol=1e-12)
 
 
+def test_connection_compatible_and_torsion_free_at_random_points():
+    # f_c(K_ab) = K_db omega^d_ac + K_ad omega^d_bc, with the left side a
+    # central difference of the frame metric along f_c, and
+    # omega^a_gb - omega^a_bg = C^a_bg, for random sleigh parameters
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from nonholib.systems import (
+        SleighParams,
+        sleigh_ortho_frame,
+        sleigh_system,
+        sleigh_uvw_frame,
+    )
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        q=st.tuples(
+            st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-np.pi, np.pi)
+        ),
+        m=st.floats(0.2, 5.0),
+        inertia=st.floats(0.2, 5.0),
+        a=st.floats(0.0, 1.0),
+        make_frame=st.sampled_from((sleigh_ortho_frame, sleigh_uvw_frame)),
+    )
+    def check(q, m, inertia, a, make_frame):
+        p = SleighParams(m=m, I=inertia, a=a)
+        sysm, fr = sleigh_system(p), make_frame(p)
+        q = np.array(q)
+        K = frame_metric(sysm, fr, q)
+        omega = connection_coefficients(sysm, fr, q)
+        f = fr.fields_at(q)
+        h = 1e-5
+        DK = np.stack(
+            [
+                (
+                    frame_metric(sysm, fr, q + h * f[:, c])
+                    - frame_metric(sysm, fr, q - h * f[:, c])
+                )
+                / (2.0 * h)
+                for c in range(3)
+            ],
+            axis=-1,
+        )
+        compat = np.einsum("db,dac->abc", K, omega) + np.einsum(
+            "ad,dbc->abc", K, omega
+        )
+        scale = np.max(np.abs(K))
+        assert_allclose(DK, compat, atol=1e-7 * scale)
+        C = structure_functions(fr, q)
+        assert_allclose(omega.transpose(0, 2, 1) - omega, C, atol=1e-9 * scale)
+
+    check()
+
+
 def test_christoffel_euclidean_zero():
     assert_allclose(christoffel(euclidean(2), np.zeros(2)), 0.0, atol=1e-14)
 
