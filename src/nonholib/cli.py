@@ -260,8 +260,8 @@ def _out_dir() -> Path:
 def _out_path(cfg: ExperimentConfig, suffix: str, tag: str = "") -> Path:
     if cfg.out is not None:
         path = Path(cfg.out)
-        if tag:
-            path = path.with_name(f"{path.stem}{tag}{path.suffix or suffix}")
+        if tag:  # the command names tagged files, so their suffix is their format
+            path = path.with_name(f"{path.stem}{tag}{suffix}")
         elif not path.suffix:
             path = path.with_suffix(suffix)
         return path
@@ -406,6 +406,13 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     entry, fric_spec = _resolve_model(cfg)
     if entry.generic_builders is None:
         raise ConfigError(f"system {cfg.system!r} has no slow-manifold support")
+    if not cfg.transient_cutoff > cfg.t0:
+        # a cutoff covering no fast time constant measures the initial slip
+        # offset, not the eps^2 slow manifold
+        raise ConfigError(
+            f"manifold transient cutoff must come after t0={cfg.t0:g}, "
+            f"got {cfg.transient_cutoff:g}"
+        )
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
     n, k = sysm.n, frame.k

@@ -5,6 +5,12 @@ reproducible experiments) and the adaptive Fehlberg 4(5) embedded pair for
 exploration of very stiff parameter regimes.  Integration is deterministic:
 identical inputs produce bit-identical trajectories.
 
+A field is called with the state as a list of Python floats and may return
+any sequence of floats (a tuple, a list or an ndarray).  The steppers work
+on Python floats because numpy's per-operation overhead dominates arithmetic
+on vectors of a few components; they keep the operation order of
+whole-array code, so their results are bitwise equal to it.
+
 Trajectories store the state *and* the right-hand side at every sample so
 that dense output is available through cubic Hermite interpolation, which is
 exact at the sample points and reproduces cubic polynomials in between.
@@ -15,6 +21,7 @@ so concurrent use from several threads is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -192,7 +199,8 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
     Parameters
     ----------
     field : callable
-        Maps a flat state vector to its time derivative (autonomous).
+        Maps a state to its time derivative (autonomous): it receives a
+        list of floats and returns a sequence of floats of the same length.
     x0 : array_like
         Initial state, finite.
     cfg : IntegratorConfig
@@ -223,25 +231,46 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(times, states, derivs)
 
 
+def _is_finite(x) -> bool:
+    # A finite sum implies finite terms; a sum that overflows falls back to
+    # the termwise check.
+    return math.isfinite(sum(x)) or all(map(math.isfinite, x))
+
+
 def _run_rk4(field, x0, times, cfg):
-    dim = x0.size
     n = len(times)
-    states = np.empty((n, dim))
-    derivs = np.empty((n, dim))
-    x = x0
+    states = np.empty((n, x0.size))
+    derivs = np.empty((n, x0.size))
+    times = times.tolist()
+    x = x0.tolist()
     states[0] = x
     derivs[0] = field(x)
     for i in range(n - 1):
         span = times[i + 1] - times[i]
         nsub = max(1, int(round(span / cfg.dt)))
         h = span / nsub
+        half, sixth = 0.5 * h, h / 6.0
         for j in range(nsub):
-            k1 = field(x)
-            k2 = field(x + 0.5 * h * k1)
-            k3 = field(x + 0.5 * h * k2)
-            k4 = field(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
+            xs = x
+            try:
+                k1 = field(xs)
+                xs = [a + half * b for a, b in zip(x, k1)]
+                k2 = field(xs)
+                xs = [a + half * b for a, b in zip(x, k2)]
+                k3 = field(xs)
+                xs = [a + h * b for a, b in zip(x, k3)]
+                k4 = field(xs)
+            except (ValueError, OverflowError):
+                # a math call on a non-finite stage state (math.cos(inf))
+                # is a blow-up; any other error is the field's own
+                if _is_finite(xs):
+                    raise
+                raise NonFiniteState(times[i] + (j + 1) * h) from None
+            x = [
+                a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+            ]
+            if not _is_finite(x):
                 raise NonFiniteState(times[i] + (j + 1) * h)
         states[i + 1] = x
         derivs[i + 1] = field(x)
@@ -262,16 +291,29 @@ _FE_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
+def _combine(coeffs, k):
+    """Componentwise 0 + c_0 k_0 + c_1 k_1 + ..., added left to right.
+
+    The explicit loop fixes the order of the additions; the builtin ``sum``
+    of floats is compensated on newer Pythons.
+    """
+    acc = [0] * len(k[0])
+    for c, kj in zip(coeffs, k):
+        acc = [s + c * b for s, b in zip(acc, kj)]
+    return acc
+
+
 def _run_rkf45(field, x0, times, cfg):
-    dim = x0.size
     n = len(times)
-    states = np.empty((n, dim))
-    derivs = np.empty((n, dim))
-    x = x0
+    states = np.empty((n, x0.size))
+    derivs = np.empty((n, x0.size))
+    times = times.tolist()
+    x = x0.tolist()
     states[0] = x
     derivs[0] = field(x)
     h_min = 1e-14 * (times[-1] - times[0])
     h = min(cfg.dt, times[-1] - times[0])
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
     k = [None] * 6
     for i in range(n - 1):
         t = times[i]
@@ -283,18 +325,23 @@ def _run_rkf45(field, x0, times, cfg):
             k[0] = field(x)
             ok = True
             for s in range(1, 6):
-                xs = x + h * sum(a * k[j] for j, a in enumerate(_FE_A[s]))
-                if not np.all(np.isfinite(xs)):
+                xs = [a + h * b for a, b in zip(x, _combine(_FE_A[s], k))]
+                if not _is_finite(xs):
                     ok = False
                     break
                 k[s] = field(xs)
             if ok:
-                x4 = x + h * sum(b * k[j] for j, b in enumerate(_FE_B4))
-                err_vec = h * sum(e * k[j] for j, e in enumerate(_FE_ERR))
-                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x4))
-                with np.errstate(invalid="ignore"):
-                    err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-                ok = np.isfinite(err) and np.all(np.isfinite(x4))
+                x4 = [a + h * b for a, b in zip(x, _combine(_FE_B4, k))]
+                ok = _is_finite(x4)
+            if ok:
+                # RMS of the scaled error; the mean stays numpy's, whose
+                # summation order the step-size sequence depends on.
+                ratios = [
+                    h * e / (atol + rtol * max(abs(a), abs(b)))
+                    for e, a, b in zip(_combine(_FE_ERR, k), x, x4)
+                ]
+                err = math.sqrt(np.mean([r * r for r in ratios]))
+                ok = math.isfinite(err)
             if not ok:
                 h *= 0.5
                 continue
@@ -307,8 +354,6 @@ def _run_rkf45(field, x0, times, cfg):
                     h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
             else:
                 h *= max(0.2, 0.9 * err ** -0.2)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(target)
         states[i + 1] = x
         derivs[i + 1] = field(x)
     return states, derivs

@@ -176,9 +176,7 @@ def sleigh_nh_field(p: SleighParams) -> Callable:
     def rhs(st):
         x, y, phi, u, om = st
         udot, omdot = sleigh_nh_rhs(p, u, om)
-        return np.array(
-            [u * math.cos(phi), u * math.sin(phi), om, udot, omdot]
-        )
+        return (u * math.cos(phi), u * math.sin(phi), om, udot, omdot)
 
     return rhs
 
@@ -192,7 +190,7 @@ def sleigh_friction_field(p: SleighParams, eps: float) -> Callable:
         x, y, phi, u, v, om = st
         s, c = math.sin(phi), math.cos(phi)
         udot, vdot, omdot = sleigh_friction_rhs(p, eps, u, v, om)
-        return np.array([u * c - v * s, u * s + v * c, om, udot, vdot, omdot])
+        return (u * c - v * s, u * s + v * c, om, udot, vdot, omdot)
 
     return rhs
 
@@ -218,10 +216,11 @@ def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
     def rhs(st):
         x, y, phi, u, psi = st
         udot, psidot = sleigh_nh_rhs(p, u, psi)
-        nh = np.array([u * math.cos(phi), u * math.sin(phi), psi, udot, psidot])
+        nh = (u * math.cos(phi), u * math.sin(phi), psi, udot, psidot)
         if eps == 0.0:
             return nh
-        return nh + eps * np.asarray(sleigh_x1_rhs(p, x, y, phi, u, psi))
+        x1 = sleigh_x1_rhs(p, x, y, phi, u, psi)
+        return tuple([a + eps * b for a, b in zip(nh, x1)])
 
     return rhs
 
@@ -408,7 +407,7 @@ def make_pendulum(variant: str, p: PendulumParams) -> Callable:
             x, y, vx, vy = st
             r, ex, ey = _radial(x, y)
             k = (r - 1.0) / eps
-            return np.array([vx, vy, -k * ex, -g - k * ey])
+            return (vx, vy, -k * ex, -g - k * ey)
 
     elif variant == "friction":
 
@@ -417,7 +416,7 @@ def make_pendulum(variant: str, p: PendulumParams) -> Callable:
             r, ex, ey = _radial(x, y)
             rdot = ex * vx + ey * vy
             k = rdot / eps
-            return np.array([vx, vy, -k * ex, -g - k * ey])
+            return (vx, vy, -k * ex, -g - k * ey)
 
     else:  # inertial
 

@@ -103,6 +103,24 @@ def test_estimate_order_synthetic():
     assert_allclose(estimate_order(eps, 0.2 * eps**2), [2.0, 2.0], atol=1e-12)
 
 
+def test_estimate_order_recovers_power_laws():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        eps0=st.floats(1e-5, 1e-1),
+        ratios=st.lists(st.floats(1.1, 10.0), min_size=1, max_size=6),
+        c=st.floats(1e-3, 1e3),
+        p=st.floats(0.25, 4.0),
+    )
+    def check(eps0, ratios, c, p):
+        eps = eps0 / np.cumprod([1.0] + ratios)
+        assert_allclose(estimate_order(eps, c * eps**p), p, rtol=0, atol=1e-9)
+
+    check()
+
+
 def test_estimate_order_ladder_too_short():
     with pytest.raises(LadderTooShort):
         estimate_order([1e-2], [0.1])

@@ -245,12 +245,28 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
              "--window-start", "0"],
             2,
         ),
+        (
+            ["manifold", "--system", "sleigh", "--model", "friction", "--eps",
+             "1e-2,5e-3", "--t1", "2", "--transient-cutoff", "-1"],
+            2,
+        ),
+        (
+            ["simulate", "--system", "sleigh", "--model", "nh", "--state",
+             "0,0,0,1e150,1e150", "--t1", "1"],
+            3,
+        ),
+        (
+            ["simulate", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+             "--state", "0,0,0,1e150,0,1e150"],
+            3,
+        ),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
         "nan-param", "inf-mass", "inf-gravity", "inf-eps", "malformed-t1", "malformed-eps",
         "unknown-model", "unknown-method", "inf-t1", "nan-window-start",
         "inf-sample-dt", "nan-transient-cutoff", "zero-window-start",
+        "cutoff-before-start", "inf-stage-angle", "friction-blow-up",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):
@@ -390,6 +406,26 @@ def test_manifold_report(tmp_path):
     scatter = tmp_path / "mani_manifold_eps0.01.csv"
     assert scatter.exists()
     assert scatter.read_text().splitlines()[0] == "drive,slip"
+
+
+def test_manifold_scatter_files_keep_csv_suffix(tmp_path):
+    rc = run(
+        [
+            "manifold",
+            "--system", "sleigh",
+            "--model", "friction",
+            "--eps", "1e-2",
+            "--eps", "5e-3",
+            "--t1", "2",
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert rc == 0
+    assert json.loads((tmp_path / "m_manifold.json").read_text())["residual_sup"]
+    for eps in ("0.01", "0.005"):
+        scatter = tmp_path / f"m_manifold_eps{eps}.csv"
+        assert scatter.read_text().splitlines()[0] == "drive,slip"
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".csv", ".json"]
 
 
 def test_manifold_requires_friction_model(tmp_path):

@@ -3,6 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nonholib.ode import (
+    _FE_A,
+    _FE_B4,
+    _FE_ERR,
     IntegratorConfig,
     NonFiniteState,
     OutOfRange,
@@ -14,7 +17,7 @@ from nonholib.ode import (
 
 
 def decay(x):
-    return -x
+    return [-a for a in x]
 
 
 def harmonic(x):
@@ -109,7 +112,7 @@ def test_non_finite_state_reports_time():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as err:
             integrate(
-                lambda x: x * x,
+                lambda x: [a * a for a in x],
                 [2.0],
                 IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2),
             )
@@ -205,3 +208,170 @@ def test_transform_linear_consistency():
     mapped = transform_linear(traj, m)
     assert_allclose(mapped.states[:, 0], 2 * traj.states[:, 0] + traj.states[:, 1])
     assert_allclose(mapped.derivs[:, 0], 2 * traj.derivs[:, 0] + traj.derivs[:, 1])
+
+
+# Reference loops: the integrators as whole-array numpy code, with the
+# operation order the list kernels in nonholib.ode must reproduce bit for bit.
+
+
+def _numpy_rk4(field, x0, times, dt):
+    def f(x):
+        return np.asarray(field(x), dtype=float)
+
+    x = np.array(x0, dtype=float)
+    states, derivs = [x], [f(x)]
+    for t_a, t_b in zip(times[:-1], times[1:]):
+        span = t_b - t_a
+        nsub = max(1, int(round(span / dt)))
+        h = span / nsub
+        for _ in range(nsub):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+        derivs.append(f(x))
+    return np.array(states), np.array(derivs)
+
+
+def _numpy_rkf45(field, x0, times, cfg):
+    def f(x):
+        return np.asarray(field(x), dtype=float)
+
+    x = np.array(x0, dtype=float)
+    states, derivs = [x], [f(x)]
+    h = min(cfg.dt, times[-1] - times[0])
+    k = [None] * 6
+    for t, target in zip(times[:-1], times[1:]):
+        while t < target - 1e-14 * max(1.0, abs(target)):
+            h = min(h, target - t)
+            k[0] = f(x)
+            ok = True
+            for s in range(1, 6):
+                xs = x + h * sum(a * k[j] for j, a in enumerate(_FE_A[s]))
+                if not np.all(np.isfinite(xs)):
+                    ok = False
+                    break
+                k[s] = f(xs)
+            if ok:
+                x4 = x + h * sum(b * k[j] for j, b in enumerate(_FE_B4))
+                err_vec = h * sum(e * k[j] for j, e in enumerate(_FE_ERR))
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x4))
+                with np.errstate(invalid="ignore"):
+                    err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+                ok = np.isfinite(err) and np.all(np.isfinite(x4))
+            if not ok:
+                h *= 0.5
+                continue
+            if err <= 1.0:
+                t += h
+                x = x4
+                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            else:
+                h *= max(0.2, 0.9 * err**-0.2)
+        states.append(x)
+        derivs.append(f(x))
+    return np.array(states), np.array(derivs)
+
+
+def _rk4_cases(eps):
+    from nonholib.systems import (
+        PendulumParams,
+        SleighParams,
+        make_pendulum,
+        sleigh_corrected_field,
+        sleigh_friction_field,
+    )
+
+    p = SleighParams()
+    return {
+        "sleigh-friction": (
+            sleigh_friction_field(p, eps),
+            [0.1, -0.2, 0.3, -1.0, 0.02, 0.5],
+            eps / 20,
+        ),
+        "sleigh-corrected": (
+            sleigh_corrected_field(p, eps),
+            [0.1, -0.2, 0.3, -1.0, 0.5],
+            1e-3,
+        ),
+        # computes with numpy inside and returns an ndarray
+        "pendulum-inertial": (
+            make_pendulum("inertial", PendulumParams(eps=eps)),
+            [0.6, -0.8, 0.3, 0.2],
+            eps / 20,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["sleigh-friction", "sleigh-corrected", "pendulum-inertial"])
+def test_rk4_matches_numpy_reference_bitwise(name):
+    field, x0, dt = _rk4_cases(2e-3)[name]
+    cfg = IntegratorConfig(t_span=(0.0, 0.5), dt=dt, sample_dt=1e-2)
+    traj = integrate(field, x0, cfg)
+    states, derivs = _numpy_rk4(field, x0, traj.times, dt)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+
+
+def test_rkf45_matches_numpy_reference_bitwise():
+    from nonholib.systems import PendulumParams, make_pendulum, pendulum_default_state
+
+    field = make_pendulum("friction", PendulumParams(eps=4e-3))
+    x0 = pendulum_default_state()
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2, method="rkf45")
+    traj = integrate(field, x0, cfg)
+    states, derivs = _numpy_rkf45(field, x0, traj.times, cfg)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+
+
+def test_non_finite_stage_state_reports_time():
+    # math.cos of an infinite stage angle raises ValueError inside the field
+    from nonholib.systems import SleighParams, sleigh_nh_field
+
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
+    with pytest.raises(NonFiniteState) as err:
+        integrate(sleigh_nh_field(SleighParams()), [0, 0, 0, 1e150, 1e150], cfg)
+    assert err.value.t == pytest.approx(1e-3)
+
+
+def test_field_errors_on_finite_states_propagate():
+    def broken(x):
+        raise ValueError("not a blow-up")
+
+    for method in ("rk4", "rkf45"):
+        cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
+        with pytest.raises(ValueError, match="not a blow-up"):
+            integrate(broken, [1.0], cfg)
+
+
+def test_sample_at_exact_on_cubic_trajectories():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.floats(-10.0, 10.0)
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        coeffs=st.lists(st.tuples(coeff, coeff, coeff, coeff), min_size=1, max_size=3),
+        gaps=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
+        t0=st.floats(-5.0, 5.0),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    )
+    def check(coeffs, gaps, t0, fractions):
+        c = np.array(coeffs).T  # (4, dim): x(t) = c0 + c1 t + c2 t^2 + c3 t^3
+        times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+
+        def x(t):
+            return np.polynomial.polynomial.polyval(t, c).T
+
+        def xdot(t):
+            return np.polynomial.polynomial.polyval(t, c[1:] * [[1.0], [2.0], [3.0]]).T
+
+        traj = Trajectory(times, x(times), xdot(times))
+        tq = times[0] + np.array(fractions) * (times[-1] - times[0])
+        scale = 1.0 + np.max(np.abs(traj.states)) + np.max(np.abs(traj.derivs)) * max(gaps)
+        assert_allclose(traj.sample_at(tq), x(tq), rtol=0, atol=1e-12 * scale)
+
+    check()

@@ -314,7 +314,19 @@ def test_registry_builds_callable_fields():
         eps = 0.01 if spec.needs_eps else None
         fld = spec.build({}, eps)
         out = fld(np.array(spec.default_state))
-        assert out.shape == (len(spec.columns),)
+        assert np.shape(out) == (len(spec.columns),)
+
+
+@pytest.mark.parametrize("system", sorted(REGISTRY))
+def test_fields_take_lists_and_arrays_alike(system):
+    # the integrators hand fields a list of floats; values must not depend on it
+    for name, spec in REGISTRY[system].models.items():
+        fld = spec.build({}, 0.01 if spec.needs_eps else None)
+        off = 0.1 * np.arange(1, len(spec.columns) + 1)  # off the constraint, moving
+        state = np.array(spec.default_state) + off
+        from_list = np.asarray(fld(state.tolist()), dtype=float)
+        from_array = np.asarray(fld(state), dtype=float)
+        assert from_list.tobytes() == from_array.tobytes(), name
 
 
 @pytest.mark.parametrize("params", [{}, {"m": 2.0, "I": 0.7, "a": 0.3}])
