@@ -30,7 +30,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -228,15 +228,25 @@ def _initial_state(cfg: ExperimentConfig, spec: ModelSpec) -> np.ndarray:
     return state
 
 
-def _integrator_config(cfg: ExperimentConfig, spec: ModelSpec, eps) -> IntegratorConfig:
-    stiff = spec.fast_rate is not None and eps is not None
+def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[Callable]:
+    """For a friction realization's friction run, the function giving its
+    relaxation rate at eps = 1 from its start state; None for other runs.
+    Called only where needed (not by rkf45): an eigensolver costs ~1 MB RSS."""
+    if cfg.model != "friction" or entry.realization is None:
+        return None
+    sysm, _, fric = entry.realization(cfg.params)
+    return lambda: dynamics.relaxation_rate(sysm, fric, state[: sysm.n])
+
+
+def _integrator_config(cfg: ExperimentConfig, eps=None, rate=None) -> IntegratorConfig:
+    """One run's settings; rate is :func:`_fast_rate`, None if nonstiff."""
     dt = cfg.dt
     if dt is None:
-        dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if stiff else STIFF_DT_CAP
-    if stiff and cfg.method == "rk4":
+        dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if rate else STIFF_DT_CAP
+    if rate and cfg.method == "rk4":
         # the effective step: rk4 lands exactly on every sample time
         h = cfg.sample_dt / max(1, round(cfg.sample_dt / dt))
-        ratio = h * spec.fast_rate(cfg.params, eps)
+        ratio = h * (rate() / eps)
         if ratio > RK4_STABILITY_BOUND:
             raise ConfigError(
                 f"rk4 step {h:g} times fast rate at eps={eps:g} is {ratio:.4g}, "
@@ -318,7 +328,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     eps_list = list(cfg.eps) if spec.needs_eps else [None]
     multi = len(eps_list) > 1
     # every run's step is checked before the first file is written
-    icfgs = [_integrator_config(cfg, spec, eps) for eps in eps_list]
+    rate = _fast_rate(cfg, entry, state)
+    icfgs = [_integrator_config(cfg, eps, rate) for eps in eps_list]
     for eps, icfg in zip(eps_list, icfgs):
         field_fn = spec.build(cfg.params, eps)
         traj = integrate(field_fn, state, icfg)
@@ -347,11 +358,12 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     nh_spec = entry.models["nh"]
     corr_spec = entry.models.get("corrected")
 
-    fric_icfgs = [_integrator_config(cfg, fric_spec, eps) for eps in cfg.eps]
     nh_state = _initial_state(cfg, nh_spec)
     fric_state = entry.lift_state(cfg.params, nh_state)
+    rate = _fast_rate(cfg, entry, fric_state)
+    fric_icfgs = [_integrator_config(cfg, eps, rate) for eps in cfg.eps]
     nh_field = nh_spec.build(cfg.params, None)
-    nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg, nh_spec, None))
+    nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg))
     comps = entry.compare_components or None
     t1, t_end = cfg.window_start, cfg.t1
 
@@ -359,7 +371,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
         fric_traj = integrate(fric_spec.build(cfg.params, eps), fric_state, fric_icfg)
         reduced = fric_traj
-        if entry.frame_state_matrix is not None:
+        if entry.adapted_frame is not None:
             reduced = transform_linear(fric_traj, entry.reduce_matrix(cfg.params))
         errors.append(analysis.sup_distance(reduced, nh_traj, t1, t_end, comps))
         # defect over the post-transient window, matching the report window
@@ -370,7 +382,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             corr_traj = integrate(
                 corr_spec.build(cfg.params, eps),
                 nh_state,
-                _integrator_config(cfg, corr_spec, None),
+                _integrator_config(cfg),
             )
             corr_errors.append(
                 analysis.sup_distance(reduced, corr_traj, t1, t_end, comps)
@@ -404,20 +416,23 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     if cfg.model != "friction":
         raise ConfigError("manifold extraction requires the friction model")
     entry, fric_spec = _resolve_model(cfg)
-    if entry.generic_builders is None:
+    if entry.adapted_frame is None:
         raise ConfigError(f"system {cfg.system!r} has no slow-manifold support")
-    if not cfg.transient_cutoff > cfg.t0:
-        # a cutoff covering no fast time constant measures the initial slip
-        # offset, not the eps^2 slow manifold
+    state = _initial_state(cfg, fric_spec)
+    rate = _fast_rate(cfg, entry, state)
+    # The initial slip offset is O(eps) and the slow-manifold residual
+    # O(eps^2): e^-10 of the offset is below eps^2 for every eps above 5e-5,
+    # so the cutoff must cover 10 fast time constants at the largest eps.
+    constants = (cfg.transient_cutoff - cfg.t0) * rate() / max(cfg.eps)
+    if not constants >= 10:
         raise ConfigError(
-            f"manifold transient cutoff must come after t0={cfg.t0:g}, "
-            f"got {cfg.transient_cutoff:g}"
+            f"manifold transient cutoff {cfg.transient_cutoff:g} covers {constants:.3g}"
+            f" fast time constants after t0={cfg.t0:g} at eps={max(cfg.eps):g}; needs 10"
         )
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
     n, k = sysm.n, frame.k
-    icfgs = [_integrator_config(cfg, fric_spec, eps) for eps in cfg.eps]
-    state = _initial_state(cfg, fric_spec)
+    icfgs = [_integrator_config(cfg, eps, rate) for eps in cfg.eps]
 
     residuals, slopes, expected_slopes = [], [], []
     for eps, icfg in zip(cfg.eps, icfgs):
@@ -509,13 +524,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list-systems":
         return cmd_list_systems()
-    try:
-        cfg = build_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        return cmd_manifold(cfg)
+    try:  # no numpy warnings before the one-line message; finite checks still raise
+        with np.errstate(all="ignore"):
+            cfg = build_config(args)
+            if args.command == "simulate":
+                return cmd_simulate(cfg)
+            if args.command == "compare":
+                return cmd_compare(cfg)
+            return cmd_manifold(cfg)
     except (ConfigError, InvalidParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,7 @@ complement) and a Rayleigh friction form with kernel D, this module builds:
   slow time, with the friction term scaled by 1/eps,
 * its chart-coordinate counterpart on (q, qdot),
 * the fast field obtained at eps = 0 after rescaling time by eps, whose
-  fixed-point set is {eta = 0},
+  fixed-point set is {eta = 0}, and its fastest decay rate,
 * the first-order slow-manifold data eta = eps * h1(q, xi) and the
   first-order correction field, so that nonholonomic + eps * correction
   approximates the friction dynamics on the slow manifold to second order.
@@ -201,20 +201,27 @@ def friction_field_chart(sys, fric: RayleighFriction, eps: float) -> Callable:
 
 
 def fast_field_y0(sys, fr, fric: RayleighFriction) -> Callable:
-    """Limit of the friction dynamics in fast time: q' = 0, xi' = 0 and
-    eta' = -(kappa^{-1} nu)|_eta eta.  {eta = 0} is the fixed-point set and
-    is exponentially attractive in the normal directions."""
-    n, k = sys.n, fr.k
+    """Limit of the friction dynamics in fast time on y = (q, w): q' = 0
+    and w' = -F w, with F the full :func:`friction_matrix`.  In an adapted
+    orthogonal frame only eta moves, eta' = -(kappa^{-1} nu)|_eta eta;
+    {eta = 0} is the fixed-point set and is exponentially attractive in the
+    normal directions."""
+    n = sys.n
 
     def rhs(y):
         y = np.asarray(y, dtype=float)
-        q, eta = y[:n], y[n + k :]
-        block = eta_block_operator(sys, fr, fric, q)
-        out = np.zeros(2 * n)
-        out[n + k :] = -block @ eta
-        return out
+        q, w = y[:n], y[n:]
+        return np.concatenate([np.zeros(n), -friction_matrix(sys, fr, fric, q) @ w])
 
     return rhs
+
+
+def relaxation_rate(sys, fric: RayleighFriction, q) -> float:
+    """Fastest decay rate of the fast field at q: the largest eigenvalue of
+    kappa^{-1} nu, the same in every frame.  The friction dynamics relaxes
+    at this rate over eps."""
+    kappa_nu = np.linalg.solve(sys.metric_at(q), fric.nu_at(q))
+    return float(np.max(np.linalg.eigvals(kappa_nu).real))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import RayleighFriction
+from .dynamics import RayleighFriction, fast_field_y0
 from .geometry import MechanicalSystem, MovingFrame
 
 
@@ -195,18 +195,6 @@ def sleigh_friction_field(p: SleighParams, eps: float) -> Callable:
     return rhs
 
 
-def sleigh_fast_field(p: SleighParams) -> Callable:
-    """Fast-time limit field on (x, y, phi, u, v, psi): only v relaxes."""
-    rate = p.itot / (p.I * p.m)
-
-    def rhs(st):
-        out = np.zeros(6)
-        out[4] = -rate * st[4]
-        return out
-
-    return rhs
-
-
 def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
     """Nonholonomic field plus eps times the first-order correction,
     state (x, y, phi, u, psi)."""
@@ -297,11 +285,12 @@ def sleigh_ortho_frame(p: SleighParams) -> MovingFrame:
 
 
 def sleigh_uvw_frame(p: SleighParams) -> MovingFrame:
-    """Blade-aligned frame with columns (u, v, omega).
+    """Blade-aligned frame with columns (u, v, omega): the frame of the
+    friction model's velocity columns, so the registry derives the sleigh's
+    fast model and frame-state map from it.
 
-    Convenient for geometry checks (the frame metric couples v and omega);
-    it is not orthogonally adapted, so the friction dynamics uses
-    :func:`sleigh_ortho_frame` instead.
+    It is not orthogonally adapted (the frame metric couples v and omega),
+    so the generic slow-manifold fields use :func:`sleigh_ortho_frame`.
     """
 
     def fields(q):
@@ -340,21 +329,6 @@ def sleigh_friction_form(p: SleighParams) -> RayleighFriction:
         return np.outer(w, w)
 
     return RayleighFriction(nu=nu)
-
-
-def sleigh_uvw_to_ortho_matrix(p: SleighParams) -> np.ndarray:
-    """Linear map (x, y, phi, u, v, omega) -> (x, y, phi, u, psi, v).
-
-    Target layout matches the generic frame-state convention (q, xi, eta)
-    for :func:`sleigh_ortho_frame`.
-    """
-    m = np.zeros((6, 6))
-    for i in range(4):
-        m[i, i] = 1.0
-    m[4, 5] = 1.0  # psi = omega + coupling * v
-    m[4, 4] = p.coupling
-    m[5, 4] = 1.0  # eta = v
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +426,6 @@ def pendulum_nh_field(p: PendulumParams) -> Callable:
     return rhs
 
 
-def pendulum_fast_field(p: PendulumParams) -> Callable:
-    """Fast-time limit of the friction variant: the radial velocity
-    component relaxes, everything else is frozen."""
-
-    def rhs(st):
-        x, y, vx, vy = st
-        r, ex, ey = _radial(x, y)
-        rdot = ex * vx + ey * vy
-        return np.array([0.0, 0.0, -rdot * ex, -rdot * ey])
-
-    return rhs
-
-
 def pendulum_system(p: PendulumParams) -> MechanicalSystem:
     """Euclidean metric with gravity, for the friction-variant cross checks."""
     return MechanicalSystem(
@@ -525,16 +486,16 @@ class ModelSpec:
     needs_eps: bool
     build: Callable  # (params: dict, eps: float | None) -> field callable
     default_state: tuple
-    fast_rate: Callable = None  # (params: dict, eps) -> 1/s, None if nonstiff
 
 
 @dataclass(frozen=True)
 class SystemEntry:
     """Registry entry: models plus the adapters the analysis driver needs.
 
-    A system with a frame-state map also has ``generic_builders``; its
-    reduce and lift maps are derived from the two.  Without one (the
-    pendulums) the friction and constrained states share one layout.
+    A Rayleigh friction realization is declared once, as ``realization``;
+    the ``fast`` model and the friction model's rk4 step check derive from
+    it.  An ``adapted_frame`` adds the frame-state, reduce and lift maps;
+    without one the friction and constrained states share one layout.
     """
 
     name: str
@@ -543,24 +504,53 @@ class SystemEntry:
     # (params: dict, friction-model state) -> total energy, used to flag
     # runs started outside the moderate-energy regime in the reports
     energy_of_state: Callable
-    # (params: dict) -> linear map from the friction-model state to the
-    # (q, xi, eta) layout of the generic frame; None: same layout
-    frame_state_matrix: Callable = None
     compare_components: tuple = ()
-    # (params: dict) -> (system, frame, friction) for manifold extraction
-    generic_builders: Callable = None
+    # (params: dict) -> (system, frame, friction): the friction model's
+    # state is (q, w) with w the components of qdot in this frame
+    realization: Callable = None
+    # (params: dict) -> adapted orthogonal frame; its change of frame from
+    # the realization's frame must be constant in q
+    adapted_frame: Callable = None
+
+    def __post_init__(self):
+        if self.realization is not None:  # fast time at eps = 0, same columns
+            fric = self.models["friction"]
+            self.models["fast"] = ModelSpec(
+                columns=fric.columns,
+                needs_eps=False,
+                build=lambda params, eps: fast_field_y0(*self.realization(params)),
+                default_state=fric.default_state,
+            )
+
+    def generic_builders(self, params: dict) -> tuple:
+        """(system, adapted frame, friction) for the generic fields."""
+        sysm, _, fric = self.realization(params)
+        return sysm, self.adapted_frame(params), fric
+
+    def frame_state_matrix(self, params: dict) -> np.ndarray:
+        """Linear map from the friction-model state to the (q, xi, eta)
+        layout of the adapted frame: identity on q, and inv(F_adapted) @
+        F_model on the velocities, read at q = 0."""
+        sysm, frame, _ = self.realization(params)
+        n = sysm.n
+        q0 = np.zeros(n)
+        m = np.eye(2 * n)
+        # inv(...) @ rather than solve, which leaves -0.0 entries in the map
+        adapted = np.linalg.inv(self.adapted_frame(params).fields_at(q0))
+        m[n:, n:] = adapted @ frame.fields_at(q0)
+        return m
 
     def reduce_matrix(self, params: dict) -> np.ndarray:
         """Friction-model state -> reduced state (q, xi): the first n + k
         rows of the frame-state map, which drop the slip components eta."""
-        sysm, frame, _ = self.generic_builders(params)
-        return self.frame_state_matrix(params)[: sysm.n + frame.k]
+        m = self.frame_state_matrix(params)
+        return m[: len(m) // 2 + self.adapted_frame(params).k]
 
     def lift_state(self, params: dict, reduced_state) -> np.ndarray:
         """Reduced state (q, xi) -> friction-model state with zero slip,
-        by inverting the frame-state map at eta = 0.  Without a frame-state
-        map the two states share one layout."""
-        if self.frame_state_matrix is None:
+        by inverting the frame-state map at eta = 0.  Without an adapted
+        frame the two states share one layout."""
+        if self.adapted_frame is None:
             return np.asarray(reduced_state, dtype=float)
         m = self.frame_state_matrix(params)
         frame_state = np.zeros(len(m))
@@ -576,7 +566,6 @@ def _param_defaults(params_cls) -> dict:
 
 def _sleigh_entry() -> SystemEntry:
     nh_state = (0.0, 0.0, 0.0, -1.0, 0.5)
-    friction_state = (0.0, 0.0, 0.0, -1.0, 0.0, 0.5)
 
     models = {
         "nh": ModelSpec(
@@ -591,8 +580,7 @@ def _sleigh_entry() -> SystemEntry:
             build=lambda params, eps: sleigh_friction_field(
                 SleighParams(**params), eps
             ),
-            default_state=friction_state,
-            fast_rate=lambda params, eps: SleighParams(**params).fast_rate(eps),
+            default_state=(0.0, 0.0, 0.0, -1.0, 0.0, 0.5),
         ),
         "corrected": ModelSpec(
             columns=("x", "y", "phi", "u", "psi"),
@@ -602,17 +590,11 @@ def _sleigh_entry() -> SystemEntry:
             ),
             default_state=nh_state,
         ),
-        "fast": ModelSpec(
-            columns=("x", "y", "phi", "u", "v", "psi"),
-            needs_eps=False,
-            build=lambda params, eps: sleigh_fast_field(SleighParams(**params)),
-            default_state=friction_state,
-        ),
     }
 
-    def builders(params):
+    def realization(params):
         p = SleighParams(**params)
-        return sleigh_system(p), sleigh_ortho_frame(p), sleigh_friction_form(p)
+        return sleigh_system(p), sleigh_uvw_frame(p), sleigh_friction_form(p)
 
     def energy_of(params, state):
         p = SleighParams(**params)
@@ -623,11 +605,9 @@ def _sleigh_entry() -> SystemEntry:
         param_defaults=_param_defaults(SleighParams),
         models=models,
         energy_of_state=energy_of,
-        frame_state_matrix=lambda params: sleigh_uvw_to_ortho_matrix(
-            SleighParams(**params)
-        ),
         compare_components=(3, 4),
-        generic_builders=builders,
+        realization=realization,
+        adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
     )
 
 
@@ -653,20 +633,13 @@ def _pendulum_entry(variant: str) -> SystemEntry:
                 variant, PendulumParams(**params, eps=eps)
             ),
             default_state=state,
-            fast_rate=(
-                (lambda params, eps: 1.0 / eps) if variant == "friction" else None
-            ),
         ),
     }
-    if variant == "friction":
-        models["fast"] = ModelSpec(
-            columns=columns,
-            needs_eps=False,
-            build=lambda params, eps: pendulum_fast_field(
-                PendulumParams(**params, eps=1.0)
-            ),
-            default_state=state,
-        )
+
+    def realization(params):  # (x, y, vx, vy): the identity (chart) frame
+        p = PendulumParams(**params, eps=1.0)
+        chart = MovingFrame(1, lambda q: np.eye(2), lambda q: np.zeros((2, 2, 2)))
+        return pendulum_system(p), chart, pendulum_friction_form(p)
 
     def energy_of(params, state):
         g = PendulumParams(**params, eps=1.0).g
@@ -677,6 +650,7 @@ def _pendulum_entry(variant: str) -> SystemEntry:
         param_defaults=_param_defaults(PendulumParams),
         models=models,
         energy_of_state=energy_of,
+        realization=realization if variant == "friction" else None,
     )
 
 

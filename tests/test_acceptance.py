@@ -19,6 +19,8 @@ numbers are printed):
   sqrt(eps) and is sharp only when the radial mode carries the energy.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,7 @@ from nonholib.geometry import (
 from nonholib.ode import IntegratorConfig, integrate, transform_linear
 from nonholib.systems import (
     PendulumParams,
+    REGISTRY,
     SleighParams,
     make_pendulum,
     pendulum_default_state,
@@ -55,11 +58,12 @@ from nonholib.systems import (
     sleigh_ortho_frame,
     sleigh_system,
     sleigh_uvw_frame,
-    sleigh_uvw_to_ortho_matrix,
     sleigh_x1_rhs,
 )
 
 P = SleighParams(m=1.0, I=1.0, a=0.2)
+# friction-model state -> (q, u, psi, v), derived by the registry
+FRAME_MAP = REGISTRY["sleigh"].frame_state_matrix(asdict(P))
 G = 9.81
 T_END = 10.0
 WINDOW = (0.5, 10.0)
@@ -98,7 +102,7 @@ def friction_ladder():
 
 
 def reduced(traj):
-    return transform_linear(traj, sleigh_uvw_to_ortho_matrix(P)[:5])
+    return transform_linear(traj, FRAME_MAP[:5])
 
 
 # 1 ---------------------------------------------------------------------------
@@ -177,11 +181,10 @@ def test_criterion_04_first_order_rate(friction_ladder):
 
 def test_criterion_05_slow_manifold_slaving(friction_ladder):
     expansion = compute_h1(sleigh_system(P), sleigh_ortho_frame(P), sleigh_friction_form(P))
-    tomat = sleigh_uvw_to_ortho_matrix(P)
     sups, slope_ok = [], []
     for eps in (1e-2, 5e-3):
         fit = manifold_fit(
-            transform_linear(friction_ladder[eps], tomat), expansion, eps, 0.5, 3, 2
+            transform_linear(friction_ladder[eps], FRAME_MAP), expansion, eps, 0.5, 3, 2
         )
         sups.append(fit.residual_sup)
         slope = fit_slope_through_origin(fit.xis[:, 0] * fit.xis[:, 1], fit.etas[:, 0])
@@ -209,7 +212,7 @@ def test_criterion_06_dissipation_identity():
     e_sleigh = 0.5 * P.m * (u**2 + v**2) + 0.5 * P.itot * om**2 + P.m * P.a * om * v
     mono_sleigh = float(np.max(np.diff(e_sleigh)))
     viol_sleigh = energy_audit(
-        transform_linear(traj, sleigh_uvw_to_ortho_matrix(P)), sysm, fric, eps,
+        transform_linear(traj, FRAME_MAP), sysm, fric, eps,
         frame=frame,
     )
 

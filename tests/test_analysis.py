@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,11 +18,12 @@ from nonholib.analysis import (
 )
 from nonholib.dynamics import compute_h1
 from nonholib.ode import IntegratorConfig, Trajectory, integrate, transform_linear
-from nonholib.systems import (
-    sleigh_friction_field,
-    sleigh_nh_field,
-    sleigh_uvw_to_ortho_matrix,
-)
+from nonholib.systems import REGISTRY, sleigh_friction_field, sleigh_nh_field
+
+
+def frame_state_matrix(p):
+    """The sleigh's friction-model state -> (q, u, psi, v) map."""
+    return REGISTRY["sleigh"].frame_state_matrix(asdict(p))
 
 
 def constant_traj(value, dim=2, n=11, t_end=1.0):
@@ -214,7 +217,7 @@ def test_energy_audit_friction(sleigh, sleigh_setup):
     traj = integrate(
         sleigh_friction_field(sleigh, eps), [0, 0, 0, -1.0, 0.0, 0.5], cfg
     )
-    frame_traj = transform_linear(traj, sleigh_uvw_to_ortho_matrix(sleigh))
+    frame_traj = transform_linear(traj, frame_state_matrix(sleigh))
     viol = energy_audit(frame_traj, sysm, fric, eps, frame=frame)
     assert viol <= 1e-4
 
@@ -257,7 +260,7 @@ def test_manifold_fit_slaved_start_stays_quadratic(sleigh, sleigh_setup):
     traj = integrate(
         sleigh_friction_field(sleigh, eps), [0, 0, 0, u0, v0, om0], cfg
     )
-    frame_traj = transform_linear(traj, sleigh_uvw_to_ortho_matrix(sleigh))
+    frame_traj = transform_linear(traj, frame_state_matrix(sleigh))
     fit = manifold_fit(frame_traj, expansion, eps, 0.0, 3, 2)
     assert fit.residual_sup < 10.0 * eps**2
 

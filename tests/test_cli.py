@@ -99,7 +99,8 @@ def test_simulate_json_format(tmp_path):
     )
     assert rc == 0
     doc = json.loads(out.read_text())
-    assert doc["columns"] == ["t", "x", "y", "phi", "u", "v", "psi"]
+    # the fast model runs in the friction model's columns
+    assert doc["columns"] == ["t", "x", "y", "phi", "u", "v", "omega"]
 
 
 def test_simulate_config_file_and_override(tmp_path):
@@ -173,23 +174,28 @@ def test_simulate_blowup_exit_3(tmp_path, capsys):
 
 
 def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
-    # h * fast_rate = 0.5 * 104 = 52, far past rk4's real-axis bound 2.785
-    out = tmp_path / "x.csv"
-    rc = run(
-        [
-            "simulate",
-            "--system", "sleigh",
-            "--model", "friction",
-            "--eps", "1e-2",
-            "--dt", "0.5",
-            "--sample-dt", "0.5",
-            "--t1", "1",
-            "--out", str(out),
-        ]
-    )
-    assert rc == 2
-    assert "52" in capsys.readouterr().err
-    assert not out.exists()
+    for system, dt, ratio in (
+        # h * fast_rate = 0.5 * 104 = 52, far past rk4's real-axis bound 2.785
+        ("sleigh", "0.5", "is 52,"),
+        # radial friction relaxes at 1/eps = 100: 0.05 * 100 = 5
+        ("pendulum-friction", "0.05", "is 5,"),
+    ):
+        out = tmp_path / f"{system}.csv"
+        rc = run(
+            [
+                "simulate",
+                "--system", system,
+                "--model", "friction",
+                "--eps", "1e-2",
+                "--dt", dt,
+                "--sample-dt", dt,
+                "--t1", "1",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2, system
+        assert ratio in capsys.readouterr().err, system
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -260,6 +266,21 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
              "--state", "0,0,0,1e150,0,1e150"],
             3,
         ),
+        (
+            ["simulate", "--system", "pendulum-inertial", "--model", "friction", "--eps",
+             "1e-2", "--state", "1,0,1e200,1e200", "--t1", "1"],
+            3,
+        ),
+        (
+            ["simulate", "--system", "pendulum-friction", "--model", "nh", "--state",
+             "1,0,1e200,1e200", "--t1", "1"],
+            3,
+        ),
+        (
+            ["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+             "--t1", "1", "--transient-cutoff", "0.05"],
+            2,
+        ),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
@@ -267,6 +288,7 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         "unknown-model", "unknown-method", "inf-t1", "nan-window-start",
         "inf-sample-dt", "nan-transient-cutoff", "zero-window-start",
         "cutoff-before-start", "inf-stage-angle", "friction-blow-up",
+        "inertial-blow-up", "pendulum-nh-blow-up", "cutoff-within-transient",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

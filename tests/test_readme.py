@@ -7,6 +7,7 @@ from pathlib import Path
 
 import nonholib
 from nonholib.cli import SETTINGS, ExperimentConfig, build_config, read_config_file
+from nonholib.systems import REGISTRY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +43,11 @@ def test_readme_config_block_matches_settings(tmp_path):
     # every ExperimentConfig field is set by one table row, params by --param
     attrs = [s[1] for s in SETTINGS] + ["params"]
     assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+def test_readme_models_and_header_match_registry():
+    text = README.read_text()
+    models = re.search(r"`--model \{(.*?)\}`", text).group(1).split("|")
+    assert sorted(models) == sorted(set().union(*(e.models for e in REGISTRY.values())))
+    header = re.search(r"friction sleigh:\s+`(t,.*?)`", text).group(1)
+    assert header.split(",") == ["t", *REGISTRY["sleigh"].models["friction"].columns]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nonholib.dynamics import relaxation_rate
 from nonholib.ode import IntegratorConfig, integrate
 from nonholib.systems import (
     OriginSingularity,
@@ -22,8 +23,12 @@ from nonholib.systems import (
     sleigh_h1_rhs,
     sleigh_nh_field,
     sleigh_nh_rhs,
+    sleigh_ortho_frame,
+    sleigh_uvw_frame,
     sleigh_x1_rhs,
 )
+
+SLEIGH_PARAMS = ({}, {"m": 2.0, "I": 0.7, "a": 0.3}, {"m": 1.3, "I": 0.45, "a": 0.77})
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +348,67 @@ def test_registry_derived_state_maps(params):
         lifted = entry.lift_state(params, reduced)
         assert (reduce @ lifted).tobytes() == reduced.tobytes()
         assert np.all(frame_map[5:] @ lifted == 0.0)  # no slip
+
+
+def derived_rate(system, params, eps):
+    """The rk4 refusal's rate: relaxation rate at the default start q over eps."""
+    entry = get_system(system)
+    sysm, _, fric = entry.realization(params)
+    start = np.array(entry.models["friction"].default_state)
+    return relaxation_rate(sysm, fric, start[: sysm.n]) / eps
+
+
+@pytest.mark.parametrize("params", SLEIGH_PARAMS)
+def test_derived_rate_matches_closed_form(params):
+    for eps in (1e-2, 2e-3):
+        expected = SleighParams(**params).fast_rate(eps)
+        assert_allclose(derived_rate("sleigh", params, eps), expected, rtol=1e-15)
+
+
+def test_derived_rate_pendulum_friction():
+    for eps in (1e-2, 1e-3):
+        assert_allclose(derived_rate("pendulum-friction", {}, eps), 1.0 / eps, rtol=1e-15)
+
+
+@pytest.mark.parametrize("params", SLEIGH_PARAMS)
+def test_derived_frame_state_map(params):
+    # psi = omega + coupling * v and eta = v, bit for bit (no -0.0 entries),
+    # so the reduced and frame trajectories of the reports do not move
+    p = SleighParams(**params)
+    expected = np.eye(6)
+    expected[4:, 4:] = [[p.coupling, 1.0], [1.0, 0.0]]
+    frame_map = get_system("sleigh").frame_state_matrix(params)
+    assert frame_map.tobytes() == expected.tobytes()
+    # the map reads the change of frame at q = 0; it holds at every phi
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        q = rng.uniform(-5.0, 5.0, 3)
+        ortho, uvw = sleigh_ortho_frame(p).fields_at(q), sleigh_uvw_frame(p).fields_at(q)
+        assert_allclose(np.linalg.inv(ortho) @ uvw, frame_map[3:, 3:], rtol=0.0, atol=1e-15)
+
+
+def test_sleigh_fast_model_moves_only_slip():
+    # mapped to (q, u, psi, v), the derived fast model is v' = -B v with
+    # B = (I + m a^2)/(m I), everything else frozen; |B v| <= 4 here, so
+    # 1e-14 is a few roundoffs of the largest rate
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = get_system("sleigh")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        m=st.floats(0.5, 2.0),
+        inertia=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 1.0),
+        state=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    )
+    def check(m, inertia, a, state):
+        params = {"m": m, "I": inertia, "a": a}
+        frame_map = entry.frame_state_matrix(params)
+        rates = frame_map @ np.asarray(entry.models["fast"].build(params, None)(state))
+        slip = (frame_map @ np.array(state))[5]
+        expected = np.zeros(6)
+        expected[5] = -SleighParams(**params).fast_rate(1.0) * slip
+        assert_allclose(rates, expected, rtol=0.0, atol=1e-14)
+
+    check()
