@@ -35,46 +35,7 @@ class TransientTooShort(ValueError):
 
 
 class DegenerateFit(ValueError):
-    """A fit's regressor is identically zero, so the fit is undetermined."""
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-eps sup distances with estimated orders and invariance defects."""
-
-    eps_ladder: tuple
-    errors: tuple
-    orders: tuple
-    t_window: tuple
-    defects: tuple = ()
-
-    def __post_init__(self):
-        if len(self.errors) != len(self.eps_ladder):
-            raise ValueError("one error per ladder entry required")
-        if any(not np.isfinite(e) or e <= 0 for e in self.errors):
-            raise ValueError("errors must be finite and positive")
-        if not self.t_window[0] > 0:
-            raise ValueError("comparison window must start at t1 > 0")
-
-    @classmethod
-    def from_errors(cls, eps_ladder, errors, t_window, defects=()):
-        orders = estimate_order(eps_ladder, errors)
-        return cls(
-            eps_ladder=tuple(float(e) for e in eps_ladder),
-            errors=tuple(float(e) for e in errors),
-            orders=tuple(float(o) for o in orders),
-            t_window=(float(t_window[0]), float(t_window[1])),
-            defects=tuple(float(d) for d in defects),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_ladder": list(self.eps_ladder),
-            "errors": list(self.errors),
-            "orders": list(self.orders),
-            "t_window": list(self.t_window),
-            "defects": list(self.defects),
-        }
+    """A fit's data is identically zero, so the fit is undetermined."""
 
 
 @dataclass
@@ -140,7 +101,8 @@ def estimate_order(eps_ladder, errors) -> np.ndarray:
 
     order_i = log(e_i / e_{i+1}) / log(eps_i / eps_{i+1}); for a halving
     ladder this is log2 of the error ratio.  Requires >= 2 entries with
-    strictly decreasing eps.
+    strictly decreasing eps.  A zero error, as from an equilibrium start
+    where the compared models coincide, raises DegenerateFit.
     """
     eps_ladder = np.asarray(eps_ladder, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -151,7 +113,9 @@ def estimate_order(eps_ladder, errors) -> np.ndarray:
     if not np.all(np.diff(eps_ladder) < 0):
         raise ValueError("eps ladder must be strictly decreasing")
     if np.any(errors <= 0):
-        raise ValueError("errors must be positive")
+        raise DegenerateFit(
+            "errors must be positive; a zero error means the compared runs coincide"
+        )
     return np.log(errors[:-1] / errors[1:]) / np.log(eps_ladder[:-1] / eps_ladder[1:])
 
 

@@ -288,12 +288,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory, columns) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["t," + ",".join(columns)]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(_fmt(t) + "," + ",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory, columns) -> None:
+    _write_csv(path, ("t", *columns), np.column_stack((traj.times, traj.states)))
 
 
 def write_trajectory_json(path: Path, traj: Trajectory, columns) -> None:
@@ -365,14 +367,14 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     nh_field = nh_spec.build(cfg.params, None)
     nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg))
     comps = entry.compare_components or None
+    adapted = entry.adapted_frame is not None
+    to_reduced = entry.reduce_matrix(cfg.params) if adapted else None
     t1, t_end = cfg.window_start, cfg.t1
 
     errors, defects, corr_errors = [], [], []
     for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
         fric_traj = integrate(fric_spec.build(cfg.params, eps), fric_state, fric_icfg)
-        reduced = fric_traj
-        if entry.adapted_frame is not None:
-            reduced = transform_linear(fric_traj, entry.reduce_matrix(cfg.params))
+        reduced = transform_linear(fric_traj, to_reduced) if adapted else fric_traj
         errors.append(analysis.sup_distance(reduced, nh_traj, t1, t_end, comps))
         # defect over the post-transient window, matching the report window
         defects.append(
@@ -388,24 +390,20 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 analysis.sup_distance(reduced, corr_traj, t1, t_end, comps)
             )
 
-    try:
-        report = analysis.ConvergenceReport.from_errors(
-            cfg.eps, errors, (t1, t_end), defects
-        )
-    except analysis.LadderTooShort as exc:
-        raise ConfigError(str(exc))
     doc = {
         "system": cfg.system,
         "model": "friction",
         "config_echo": cfg.echo(),
         "initial_energy": float(entry.energy_of_state(cfg.params, fric_state)),
-        **report.to_dict(),
+        "eps_ladder": list(cfg.eps),
+        "errors": errors,
+        "orders": analysis.estimate_order(cfg.eps, errors).tolist(),
+        "t_window": [t1, t_end],
+        "defects": defects,
     }
     if corr_errors:
         doc["corrected_errors"] = corr_errors
-        doc["corrected_orders"] = list(
-            analysis.estimate_order(cfg.eps, corr_errors)
-        )
+        doc["corrected_orders"] = analysis.estimate_order(cfg.eps, corr_errors).tolist()
     path = _out_path(cfg, ".json", "_compare")
     _write_json(path, doc)
     print(f"wrote {path}")
@@ -433,11 +431,12 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     expansion = dynamics.compute_h1(sysm, frame, fric)
     n, k = sysm.n, frame.k
     icfgs = [_integrator_config(cfg, eps, rate) for eps in cfg.eps]
+    to_frame = entry.frame_state_matrix(cfg.params)
 
     residuals, slopes, expected_slopes = [], [], []
     for eps, icfg in zip(cfg.eps, icfgs):
         traj = integrate(fric_spec.build(cfg.params, eps), state, icfg)
-        frame_traj = transform_linear(traj, entry.frame_state_matrix(cfg.params))
+        frame_traj = transform_linear(traj, to_frame)
         fit = analysis.manifold_fit(
             frame_traj, expansion, eps, cfg.transient_cutoff, n, k
         )
@@ -450,11 +449,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         slopes.append(analysis.fit_slope_through_origin(drive, slip))
         expected_slopes.append(eps * expansion.h1(fit.qs[0], np.array([1.0, 1.0]))[0])
         scatter = _out_path(cfg, ".csv", f"_manifold_eps{eps:g}")
-        scatter.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["drive,slip"] + [
-            _fmt(a) + "," + _fmt(b) for a, b in zip(drive, slip)
-        ]
-        scatter.write_text("\n".join(lines) + "\n", newline="\n")
+        _write_csv(scatter, ("drive", "slip"), zip(drive, slip))
         print(f"wrote {scatter}")
 
     doc = {

@@ -82,11 +82,6 @@ def _frame_friction(fric, q, f, lam, kappa) -> np.ndarray:
     return lam @ np.linalg.solve(kappa, fric.nu_at(q)) @ f
 
 
-def eta_block_operator(sys, fr, fric, q) -> np.ndarray:
-    """The eta-eta block of :func:`friction_matrix`; must be invertible."""
-    return _eta_block(friction_matrix(sys, fr, fric, q), fr.k)
-
-
 def _eta_block(matrix, k) -> np.ndarray:
     block = matrix[k:, k:]
     if block.size and np.linalg.cond(block) > COND_LIMIT:

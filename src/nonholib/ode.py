@@ -2,8 +2,11 @@
 
 Two schemes are provided: classic fixed-step RK4 (the default for all
 reproducible experiments) and the adaptive Fehlberg 4(5) embedded pair for
-exploration of very stiff parameter regimes.  Integration is deterministic:
-identical inputs produce bit-identical trajectories.
+exploration of very stiff parameter regimes.  `integrate` owns the one
+sample loop; a scheme is a stepper ``(field, x, t, target, h, cfg) -> (x, h)``
+that advances one sample interval and hands on the step size to start the
+next.  Integration is deterministic: identical inputs produce bit-identical
+trajectories.
 
 A field is called with the state as a list of Python floats and may return
 any sequence of floats (a tuple, a list or an ndarray).  The steppers work
@@ -222,12 +225,19 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
         raise ValueError("x0 must be a flat vector")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    t0, t1 = cfg.t_span
-    times = _sample_times(t0, t1, cfg.sample_dt)
-    if cfg.method == "rk4":
-        states, derivs = _run_rk4(field, x0, times, cfg)
-    else:
-        states, derivs = _run_rkf45(field, x0, times, cfg)
+    times = _sample_times(*cfg.t_span, cfg.sample_dt)
+    step = _rk4_interval if cfg.method == "rk4" else _rkf45_interval
+    states = np.empty((len(times), x0.size))
+    derivs = np.empty((len(times), x0.size))
+    ts = times.tolist()
+    x = x0.tolist()
+    h = cfg.dt
+    states[0] = x
+    derivs[0] = field(x)
+    for i in range(1, len(ts)):
+        x, h = step(field, x, ts[i - 1], ts[i], h, cfg)
+        states[i] = x
+        derivs[i] = field(x)
     return Trajectory(times, states, derivs)
 
 
@@ -237,44 +247,34 @@ def _is_finite(x) -> bool:
     return math.isfinite(sum(x)) or all(map(math.isfinite, x))
 
 
-def _run_rk4(field, x0, times, cfg):
-    n = len(times)
-    states = np.empty((n, x0.size))
-    derivs = np.empty((n, x0.size))
-    times = times.tolist()
-    x = x0.tolist()
-    states[0] = x
-    derivs[0] = field(x)
-    for i in range(n - 1):
-        span = times[i + 1] - times[i]
-        nsub = max(1, int(round(span / cfg.dt)))
-        h = span / nsub
-        half, sixth = 0.5 * h, h / 6.0
-        for j in range(nsub):
-            xs = x
-            try:
-                k1 = field(xs)
-                xs = [a + half * b for a, b in zip(x, k1)]
-                k2 = field(xs)
-                xs = [a + half * b for a, b in zip(x, k2)]
-                k3 = field(xs)
-                xs = [a + h * b for a, b in zip(x, k3)]
-                k4 = field(xs)
-            except (ValueError, OverflowError):
-                # a math call on a non-finite stage state (math.cos(inf))
-                # is a blow-up; any other error is the field's own
-                if _is_finite(xs):
-                    raise
-                raise NonFiniteState(times[i] + (j + 1) * h) from None
-            x = [
-                a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-            ]
-            if not _is_finite(x):
-                raise NonFiniteState(times[i] + (j + 1) * h)
-        states[i + 1] = x
-        derivs[i + 1] = field(x)
-    return states, derivs
+def _rk4_interval(field, x, t, target, h, cfg):
+    """Advance x from t to target in equal steps of about h; h is kept."""
+    nsub = max(1, int(round((target - t) / h)))
+    dt = (target - t) / nsub
+    half, sixth = 0.5 * dt, dt / 6.0
+    for j in range(nsub):
+        xs = x
+        try:
+            k1 = field(xs)
+            xs = [a + half * b for a, b in zip(x, k1)]
+            k2 = field(xs)
+            xs = [a + half * b for a, b in zip(x, k2)]
+            k3 = field(xs)
+            xs = [a + dt * b for a, b in zip(x, k3)]
+            k4 = field(xs)
+        except (ValueError, OverflowError):
+            # a math call on a non-finite stage state (math.cos(inf))
+            # is a blow-up; any other error is the field's own
+            if _is_finite(xs):
+                raise
+            raise NonFiniteState(t + (j + 1) * dt) from None
+        x = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        if not _is_finite(x):
+            raise NonFiniteState(t + (j + 1) * dt)
+    return x, h
 
 
 # Fehlberg 4(5) tableau.  The fourth-order solution is propagated; the
@@ -303,57 +303,46 @@ def _combine(coeffs, k):
     return acc
 
 
-def _run_rkf45(field, x0, times, cfg):
-    n = len(times)
-    states = np.empty((n, x0.size))
-    derivs = np.empty((n, x0.size))
-    times = times.tolist()
-    x = x0.tolist()
-    states[0] = x
-    derivs[0] = field(x)
-    h_min = 1e-14 * (times[-1] - times[0])
-    h = min(cfg.dt, times[-1] - times[0])
+def _rkf45_interval(field, x, t, target, h, cfg):
+    """Advance x from t to target in accepted adaptive steps; returns the
+    step size to try first on the next interval."""
+    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     k = [None] * 6
-    for i in range(n - 1):
-        t = times[i]
-        target = times[i + 1]
-        while t < target - 1e-14 * max(1.0, abs(target)):
-            h = min(h, target - t)
-            if h < h_min:
-                raise StepUnderflow(f"step size underflow at t={t:.6g}")
-            k[0] = field(x)
-            ok = True
-            for s in range(1, 6):
-                xs = [a + h * b for a, b in zip(x, _combine(_FE_A[s], k))]
-                if not _is_finite(xs):
-                    ok = False
-                    break
-                k[s] = field(xs)
-            if ok:
-                x4 = [a + h * b for a, b in zip(x, _combine(_FE_B4, k))]
-                ok = _is_finite(x4)
-            if ok:
-                # RMS of the scaled error; the mean stays numpy's, whose
-                # summation order the step-size sequence depends on.
-                ratios = [
-                    h * e / (atol + rtol * max(abs(a), abs(b)))
-                    for e, a, b in zip(_combine(_FE_ERR, k), x, x4)
-                ]
-                err = math.sqrt(np.mean([r * r for r in ratios]))
-                ok = math.isfinite(err)
-            if not ok:
-                h *= 0.5
-                continue
-            if err <= 1.0:
-                t += h
-                x = x4
-                if err == 0.0:
-                    h *= 5.0
-                else:
-                    h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
+    while t < target - 1e-14 * max(1.0, abs(target)):
+        h = min(h, target - t)
+        if h < h_min:
+            raise StepUnderflow(f"step size underflow at t={t:.6g}")
+        k[0] = field(x)
+        ok = True
+        for s in range(1, 6):
+            xs = [a + h * b for a, b in zip(x, _combine(_FE_A[s], k))]
+            if not _is_finite(xs):
+                ok = False
+                break
+            k[s] = field(xs)
+        if ok:
+            x4 = [a + h * b for a, b in zip(x, _combine(_FE_B4, k))]
+            ok = _is_finite(x4)
+        if ok:
+            # RMS of the scaled error; the mean stays numpy's, whose
+            # summation order the step-size sequence depends on.
+            ratios = [
+                h * e / (atol + rtol * max(abs(a), abs(b)))
+                for e, a, b in zip(_combine(_FE_ERR, k), x, x4)
+            ]
+            err = math.sqrt(np.mean([r * r for r in ratios]))
+            ok = math.isfinite(err)
+        if not ok:
+            h *= 0.5
+            continue
+        if err <= 1.0:
+            t += h
+            x = x4
+            if err == 0.0:
+                h *= 5.0
             else:
-                h *= max(0.2, 0.9 * err ** -0.2)
-        states[i + 1] = x
-        derivs[i + 1] = field(x)
-    return states, derivs
+                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            h *= max(0.2, 0.9 * err ** -0.2)
+    return x, h

@@ -498,7 +498,6 @@ class SystemEntry:
     without one the friction and constrained states share one layout.
     """
 
-    name: str
     param_defaults: dict
     models: dict
     # (params: dict, friction-model state) -> total energy, used to flag
@@ -601,7 +600,6 @@ def _sleigh_entry() -> SystemEntry:
         return sleigh_energy(p, state[3], state[4], state[5])
 
     return SystemEntry(
-        name="sleigh",
         param_defaults=_param_defaults(SleighParams),
         models=models,
         energy_of_state=energy_of,
@@ -646,7 +644,6 @@ def _pendulum_entry(variant: str) -> SystemEntry:
         return 0.5 * float(state[2] ** 2 + state[3] ** 2) + g * float(state[1])
 
     return SystemEntry(
-        name=f"pendulum-{variant}",
         param_defaults=_param_defaults(PendulumParams),
         models=models,
         energy_of_state=energy_of,

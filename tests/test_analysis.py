@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nonholib.analysis import (
-    ConvergenceReport,
+    DegenerateFit,
     LadderTooShort,
     TransientTooShort,
     WindowMismatch,
@@ -134,17 +134,8 @@ def test_estimate_order_validation():
         estimate_order([1e-2, 2e-2], [0.1, 0.2])  # not decreasing
     with pytest.raises(ValueError):
         estimate_order([1e-2, 5e-3], [0.1, -0.2])
-
-
-def test_convergence_report():
-    rep = ConvergenceReport.from_errors(
-        [8e-3, 4e-3, 2e-3], [0.8, 0.4, 0.2], (0.5, 10.0), [1e-2, 5e-3, 2.5e-3]
-    )
-    assert_allclose(rep.orders, [1.0, 1.0])
-    doc = rep.to_dict()
-    assert set(doc) == {"eps_ladder", "errors", "orders", "t_window", "defects"}
-    with pytest.raises(ValueError):
-        ConvergenceReport.from_errors([1e-2, 5e-3], [0.1, 0.05], (0.0, 10.0))
+    with pytest.raises(DegenerateFit):  # an equilibrium start's zero errors
+        estimate_order([1e-2, 5e-3], [0.1, 0.0])
 
 
 # ---------------------------------------------------------------------------

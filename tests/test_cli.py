@@ -281,6 +281,11 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
              "--t1", "1", "--transient-cutoff", "0.05"],
             2,
         ),
+        (
+            ["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3",
+             "--state", "0,0,0,-1,0", "--t1", "2"],
+            4,
+        ),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
@@ -289,6 +294,7 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         "inf-sample-dt", "nan-transient-cutoff", "zero-window-start",
         "cutoff-before-start", "inf-stage-angle", "friction-blow-up",
         "inertial-blow-up", "pendulum-nh-blow-up", "cutoff-within-transient",
+        "equilibrium-compare",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):
@@ -323,7 +329,12 @@ def test_compare_report(tmp_path):
     )
     assert rc == 0
     report = json.loads((tmp_path / "cmp_compare.json").read_text())
+    assert set(report) == {
+        "system", "model", "config_echo", "initial_energy", "eps_ladder", "errors",
+        "orders", "t_window", "defects", "corrected_errors", "corrected_orders",
+    }
     assert report["eps_ladder"] == [8e-3, 4e-3, 2e-3]
+    assert report["t_window"] == [0.5, 3.0]
     assert len(report["errors"]) == 3
     assert len(report["orders"]) == 2
     assert len(report["defects"]) == 3
@@ -331,7 +342,6 @@ def test_compare_report(tmp_path):
     assert all(e > 0 for e in report["errors"])
     # errors decrease along the ladder
     assert report["errors"][0] > report["errors"][1] > report["errors"][2]
-    assert "config_echo" in report
     assert report["config_echo"]["model"] == report["model"]
 
 
