@@ -12,7 +12,12 @@ A field is called with the state as a list of Python floats and may return
 any sequence of floats (a tuple, a list or an ndarray).  The steppers work
 on Python floats because numpy's per-operation overhead dominates arithmetic
 on vectors of a few components; they keep the operation order of
-whole-array code, so their results are bitwise equal to it.
+whole-array code, so their results are bitwise equal to it.  The adaptive
+scheme's error norm is the root of a left-to-right sum of the squared
+scaled errors divided by the number of components n.  Below 8 components
+that sum is bitwise numpy's mean (a plain loop there); from 8 on numpy adds
+in pairwise blocks, which differs at rounding level and can change the
+step-size sequence.
 
 Trajectories store the state *and* the right-hand side at every sample so
 that dense output is available through cubic Hermite interpolation, which is
@@ -291,51 +296,81 @@ _FE_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _combine(coeffs, k):
-    """Componentwise 0 + c_0 k_0 + c_1 k_1 + ..., added left to right.
-
-    The explicit loop fixes the order of the additions; the builtin ``sum``
-    of floats is compensated on newer Pythons.
-    """
-    acc = [0] * len(k[0])
-    for c, kj in zip(coeffs, k):
-        acc = [s + c * b for s, b in zip(acc, kj)]
-    return acc
-
-
 def _rkf45_interval(field, x, t, target, h, cfg):
     """Advance x from t to target in accepted adaptive steps; returns the
     step size to try first on the next interval."""
     h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    k = [None] * 6
+    _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), a5 = _FE_A
+    a50, a51, a52, a53, a54 = a5
+    b0, b1, b2, b3, b4, b5 = _FE_B4
+    e0, e1, e2, e3, e4, e5 = _FE_ERR
+
+    def attempt(x, h):
+        # One Fehlberg step: (x4, err), or None once a stage state, x4 or
+        # err is non-finite.  Each sum runs left to right from int 0 and
+        # keeps its zero terms, the order of whole-array code, so every
+        # value is bitwise equal to it.
+        k0 = field(x)
+        xs = [a + h * (0 + a10 * c0) for a, c0 in zip(x, k0)]
+        if not _is_finite(xs):
+            return None
+        k1 = field(xs)
+        xs = [a + h * ((0 + a20 * c0) + a21 * c1) for a, c0, c1 in zip(x, k0, k1)]
+        if not _is_finite(xs):
+            return None
+        k2 = field(xs)
+        xs = [
+            a + h * (((0 + a30 * c0) + a31 * c1) + a32 * c2)
+            for a, c0, c1, c2 in zip(x, k0, k1, k2)
+        ]
+        if not _is_finite(xs):
+            return None
+        k3 = field(xs)
+        xs = [
+            a + h * ((((0 + a40 * c0) + a41 * c1) + a42 * c2) + a43 * c3)
+            for a, c0, c1, c2, c3 in zip(x, k0, k1, k2, k3)
+        ]
+        if not _is_finite(xs):
+            return None
+        k4 = field(xs)
+        xs = [
+            a + h * (((((0 + a50 * c0) + a51 * c1) + a52 * c2) + a53 * c3) + a54 * c4)
+            for a, c0, c1, c2, c3, c4 in zip(x, k0, k1, k2, k3, k4)
+        ]
+        if not _is_finite(xs):
+            return None
+        k5 = field(xs)
+        x4 = [
+            a + h * ((((((0 + b0 * c0) + b1 * c1) + b2 * c2) + b3 * c3) + b4 * c4) + b5 * c5)
+            for a, c0, c1, c2, c3, c4, c5 in zip(x, k0, k1, k2, k3, k4, k5)
+        ]
+        if not _is_finite(x4):
+            return None
+        # RMS of the scaled error: a left-to-right sum divided by n (not the
+        # builtin sum, which is compensated from Python 3.12 on); np.mean
+        # bitwise below 8 components, see the module docstring
+        ratios = [
+            h
+            * ((((((0 + e0 * c0) + e1 * c1) + e2 * c2) + e3 * c3) + e4 * c4) + e5 * c5)
+            / (atol + rtol * max(abs(a), abs(b)))
+            for a, b, c0, c1, c2, c3, c4, c5 in zip(x, x4, k0, k1, k2, k3, k4, k5)
+        ]
+        total = 0.0
+        for r in ratios:
+            total += r * r
+        err = math.sqrt(total / len(ratios))
+        return (x4, err) if math.isfinite(err) else None
+
     while t < target - 1e-14 * max(1.0, abs(target)):
         h = min(h, target - t)
         if h < h_min:
             raise StepUnderflow(f"step size underflow at t={t:.6g}")
-        k[0] = field(x)
-        ok = True
-        for s in range(1, 6):
-            xs = [a + h * b for a, b in zip(x, _combine(_FE_A[s], k))]
-            if not _is_finite(xs):
-                ok = False
-                break
-            k[s] = field(xs)
-        if ok:
-            x4 = [a + h * b for a, b in zip(x, _combine(_FE_B4, k))]
-            ok = _is_finite(x4)
-        if ok:
-            # RMS of the scaled error; the mean stays numpy's, whose
-            # summation order the step-size sequence depends on.
-            ratios = [
-                h * e / (atol + rtol * max(abs(a), abs(b)))
-                for e, a, b in zip(_combine(_FE_ERR, k), x, x4)
-            ]
-            err = math.sqrt(np.mean([r * r for r in ratios]))
-            ok = math.isfinite(err)
-        if not ok:
+        step = attempt(x, h)
+        if step is None:
             h *= 0.5
             continue
+        x4, err = step
         if err <= 1.0:
             t += h
             x = x4

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,17 +64,20 @@ class SleighParams:
         if self.a < 0:
             raise InvalidParameter("a must be nonnegative")
 
-    @property
+    # Computed once, as the sleigh fields read them on every call.
+    # cached_property writes __dict__ directly, so it works on a frozen
+    # dataclass; equality, hash and repr still use the fields alone.
+    @cached_property
     def itot(self) -> float:
         """Moment of inertia about the contact point, I + m a^2."""
         return self.I + self.m * self.a**2
 
-    @property
+    @cached_property
     def coupling(self) -> float:
         """m a / (I + m a^2): psi = omega + coupling * v."""
         return self.m * self.a / self.itot
 
-    @property
+    @cached_property
     def slaving(self) -> float:
         """m I / (I + m a^2): slip drift is v ~ -eps * slaving * u * psi.
         Also the metric weight of the slip direction."""

@@ -236,11 +236,16 @@ def _numpy_rk4(field, x0, times, dt):
 
 
 def _numpy_rkf45(field, x0, times, cfg):
+    """States, derivatives and the branch counts: steps rejected for their
+    error, and steps halved because a stage state or the result was
+    non-finite."""
+
     def f(x):
         return np.asarray(field(x), dtype=float)
 
     x = np.array(x0, dtype=float)
     states, derivs = [x], [f(x)]
+    counts = {"rejected": 0, "non_finite_stage": 0, "non_finite_result": 0}
     h = min(cfg.dt, times[-1] - times[0])
     k = [None] * 6
     for t, target in zip(times[:-1], times[1:]):
@@ -251,6 +256,7 @@ def _numpy_rkf45(field, x0, times, cfg):
             for s in range(1, 6):
                 xs = x + h * sum(a * k[j] for j, a in enumerate(_FE_A[s]))
                 if not np.all(np.isfinite(xs)):
+                    counts["non_finite_stage"] += 1
                     ok = False
                     break
                 k[s] = f(xs)
@@ -261,6 +267,7 @@ def _numpy_rkf45(field, x0, times, cfg):
                 with np.errstate(invalid="ignore"):
                     err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
                 ok = np.isfinite(err) and np.all(np.isfinite(x4))
+                counts["non_finite_result"] += not ok
             if not ok:
                 h *= 0.5
                 continue
@@ -269,17 +276,21 @@ def _numpy_rkf45(field, x0, times, cfg):
                 x = x4
                 h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
             else:
+                counts["rejected"] += 1
                 h *= max(0.2, 0.9 * err**-0.2)
         states.append(x)
         derivs.append(f(x))
-    return np.array(states), np.array(derivs)
+    return np.array(states), np.array(derivs), counts
 
 
-def _rk4_cases(eps):
+def _field_cases(eps):
+    """name -> (field, initial state, rk4 step): one of each field shape the
+    CLI integrates."""
     from nonholib.systems import (
         PendulumParams,
         SleighParams,
         make_pendulum,
+        pendulum_default_state,
         sleigh_corrected_field,
         sleigh_friction_field,
     )
@@ -296,6 +307,12 @@ def _rk4_cases(eps):
             [0.1, -0.2, 0.3, -1.0, 0.5],
             1e-3,
         ),
+        # returns a tuple of 4 floats
+        "pendulum-friction": (
+            make_pendulum("friction", PendulumParams(eps=eps)),
+            pendulum_default_state(),
+            eps / 20,
+        ),
         # computes with numpy inside and returns an ndarray
         "pendulum-inertial": (
             make_pendulum("inertial", PendulumParams(eps=eps)),
@@ -307,7 +324,7 @@ def _rk4_cases(eps):
 
 @pytest.mark.parametrize("name", ["sleigh-friction", "sleigh-corrected", "pendulum-inertial"])
 def test_rk4_matches_numpy_reference_bitwise(name):
-    field, x0, dt = _rk4_cases(2e-3)[name]
+    field, x0, dt = _field_cases(2e-3)[name]
     cfg = IntegratorConfig(t_span=(0.0, 0.5), dt=dt, sample_dt=1e-2)
     traj = integrate(field, x0, cfg)
     states, derivs = _numpy_rk4(field, x0, traj.times, dt)
@@ -315,16 +332,35 @@ def test_rk4_matches_numpy_reference_bitwise(name):
     assert traj.derivs.tobytes() == derivs.tobytes()
 
 
-def test_rkf45_matches_numpy_reference_bitwise():
-    from nonholib.systems import PendulumParams, make_pendulum, pendulum_default_state
+def _cubic_decay(x):
+    # x' = -x^3: from x = 1e4 a step of 1e-3 overflows a stage state, so
+    # the step is halved until it is stable, and grows again as x decays
+    return [-a * a * a for a in x]
 
-    field = make_pendulum("friction", PendulumParams(eps=4e-3))
-    x0 = pendulum_default_state()
+
+# the reference's branch counts that each case makes nonzero
+RKF45_BRANCHES = {
+    "pendulum-friction": {"rejected"},
+    "pendulum-inertial": set(),
+    "sleigh-friction": {"rejected"},
+    "sleigh-corrected": set(),
+    "blow-up": {"rejected", "non_finite_stage", "non_finite_result"},
+}
+
+
+@pytest.mark.parametrize("name", RKF45_BRANCHES)
+def test_rkf45_matches_numpy_reference_bitwise(name):
+    if name == "blow-up":
+        field, x0 = _cubic_decay, [1e4, -3.0]
+    else:
+        field, x0, _ = _field_cases(4e-3)[name]
     cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2, method="rkf45")
-    traj = integrate(field, x0, cfg)
-    states, derivs = _numpy_rkf45(field, x0, traj.times, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(field, x0, cfg)
+        states, derivs, counts = _numpy_rkf45(field, x0, traj.times, cfg)
     assert traj.states.tobytes() == states.tobytes()
     assert traj.derivs.tobytes() == derivs.tobytes()
+    assert {b for b, n in counts.items() if n} == RKF45_BRANCHES[name]
 
 
 def test_non_finite_stage_state_reports_time():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,6 +51,26 @@ def test_sleigh_params_validation():
     p = SleighParams(m=2.0, I=3.0, a=0.5)
     assert_allclose(p.itot, 3.5)
     assert_allclose(p.fast_rate(0.01), 3.5 / (3.0 * 2.0 * 0.01))
+
+
+@pytest.mark.parametrize("params", SLEIGH_PARAMS)
+def test_sleigh_params_cached_constants(params):
+    p = SleighParams(**params)
+    m, inertia, a = p.m, p.I, p.a
+    assert p.itot == inertia + m * a**2
+    assert p.coupling == m * a / (inertia + m * a**2)
+    assert p.slaving == m * inertia / (inertia + m * a**2)
+    # once read, the cached constants change nothing a dataclass derives
+    # from its fields
+    fresh = SleighParams(**params)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert dataclasses.astuple(p) == dataclasses.astuple(fresh) == (m, inertia, a)
+    assert dataclasses.replace(p) == fresh
+    heavier = dataclasses.replace(p, m=2 * m)
+    assert heavier != p
+    assert heavier.itot == inertia + 2 * m * a**2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.itot = 1.0
 
 
 def test_pendulum_params_validation():
@@ -200,6 +222,41 @@ def test_nh_orbit_half_ellipse(sleigh):
     # forward motion ends up along the positive-u axis side
     assert u[-1] > 0
     assert om[-1] < om.max()
+
+
+def test_nh_conserves_energy_from_random_states():
+    # Q = m u^2 + itot omega^2 = 2 * kinetic energy is a first integral of
+    # the nh field.  rk4 is order 4, so over [0, T] the drift is about
+    # T lam^5 h^4 Q, lam a bound on |d(udot, omegadot)/d(u, omega)| on the
+    # level set of Q; constant 1, plus 1e-13 Q for roundoff over 200 steps
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    h, t_end = 1e-2, 2.0
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        m=st.floats(0.5, 2.0),
+        inertia=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 1.0),
+        phi=st.floats(-np.pi, np.pi),
+        u=st.floats(-1.0, 1.0),
+        omega=st.floats(-1.0, 1.0),
+    )
+    def check(m, inertia, a, phi, u, omega):
+        p = SleighParams(m=m, I=inertia, a=a)
+        cfg = IntegratorConfig(t_span=(0.0, t_end), dt=h, sample_dt=0.1)
+        traj = integrate(sleigh_nh_field(p), [0.0, 0.0, phi, u, omega], cfg)
+        us, oms = traj.states[:, 3], traj.states[:, 4]
+        q0 = p.m * u * u + p.itot * omega * omega
+        u_max, om_max = np.sqrt(q0 / p.m), np.sqrt(q0 / p.itot)
+        lam = 2 * p.a * om_max + p.coupling * (u_max + om_max)
+        bound = (t_end * lam**5 * h**4 + 1e-13) * q0
+        q = p.m * us * us + p.itot * oms * oms
+        assert np.max(np.abs(q - q0)) <= bound
+        energy = sleigh_energy(p, us, 0.0, oms)
+        assert np.max(np.abs(energy - sleigh_energy(p, u, 0.0, omega))) <= 0.5 * bound
+
+    check()
 
 
 def test_corrected_field_zero_eps_is_nh(sleigh):
