@@ -15,8 +15,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ExpansionData, RayleighFriction, rayleigh_power
-from .geometry import MechanicalSystem, MovingFrame
+from .dynamics import (
+    ExpansionData,
+    RayleighFriction,
+    _matvec,
+    energy,
+    energy_frame,
+    rayleigh_power,
+)
+from .geometry import MechanicalSystem, MovingFrame, in_blocks
 from .ode import Trajectory
 
 DEFAULT_T1 = 0.5
@@ -161,10 +168,9 @@ def energy_audit(
     triples (q, xi, eta).  The violation is normalized by the peak
     dissipation rate, or by an energy-scale rate when the friction form is
     absent or inactive (then the audit degenerates to an energy-conservation
-    check).
+    check).  The metric, frame and friction form are read on blocks of
+    samples (geometry.in_blocks), every sample checked as in geometry.
     """
-    from .dynamics import energy, energy_frame
-
     n = sys.n
     if traj.dim != 2 * n:
         raise ValueError(f"expected state dimension {2 * n}, got {traj.dim}")
@@ -173,19 +179,16 @@ def energy_audit(
         raise ValueError("energy audit needs a uniform sample grid")
     h = float(steps[0])
 
-    energies = np.empty(len(traj))
-    powers = np.zeros(len(traj))
-    for i, st in enumerate(traj.states):
-        q = st[:n]
+    def energy_and_power(states):
+        q, v = states[:, :n], states[:, n:]
         if frame is None:
-            qdot = st[n:]
+            e, qdot = energy(sys, q, v), v
         else:
-            qdot = frame.fields_at(q) @ st[n:]
-        energies[i] = (
-            energy(sys, q, qdot) if frame is None else energy_frame(sys, frame, q, st[n:])
-        )
-        if fric is not None:
-            powers[i] = rayleigh_power(fric, q, qdot)
+            e, qdot = energy_frame(sys, frame, q, v), _matvec(frame.fields_at(q), v)
+        power = np.zeros(len(q)) if fric is None else rayleigh_power(fric, q, qdot)
+        return np.stack([e, power], axis=1)
+
+    energies, powers = in_blocks(energy_and_power, traj.states).T
 
     de_dt = _fd_rate_5pt(energies, h)
     expected = -powers[2:-2] / eps
@@ -224,9 +227,7 @@ def manifold_fit(
     qs = states[:, :n]
     xis = states[:, n : n + k]
     etas = states[:, n + k :]
-    predicted = np.empty_like(etas)
-    for i in range(len(states)):
-        predicted[i] = eps * expansion.h1(qs[i], xis[i])
+    predicted = eps * expansion.h1(qs, xis)
     return ManifoldFit(qs=qs, xis=xis, etas=etas, predicted=predicted)
 
 

@@ -342,6 +342,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _require_decreasing(eps_ladder) -> None:
+    """Ratios along a ladder read as convergence orders only when eps falls."""
+    if not all(b < a for a, b in zip(eps_ladder, eps_ladder[1:])):
+        raise ConfigError("eps ladder must be strictly decreasing")
+
+
 def cmd_compare(cfg: ExperimentConfig) -> int:
     entry, _ = _resolve_model(cfg)  # checks the named model before it is replaced
     cfg.model = "friction"
@@ -349,8 +355,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"system {cfg.system!r} has no constrained model")
     if len(cfg.eps) < 3:
         raise ConfigError("compare needs an eps ladder with at least 3 entries")
-    if not all(b < a for a, b in zip(cfg.eps, cfg.eps[1:])):
-        raise ConfigError("eps ladder must be strictly decreasing")
+    _require_decreasing(cfg.eps)
     if not cfg.window_start > 0:
         raise ConfigError(
             f"compare window start must be positive, got {cfg.window_start:g}"
@@ -416,6 +421,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     entry, fric_spec = _resolve_model(cfg)
     if entry.adapted_frame is None:
         raise ConfigError(f"system {cfg.system!r} has no slow-manifold support")
+    _require_decreasing(cfg.eps)
     state = _initial_state(cfg, fric_spec)
     rate = _fast_rate(cfg, entry, state)
     # The initial slip offset is O(eps) and the slow-manifold residual

@@ -20,6 +20,11 @@ return pure callables and are safe to evaluate concurrently.
 
 Each evaluation of a frame-based field or of h1 reads its point data once
 (_Point): one connection evaluation, one frame read and one metric read.
+_Point works on stacks of states with a leading sample axis, and a single
+state is a stack of one.  h1 takes one point (q, xi) or stacks (qs, xis) of
+shapes (m, n) and (m, k); a stack goes through geometry.in_blocks in blocks
+of at most geometry.BLOCK_ROWS rows, each block read with one call per
+point accessor and checked row by row as in geometry.
 """
 
 from __future__ import annotations
@@ -33,10 +38,13 @@ from .geometry import (
     COND_LIMIT,
     MechanicalSystem,
     MovingFrame,
+    _at_rows,
     _central_difference,
+    _square,
     christoffel,
     connection_coefficients,
     frame_metric,
+    in_blocks,
 )
 
 
@@ -61,9 +69,11 @@ class RayleighFriction:
     nu: Callable
 
     def nu_at(self, q) -> np.ndarray:
-        m = np.asarray(self.nu(q), dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("friction form must be a square matrix field")
+        """nu at one point q of shape (n,) or at each row of an (m, n) stack."""
+        shape = "friction form must be a square matrix field"
+        m = _at_rows(self.nu, q, shape)
+        if not _square(m, q):
+            raise ValueError(shape)
         return m
 
 
@@ -83,16 +93,32 @@ def _frame_friction(fric, q, f, lam, kappa) -> np.ndarray:
 
 
 def _eta_block(matrix, k) -> np.ndarray:
-    block = matrix[k:, k:]
-    if block.size and np.linalg.cond(block) > COND_LIMIT:
+    block = matrix[..., k:, k:]
+    if block.size and (np.linalg.cond(block) > COND_LIMIT).any():
         raise SingularEtaBlock("eta block of the friction operator is singular")
     return block
 
 
+def _matvec(a, x) -> np.ndarray:
+    """a @ x for stacks of matrices a and vectors x."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _solve(a, b) -> np.ndarray:
+    """a^{-1} b for stacks of matrices a and vectors b."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _contract(w, omega, v) -> np.ndarray:
+    """omega^a_bg w^b v^g for stacks of coefficients and vectors."""
+    return np.einsum("...abg,...b,...g->...a", omega, w, v)
+
+
 class _Point:
-    """What the frame-based fields need at a state (q, w): the frame f, its
-    inverse lam, the metric kappa, the connection omega, and acc, the
-    connection and potential contributions to all quasi-velocity rates."""
+    """What the frame-based fields need at a stack of states (q, w) of shape
+    (m, n) each: the frames f, their inverses lam, the metrics kappa, the
+    connections omega, and acc, the connection and potential contributions
+    to all quasi-velocity rates.  Every array has the leading axis m."""
 
     def __init__(self, sys, fr, q, w):
         self.q, self.w, self.k = q, w, fr.k
@@ -100,36 +126,38 @@ class _Point:
         self.lam = np.linalg.inv(self.f)
         self.kappa = sys.metric_at(q)
         self.omega = connection_coefficients(sys, fr, q)
-        self.acc = -np.einsum("abg,b,g->a", self.omega, w, w)
+        self.acc = -_contract(w, self.omega, w)
         dV = sys.potential_grad_at(q)
-        if np.any(dV):
-            self.acc = self.acc - self.lam @ np.linalg.solve(self.kappa, dV)
+        # only rows with a potential force are touched, so a row without one
+        # keeps the signed zeros of its connection term
+        pushed = dV.any(axis=-1)
+        if pushed.any():
+            force = _matvec(self.lam[pushed], _solve(self.kappa[pushed], dV[pushed]))
+            self.acc[pushed] = self.acc[pushed] - force
 
     @classmethod
     def reduced(cls, sys, fr, q, xi):
-        """At a reduced state (q, xi), with w = (xi, 0)."""
-        w = np.zeros(sys.n)
-        w[: fr.k] = xi
+        """At reduced states (q, xi), with w = (xi, 0)."""
+        w = np.zeros((len(q), sys.n))
+        w[:, : fr.k] = xi
         return cls(sys, fr, q, w)
 
     def friction(self, fric) -> np.ndarray:
         return _frame_friction(fric, self.q, self.f, self.lam, self.kappa)
 
     def nh_rates(self) -> np.ndarray:
-        return np.concatenate([self.f @ self.w, self.acc[: self.k]])
+        return np.concatenate([_matvec(self.f, self.w), self.acc[:, : self.k]], axis=1)
 
     def h1(self, fric) -> np.ndarray:
         block = _eta_block(self.friction(fric), self.k)
-        return np.linalg.solve(block, self.acc[self.k :])
+        return _solve(block, self.acc[:, self.k :])
 
     def first_order_rates(self, fric) -> np.ndarray:
-        z = np.zeros(len(self.w))
-        z[self.k :] = self.h1(fric)
+        z = np.zeros_like(self.w)
+        z[:, self.k :] = self.h1(fric)
         omega, w = self.omega, self.w
-        cross = np.einsum("abg,b,g->a", omega, w, z) + np.einsum(
-            "abg,b,g->a", omega, z, w
-        )
-        return np.concatenate([self.f @ z, -cross[: self.k]])
+        cross = _contract(w, omega, z) + _contract(z, omega, w)
+        return np.concatenate([_matvec(self.f, z), -cross[:, : self.k]], axis=1)
 
 
 def _reduced_field(sys, fr, rates: Callable) -> Callable:
@@ -137,8 +165,8 @@ def _reduced_field(sys, fr, rates: Callable) -> Callable:
     n = sys.n
 
     def rhs(y):
-        y = np.asarray(y, dtype=float)
-        return rates(_Point.reduced(sys, fr, y[:n], y[n:]))
+        y = np.asarray(y, dtype=float)[None]
+        return rates(_Point.reduced(sys, fr, y[:, :n], y[:, n:]))[0]
 
     return rhs
 
@@ -166,11 +194,10 @@ def friction_field(sys, fr, fric: RayleighFriction, eps: float) -> Callable:
     n = sys.n
 
     def rhs(y):
-        y = np.asarray(y, dtype=float)
-        q, w = y[:n], y[n:]
-        pt = _Point(sys, fr, q, w)
-        acc = pt.acc - pt.friction(fric) @ w / eps
-        return np.concatenate([pt.f @ w, acc])
+        y = np.asarray(y, dtype=float)[None]
+        pt = _Point(sys, fr, y[:, :n], y[:, n:])
+        acc = pt.acc - _matvec(pt.friction(fric), pt.w) / eps
+        return np.concatenate([_matvec(pt.f, pt.w), acc], axis=1)[0]
 
     return rhs
 
@@ -224,7 +251,9 @@ class ExpansionData:
     """First-order slow-manifold data.
 
     h1(q, xi) is the leading graph coefficient: the invariant manifold of
-    the friction dynamics is eta = eps * h1 + O(eps^2).
+    the friction dynamics is eta = eps * h1 + O(eps^2).  It takes one point
+    (q of shape (n,), xi of shape (k,)) or stacks of m points ((m, n) and
+    (m, k)) and returns shape (n - k,) or (m, n - k).
     """
 
     h1: Callable
@@ -238,8 +267,14 @@ def compute_h1(sys, fr, fric: RayleighFriction) -> ExpansionData:
     With no potential and xi = 0 this vanishes: no drive, no drift.
     """
 
+    def h1_rows(q, xi):
+        return _Point.reduced(sys, fr, q, xi).h1(fric)
+
     def h1(q, xi):
-        return _Point.reduced(sys, fr, np.asarray(q, dtype=float), xi).h1(fric)
+        q, xi = np.asarray(q, dtype=float), np.asarray(xi, dtype=float)
+        if q.ndim == 1:
+            return in_blocks(h1_rows, q[None], xi[None])[0]
+        return in_blocks(h1_rows, q, xi)
 
     return ExpansionData(h1=h1)
 
@@ -268,28 +303,29 @@ def corrected_field(sys, fr, fric: RayleighFriction, eps: float) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# scalar observables
+# scalar observables: a float at one point, an (m,) array on a stack
 # ---------------------------------------------------------------------------
 
 
-def energy(sys: MechanicalSystem, q, qdot) -> float:
+def _quadratic_form(a, v):
+    """v . a v for a matrix and a vector, or for stacks of both."""
+    v = np.asarray(v, dtype=float)
+    return (v[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
+
+
+def energy(sys: MechanicalSystem, q, qdot):
     """Total energy 0.5 kappa(qdot, qdot) + V(q) in chart coordinates."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    return 0.5 * float(qdot @ sys.metric_at(q) @ qdot) + sys.potential_at(q)
+    return 0.5 * _quadratic_form(sys.metric_at(q), qdot) + sys.potential_at(q)
 
 
-def energy_frame(sys, fr, q, w) -> float:
+def energy_frame(sys, fr, q, w):
     """Total energy from quasi-velocities w = (xi, eta)."""
-    w = np.asarray(w, dtype=float)
-    K = frame_metric(sys, fr, q)
-    return 0.5 * float(w @ K @ w) + sys.potential_at(q)
+    return 0.5 * _quadratic_form(frame_metric(sys, fr, q), w) + sys.potential_at(q)
 
 
-def rayleigh_power(fric: RayleighFriction, q, qdot) -> float:
+def rayleigh_power(fric: RayleighFriction, q, qdot):
     """Instantaneous dissipation form nu(qdot, qdot) >= 0."""
-    qdot = np.asarray(qdot, dtype=float)
-    return float(qdot @ fric.nu_at(q) @ qdot)
+    return _quadratic_form(fric.nu_at(q), qdot)
 
 
 def expansion_defect(sys, fr, fric, eps, q, xi) -> np.ndarray:

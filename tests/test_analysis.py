@@ -17,6 +17,7 @@ from nonholib.analysis import (
     sup_distance,
 )
 from nonholib.dynamics import compute_h1
+from nonholib.geometry import BLOCK_ROWS
 from nonholib.ode import IntegratorConfig, Trajectory, integrate, transform_linear
 from nonholib.systems import REGISTRY, sleigh_friction_field, sleigh_nh_field
 
@@ -289,6 +290,19 @@ def test_manifold_fit_slaved_start_stays_quadratic(sleigh, sleigh_setup):
     frame_traj = transform_linear(traj, frame_state_matrix(sleigh))
     fit = manifold_fit(frame_traj, expansion, eps, 0.0, 3, 2)
     assert fit.residual_sup < 10.0 * eps**2
+
+
+def test_manifold_fit_rows_past_one_block_equal_single_point_h1(sleigh_setup):
+    sysm, frame, fric = sleigh_setup
+    expansion = compute_h1(sysm, frame, fric)
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 6.0, 601)
+    states = rng.normal(size=(601, 6))
+    eps = 3e-3
+    fit = manifold_fit(Trajectory(times, states, states), expansion, eps, 0.5, 3, 2)
+    assert len(fit.predicted) == 551 > BLOCK_ROWS
+    rows = np.array([eps * expansion.h1(q, xi) for q, xi in zip(fit.qs, fit.xis)])
+    assert fit.predicted.tobytes() == rows.tobytes()
 
 
 def test_manifold_fit_transient_too_short(sleigh_setup):

@@ -286,6 +286,16 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
              "--state", "0,0,0,-1,0", "--t1", "2"],
             4,
         ),
+        (
+            ["manifold", "--system", "sleigh", "--model", "friction", "--eps",
+             "5e-3", "--eps", "1e-2", "--t1", "2"],
+            2,
+        ),
+        (
+            ["manifold", "--system", "sleigh", "--model", "friction", "--eps",
+             "1e-2", "--eps", "1e-2", "--t1", "2"],
+            2,
+        ),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
@@ -294,7 +304,7 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         "inf-sample-dt", "nan-transient-cutoff", "zero-window-start",
         "cutoff-before-start", "inf-stage-angle", "friction-blow-up",
         "inertial-blow-up", "pendulum-nh-blow-up", "cutoff-within-transient",
-        "equilibrium-compare",
+        "equilibrium-compare", "manifold-rising-ladder", "manifold-repeated-eps",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

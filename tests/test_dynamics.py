@@ -23,8 +23,11 @@ from nonholib.dynamics import (
     rayleigh_power,
 )
 from nonholib.geometry import (
+    BLOCK_ROWS,
     MechanicalSystem,
     MovingFrame,
+    SingularFrame,
+    SingularMetric,
     connection_coefficients,
     frame_metric,
     geodesic_rhs_struct,
@@ -40,6 +43,7 @@ from nonholib.systems import (
     sleigh_friction_ortho_rhs,
     sleigh_h1_rhs,
     sleigh_nh_rhs,
+    sleigh_uvw_frame,
     sleigh_x1_rhs,
 )
 
@@ -335,6 +339,98 @@ def test_singular_eta_block():
     fric = RayleighFriction(nu=lambda q: np.zeros((2, 2)))
     with pytest.raises(SingularEtaBlock):
         compute_h1(sysm, fr, fric).h1(np.zeros(2), np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# stacks of points
+# ---------------------------------------------------------------------------
+
+
+def _stack_setup(name, sleigh, sleigh_setup):
+    """(system, frame, friction form, chart points, xi rows) with more rows
+    than one block; a tenth of the xi rows are zero, so the connection term
+    is a signed zero there."""
+    rng = np.random.default_rng(31)
+    rows = BLOCK_ROWS + 44
+    if name == "pendulum":
+        pp = PendulumParams()
+        setup = pendulum_system(pp), pendulum_frame(pp), pendulum_friction_form(pp)
+        angle = rng.uniform(-np.pi, np.pi, rows)
+        qs = rng.uniform(0.5, 2.0, (rows, 1)) * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    else:
+        sysm, frame, fric = sleigh_setup
+        if name == "sleigh-uvw":
+            # the uvw frame is not adapted to the blade friction form, whose
+            # eta block is singular there; a definite form gives h1 a value
+            frame = sleigh_uvw_frame(sleigh)
+            fric = RayleighFriction(nu=lambda q: np.diag([1.0, 2.0, 3.0]))
+        if name == "sleigh-spring":
+            # a potential whose force vanishes on every fifth row
+            sysm = dataclasses.replace(
+                sysm,
+                potential=lambda q: 0.5 * q[0] ** 2,
+                potential_grad=lambda q: np.array([q[0], 0.0, 0.0]),
+            )
+        setup = sysm, frame, fric
+        qs = random_sleigh_q(rng, rows)
+        qs[::5, 0] = 0.0
+    xis = rng.normal(size=(rows, setup[1].k))
+    xis[::10] = 0.0
+    return (*setup, qs, xis)
+
+
+@pytest.mark.parametrize("name", ["sleigh-ortho", "sleigh-uvw", "sleigh-spring", "pendulum"])
+def test_stacked_h1_and_connection_equal_per_row_bitwise(name, sleigh, sleigh_setup):
+    sysm, frame, fric, qs, xis = _stack_setup(name, sleigh, sleigh_setup)
+    h1 = compute_h1(sysm, frame, fric).h1
+    stacked = h1(qs, xis)
+    rows = np.array([h1(q, xi) for q, xi in zip(qs, xis)])
+    assert stacked.shape == (len(qs), sysm.n - frame.k)
+    # byte equality also tells -0.0 from 0.0
+    assert stacked.tobytes() == rows.tobytes()
+    omega = connection_coefficients(sysm, frame, qs)
+    per_row = np.array([connection_coefficients(sysm, frame, q) for q in qs])
+    assert omega.tobytes() == per_row.tobytes()
+
+
+BAD_X = 7.0  # chart x-coordinate of the one bad point in a stack
+EYE3 = np.eye(3)
+
+# (class, callback to spoil, its value at the bad point)
+BAD_INPUTS = {
+    "frame-non-finite": (SingularFrame, "fields", np.diag([1.0, np.nan, 1.0])),
+    "frame-cond": (SingularFrame, "fields", np.diag([1.0, 1.0, 1e-13])),
+    "frame-non-square": (ValueError, "fields", np.ones((3, 2))),
+    "metric-non-finite": (SingularMetric, "metric", np.diag([1.0, np.inf, 1.0])),
+    "metric-asymmetric": (SingularMetric, "metric", EYE3 + np.triu(np.ones((3, 3)), 1) * 1e-6),
+    "metric-indefinite": (SingularMetric, "metric", np.diag([1.0, 1.0, -1.0])),
+    "metric-cond": (SingularMetric, "metric", np.diag([1.0, 1.0, 1e-13])),
+    "metric-non-square": (ValueError, "metric", np.ones((3, 2))),
+    "eta-block": (SingularEtaBlock, "nu", np.zeros((3, 3))),
+    "friction-non-square": (ValueError, "nu", np.ones((2, 3))),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_stacked_h1_raises_as_single_point_on_one_bad_row(case, sleigh, sleigh_setup):
+    cls, callback, bad = BAD_INPUTS[case]
+    parts = list(sleigh_setup)
+    for i, part in enumerate(parts):
+        if hasattr(part, callback):
+            good = getattr(part, callback)
+            spoilt = lambda q, good=good: bad if q[0] == BAD_X else good(q)
+            parts[i] = dataclasses.replace(part, **{callback: spoilt})
+    h1 = compute_h1(*parts).h1
+    rng = np.random.default_rng(32)
+    qs, xis = random_sleigh_q(rng, 9), rng.normal(size=(9, 2))
+    qs[4, 0] = BAD_X
+    h1(np.delete(qs, 4, axis=0), np.delete(xis, 4, axis=0))  # the rest is fine
+    with pytest.raises(cls) as single:
+        h1(qs[4], xis[4])
+    with pytest.raises(cls) as stacked:
+        h1(qs, xis)
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_first_order_field_matches_hand_coded(sleigh, sleigh_setup):

@@ -83,6 +83,42 @@ def test_singular_metric_raises():
         sysm.metric_at(np.zeros(2))
 
 
+def test_accessors_on_a_stack_equal_per_row(sleigh_setup):
+    sysm, fr, _ = sleigh_setup
+    sysm = MechanicalSystem(
+        n=3,
+        metric=sysm.metric,
+        metric_derivs=sysm.metric_derivs,
+        potential=lambda q: q[0] * q[1],
+        potential_grad=lambda q: np.array([q[1], q[0], 0.0]),
+    )
+    qs = random_sleigh_q(np.random.default_rng(3), 7)
+    for at in (
+        sysm.metric_at,
+        sysm.metric_derivs_at,
+        sysm.potential_at,
+        sysm.potential_grad_at,
+        fr.fields_at,
+        fr.field_derivs_at,
+        lambda q: frame_metric(sysm, fr, q),
+        lambda q: structure_functions(fr, q),
+    ):
+        stacked = at(qs)
+        assert stacked.tobytes() == np.array([at(q) for q in qs]).tobytes()
+        assert stacked.shape[0] == len(qs)
+    assert isinstance(sysm.potential_at(qs[0]), float)
+
+
+def test_metric_symmetry_tolerance_is_per_matrix():
+    # a large, symmetric metric in the same stack must not widen the
+    # tolerance for a small one with an asymmetry of 1e-8
+    big, lopsided = 1e6 * np.eye(2), np.array([[1.0, 1e-8], [0.0, 1.0]])
+    sysm = MechanicalSystem(n=2, metric=lambda q: big if q[0] > 0 else lopsided)
+    sysm.metric_at(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(SingularMetric, match="metric is not symmetric"):
+        sysm.metric_at(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # structure functions
 # ---------------------------------------------------------------------------
