@@ -20,7 +20,6 @@ from .dynamics import (
     RayleighFriction,
     _matvec,
     energy,
-    energy_frame,
     rayleigh_power,
 )
 from .geometry import MechanicalSystem, MovingFrame, in_blocks
@@ -180,11 +179,10 @@ def energy_audit(
     h = float(steps[0])
 
     def energy_and_power(states):
-        q, v = states[:, :n], states[:, n:]
-        if frame is None:
-            e, qdot = energy(sys, q, v), v
-        else:
-            e, qdot = energy_frame(sys, frame, q, v), _matvec(frame.fields_at(q), v)
+        q, qdot = states[:, :n], states[:, n:]
+        if frame is not None:  # quasi-velocities: qdot = F w, one frame read
+            qdot = _matvec(frame.fields_at(q), qdot)
+        e = energy(sys, q, qdot)
         power = np.zeros(len(q)) if fric is None else rayleigh_power(fric, q, qdot)
         return np.stack([e, power], axis=1)
 

@@ -18,7 +18,8 @@ byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 (falling back to the working directory).
 
 Exit codes: 0 ok, 2 configuration error (including an rk4 step past the
-stability bound), 3 numerical blow-up or singular state, 4 analysis
+stability bound and a horizon that is not a whole number of sample
+intervals), 3 numerical blow-up or singular state, 4 analysis
 precondition failure.
 """
 
@@ -253,7 +254,7 @@ def _integrator_config(cfg: ExperimentConfig, eps=None, rate=None) -> Integrator
                 f"past the stability bound {RK4_STABILITY_BOUND}; lower --dt"
             )
     try:
-        return IntegratorConfig(
+        icfg = IntegratorConfig(
             t_span=(cfg.t0, cfg.t1),
             dt=dt,
             sample_dt=cfg.sample_dt,
@@ -261,6 +262,16 @@ def _integrator_config(cfg: ExperimentConfig, eps=None, rate=None) -> Integrator
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # the sample grid ends at t1 only on a whole number of intervals (with
+    # the grid's own 1e-9 slack); otherwise the run would stop short of t1
+    intervals = (cfg.t1 - cfg.t0) / cfg.sample_dt
+    whole = round(intervals)
+    if whole < 1 or abs(intervals - whole) > 1e-9:
+        raise ConfigError(
+            f"horizon t1 - t0 = {cfg.t1 - cfg.t0:g} must be a whole number "
+            f"(at least 1) of sample intervals sample_dt = {cfg.sample_dt:g}"
+        )
+    return icfg
 
 
 def _out_dir() -> Path:

@@ -3,6 +3,9 @@
 Closed-form right-hand sides live here so that the generic frame machinery
 in :mod:`nonholib.dynamics` can be cross-checked against them, and so that
 experiment runs do not pay the generic machinery's per-evaluation cost.
+The sleigh's run-path fields (``sleigh_*_field``) bind their parameter
+constants at build time; the ``sleigh_*_rhs`` helpers, which read them on
+every call in the same operation order, are their bitwise oracle.
 
 Sleigh conventions.  Chart (x, y, phi): skate contact point and blade
 angle; mass m, inertia I about the center of mass, which sits a distance
@@ -64,7 +67,7 @@ class SleighParams:
         if self.a < 0:
             raise InvalidParameter("a must be nonnegative")
 
-    # Computed once, as the sleigh fields read them on every call.
+    # Computed once, as the sleigh rate helpers read them on every call.
     # cached_property writes __dict__ directly, so it works on a frozen
     # dataclass; equality, hash and repr still use the fields alone.
     @cached_property
@@ -175,44 +178,65 @@ def sleigh_energy_ortho(p: SleighParams, u, v, psi) -> float:
 
 
 def sleigh_nh_field(p: SleighParams) -> Callable:
-    """State (x, y, phi, u, omega)."""
+    """State (x, y, phi, u, omega); the rates of :func:`sleigh_nh_rhs`,
+    its oracle, with the constants bound at build time."""
+    a, nc = p.a, -p.coupling
 
     def rhs(st):
         x, y, phi, u, om = st
-        udot, omdot = sleigh_nh_rhs(p, u, om)
-        return (u * math.cos(phi), u * math.sin(phi), om, udot, omdot)
+        return (u * math.cos(phi), u * math.sin(phi), om, a * om * om, nc * u * om)
 
     return rhs
 
 
 def sleigh_friction_field(p: SleighParams, eps: float) -> Callable:
-    """State (x, y, phi, u, v, omega)."""
+    """State (x, y, phi, u, v, omega); the rates of
+    :func:`sleigh_friction_rhs`, its oracle, with the constants bound at
+    build time."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    a, itot = p.a, p.itot
+    ie, mie = p.I * eps, p.m * p.I * eps
 
     def rhs(st):
         x, y, phi, u, v, om = st
         s, c = math.sin(phi), math.cos(phi)
-        udot, vdot, omdot = sleigh_friction_rhs(p, eps, u, v, om)
-        return (u * c - v * s, u * s + v * c, om, udot, vdot, omdot)
+        return (
+            u * c - v * s,
+            u * s + v * c,
+            om,
+            v * om + a * om * om,
+            -u * om - itot * v / mie,
+            a * v / ie,
+        )
 
     return rhs
 
 
 def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
     """Nonholonomic field plus eps times the first-order correction,
-    state (x, y, phi, u, psi)."""
+    state (x, y, phi, u, psi): :func:`sleigh_nh_rhs` plus eps times
+    :func:`sleigh_x1_rhs`, its oracles, with the constants bound at build
+    time.  At eps = 0 it is :func:`sleigh_nh_field`."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
+    if eps == 0.0:
+        return sleigh_nh_field(p)
+    a, nc, nsl = p.a, -p.coupling, -p.slaving
+    ku = p.slaving * (p.m * p.a**2 - p.I) / p.itot
+    kpsi = -p.slaving * p.coupling**2
 
     def rhs(st):
         x, y, phi, u, psi = st
-        udot, psidot = sleigh_nh_rhs(p, u, psi)
-        nh = (u * math.cos(phi), u * math.sin(phi), psi, udot, psidot)
-        if eps == 0.0:
-            return nh
-        x1 = sleigh_x1_rhs(p, x, y, phi, u, psi)
-        return tuple([a + eps * b for a, b in zip(nh, x1)])
+        s, c = math.sin(phi), math.cos(phi)
+        h1 = nsl * u * psi
+        return (
+            u * c + eps * (-h1 * s),
+            u * s + eps * (h1 * c),
+            psi + eps * (nc * h1),
+            a * psi * psi + eps * (ku * u * psi * psi),
+            nc * u * psi + eps * (kpsi * u * u * psi),
+        )
 
     return rhs
 

@@ -296,6 +296,12 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
              "1e-2", "--eps", "1e-2", "--t1", "2"],
             2,
         ),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--t1", "0.05",
+          "--sample-dt", "1"], 2),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--t1", "1",
+          "--sample-dt", "0.3"], 2),
+        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1",
+          "1.005"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
@@ -305,6 +311,7 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         "cutoff-before-start", "inf-stage-angle", "friction-blow-up",
         "inertial-blow-up", "pendulum-nh-blow-up", "cutoff-within-transient",
         "equilibrium-compare", "manifold-rising-ladder", "manifold-repeated-eps",
+        "short-horizon", "ragged-horizon", "ragged-compare-horizon",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

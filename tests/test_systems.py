@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -266,6 +267,52 @@ def test_corrected_field_zero_eps_is_nh(sleigh):
     for _ in range(10):
         st = rng.uniform(-1, 1, 5)
         assert_allclose(corr(st), nh(st), atol=0.0, rtol=0.0)
+
+
+def _nh_oracle(p, st):
+    x, y, phi, u, om = st
+    return (u * math.cos(phi), u * math.sin(phi), om, *sleigh_nh_rhs(p, u, om))
+
+
+def _friction_oracle(p, eps, st):
+    x, y, phi, u, v, om = st
+    s, c = math.sin(phi), math.cos(phi)
+    udot, vdot, omdot = sleigh_friction_rhs(p, eps, u, v, om)
+    return (u * c - v * s, u * s + v * c, om, udot, vdot, omdot)
+
+
+def _corrected_oracle(p, eps, st):
+    nh = _nh_oracle(p, st)
+    return tuple(a + eps * b for a, b in zip(nh, sleigh_x1_rhs(p, *st)))
+
+
+@pytest.mark.parametrize(
+    "params", ({}, {"m": 2.5}, {"I": 0.3}, {"a": 0.0}, {"a": 0.7})
+)
+@pytest.mark.parametrize("eps", (8e-3, 2e-3))
+def test_run_path_fields_equal_their_rate_helpers(params, eps):
+    # the run-path fields bind their constants once; every value must stay
+    # bitwise that of the per-call helper composition, for list rows (the
+    # integrator's) and ndarray rows alike
+    p = SleighParams(**params)
+    nh, fric = sleigh_nh_field(p), sleigh_friction_field(p, eps)
+    corr, corr0 = sleigh_corrected_field(p, eps), sleigh_corrected_field(p, 0.0)
+    rng = np.random.default_rng(33)
+    for row in rng.uniform(-3.0, 3.0, (1000, 6)):
+        for st in (row, row.tolist()):
+            assert fric(st) == _friction_oracle(p, eps, st)
+            st5 = st[:5]
+            assert nh(st5) == _nh_oracle(p, st5)
+            assert corr(st5) == _corrected_oracle(p, eps, st5)
+            assert corr0(st5) == nh(st5)
+
+
+def test_run_path_fields_refuse_eps_when_built(sleigh):
+    for eps in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            sleigh_friction_field(sleigh, eps)
+    with pytest.raises(ValueError):
+        sleigh_corrected_field(sleigh, -1e-3)
 
 
 def test_friction_slaving_invariant(sleigh):
