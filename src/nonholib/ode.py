@@ -11,24 +11,38 @@ trajectories.
 A field is called with the state as a list of Python floats and may return
 any sequence of floats (a tuple, a list or an ndarray).  The steppers work
 on Python floats because numpy's per-operation overhead dominates arithmetic
-on vectors of a few components; they keep the operation order of
-whole-array code, so their results are bitwise equal to it.  The adaptive
-scheme's error norm is the root of a left-to-right sum of the squared
-scaled errors divided by the number of components n.  Below 8 components
-that sum is bitwise numpy's mean (a plain loop there); from 8 on numpy adds
-in pairwise blocks, which differs at rounding level and can change the
-step-size sequence.
+on vectors of a few components.  For each pair of scheme and state length n
+the stepper is generated as straight-line source: it keeps the state in
+locals ``a0 ... a{n-1}`` for the whole sample interval, hands each stage to
+the field as a list literal, unpacks the field's result into locals and
+builds a list only when it returns.  The Fehlberg stepper is generated from
+the tableau ``_FE_A``/``_FE_B4``/``_FE_ERR``, so the tableau stays the one
+statement of the method.  A stepper is compiled on first use, cached, and
+its source registered in `linecache` under a name such as
+``<nonholib.ode rk4 n=6>``, so tracebacks and `inspect.getsource` show it.
+
+The steppers keep the operation order of whole-array code, so their results
+are bitwise equal to it: each Fehlberg sum runs left to right from int 0 and
+keeps its zero-coefficient terms.  The adaptive scheme's error norm is the
+root of a left-to-right sum of the squared scaled errors divided by the
+number of components n.  Below 8 components that sum is bitwise numpy's mean
+(a plain loop there); from 8 on numpy adds in pairwise blocks, which differs
+at rounding level and can change the step-size sequence.
 
 Trajectories store the state *and* the right-hand side at every sample so
 that dense output is available through cubic Hermite interpolation, which is
 exact at the sample points and reproduces cubic polynomials in between.
 
 All functions here are pure; a `Trajectory` is immutable after construction,
-so concurrent use from several threads is safe.
+so concurrent use from several threads is safe.  The stepper cache is the
+one piece of shared state: threads that miss it at once may each compile
+the same stepper, and every copy computes the same values.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -226,12 +240,12 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
         If the adaptive step falls below 1e-14 * (t1 - t0).
     """
     x0 = np.array(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ValueError("x0 must be a flat vector")
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError("x0 must be a non-empty flat vector")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     times = _sample_times(*cfg.t_span, cfg.sample_dt)
-    step = _rk4_interval if cfg.method == "rk4" else _rkf45_interval
+    step = _stepper(cfg.method, x0.size)
     states = np.empty((len(times), x0.size))
     derivs = np.empty((len(times), x0.size))
     ts = times.tolist()
@@ -244,42 +258,6 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
         states[i] = x
         derivs[i] = field(x)
     return Trajectory(times, states, derivs)
-
-
-def _is_finite(x) -> bool:
-    # A finite sum implies finite terms; a sum that overflows falls back to
-    # the termwise check.
-    return math.isfinite(sum(x)) or all(map(math.isfinite, x))
-
-
-def _rk4_interval(field, x, t, target, h, cfg):
-    """Advance x from t to target in equal steps of about h; h is kept."""
-    nsub = max(1, int(round((target - t) / h)))
-    dt = (target - t) / nsub
-    half, sixth = 0.5 * dt, dt / 6.0
-    for j in range(nsub):
-        xs = x
-        try:
-            k1 = field(xs)
-            xs = [a + half * b for a, b in zip(x, k1)]
-            k2 = field(xs)
-            xs = [a + half * b for a, b in zip(x, k2)]
-            k3 = field(xs)
-            xs = [a + dt * b for a, b in zip(x, k3)]
-            k4 = field(xs)
-        except (ValueError, OverflowError):
-            # a math call on a non-finite stage state (math.cos(inf))
-            # is a blow-up; any other error is the field's own
-            if _is_finite(xs):
-                raise
-            raise NonFiniteState(t + (j + 1) * dt) from None
-        x = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ]
-        if not _is_finite(x):
-            raise NonFiniteState(t + (j + 1) * dt)
-    return x, h
 
 
 # Fehlberg 4(5) tableau.  The fourth-order solution is propagated; the
@@ -296,88 +274,122 @@ _FE_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _rkf45_interval(field, x, t, target, h, cfg):
-    """Advance x from t to target in accepted adaptive steps; returns the
-    step size to try first on the next interval."""
-    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), a5 = _FE_A
-    a50, a51, a52, a53, a54 = a5
-    b0, b1, b2, b3, b4, b5 = _FE_B4
-    e0, e1, e2, e3, e4, e5 = _FE_ERR
+@functools.cache
+def _stepper(method: str, n: int) -> Callable:
+    """The stepper of `method` for states of n components, compiled on first
+    use.  Its source is registered in linecache under its file name, so
+    tracebacks and inspect.getsource show it."""
+    lines = _rk4_lines(n) if method == "rk4" else _rkf45_lines(n)
+    source = "\n".join(lines) + "\n"
+    filename = f"<nonholib.ode {method} n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {
+        "__name__": __name__,
+        "isfinite": math.isfinite,
+        "sqrt": math.sqrt,
+        "NonFiniteState": NonFiniteState,
+        "StepUnderflow": StepUnderflow,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[f"{method}_n{n}"]
 
-    def attempt(x, h):
-        # One Fehlberg step: (x4, err), or None once a stage state, x4 or
-        # err is non-finite.  Each sum runs left to right from int 0 and
-        # keeps its zero terms, the order of whole-array code, so every
-        # value is bitwise equal to it.
-        k0 = field(x)
-        xs = [a + h * (0 + a10 * c0) for a, c0 in zip(x, k0)]
-        if not _is_finite(xs):
-            return None
-        k1 = field(xs)
-        xs = [a + h * ((0 + a20 * c0) + a21 * c1) for a, c0, c1 in zip(x, k0, k1)]
-        if not _is_finite(xs):
-            return None
-        k2 = field(xs)
-        xs = [
-            a + h * (((0 + a30 * c0) + a31 * c1) + a32 * c2)
-            for a, c0, c1, c2 in zip(x, k0, k1, k2)
+
+def _row(template: str, n: int, sep: str = ", ") -> str:
+    """The template once per component, # replaced by its index, joined by sep."""
+    return sep.join(template.replace("#", str(i)) for i in range(n))
+
+
+def _all_finite(v: str, n: int) -> str:
+    # A finite sum implies finite terms; a sum that overflows falls back to
+    # the termwise check.
+    terms = _row(f"isfinite({v}#)", n, " and ")
+    return terms if n == 1 else f"isfinite({_row(v + '#', n, ' + ')}) or {terms}"
+
+
+def _rk4_lines(n: int) -> list:
+    """Advance x from t to target in equal steps of about h; h is kept."""
+    return [
+        f"def rk4_n{n}(field, x, t, target, h, cfg):",
+        f"    {_row('a#', n)}, = x",
+        "    nsub = max(1, int(round((target - t) / h)))",
+        "    dt = (target - t) / nsub",
+        "    half, sixth = 0.5 * dt, dt / 6.0",
+        "    for j in range(nsub):",
+        f"        xs = [{_row('a#', n)}]",
+        "        try:",
+        f"            {_row('k1_#', n)}, = field(xs)",
+        f"            xs = [{_row('a# + half * k1_#', n)}]",
+        f"            {_row('k2_#', n)}, = field(xs)",
+        f"            xs = [{_row('a# + half * k2_#', n)}]",
+        f"            {_row('k3_#', n)}, = field(xs)",
+        f"            xs = [{_row('a# + dt * k3_#', n)}]",
+        f"            {_row('k4_#', n)}, = field(xs)",
+        "        except (ValueError, OverflowError):",
+        "            # a math call on a non-finite stage state (math.cos(inf))",
+        "            # is a blow-up; any other error is the field's own",
+        "            if all(map(isfinite, xs)):",
+        "                raise",
+        "            raise NonFiniteState(t + (j + 1) * dt) from None",
+        _row("        a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", n, "\n"),
+        f"        if not ({_all_finite('a', n)}):",
+        "            raise NonFiniteState(t + (j + 1) * dt)",
+        f"    return [{_row('a#', n)}], h",
+    ]
+
+
+def _rkf45_lines(n: int) -> list:
+    """Advance x from t to target in accepted adaptive steps; the stepper
+    returns the step size to try first on the next interval.  An attempt
+    whose stage state, x4 or error is non-finite halves the step."""
+
+    def combine(coeffs) -> str:
+        # left to right from int 0, zero terms kept: whole-array code's order
+        return "0" + "".join(f" + {c!r} * k{j}_#" for j, c in enumerate(coeffs))
+
+    halve = ["            h *= 0.5", "            continue"]
+    lines = [
+        f"def rkf45_n{n}(field, x, t, target, h, cfg):",
+        f"    {_row('a#', n)}, = x",
+        "    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])",
+        "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
+        "    stop = target - 1e-14 * max(1.0, abs(target))",
+        "    while t < stop:",
+        "        h = min(h, target - t)",
+        "        if h < h_min:",
+        '            raise StepUnderflow(f"step size underflow at t={t:.6g}")',
+        f"        {_row('k0_#', n)}, = field([{_row('a#', n)}])",
+    ]
+    for s in range(1, 6):
+        lines += [
+            _row(f"        s# = a# + h * ({combine(_FE_A[s])})", n, "\n"),
+            f"        if not ({_all_finite('s', n)}):",
+            *halve,
+            f"        {_row(f'k{s}_#', n)}, = field([{_row('s#', n)}])",
         ]
-        if not _is_finite(xs):
-            return None
-        k3 = field(xs)
-        xs = [
-            a + h * ((((0 + a40 * c0) + a41 * c1) + a42 * c2) + a43 * c3)
-            for a, c0, c1, c2, c3 in zip(x, k0, k1, k2, k3)
-        ]
-        if not _is_finite(xs):
-            return None
-        k4 = field(xs)
-        xs = [
-            a + h * (((((0 + a50 * c0) + a51 * c1) + a52 * c2) + a53 * c3) + a54 * c4)
-            for a, c0, c1, c2, c3, c4 in zip(x, k0, k1, k2, k3, k4)
-        ]
-        if not _is_finite(xs):
-            return None
-        k5 = field(xs)
-        x4 = [
-            a + h * ((((((0 + b0 * c0) + b1 * c1) + b2 * c2) + b3 * c3) + b4 * c4) + b5 * c5)
-            for a, c0, c1, c2, c3, c4, c5 in zip(x, k0, k1, k2, k3, k4, k5)
-        ]
-        if not _is_finite(x4):
-            return None
+    lines += [
+        _row(f"        b# = a# + h * ({combine(_FE_B4)})", n, "\n"),
+        f"        if not ({_all_finite('b', n)}):",
+        *halve,
         # RMS of the scaled error: a left-to-right sum divided by n (not the
         # builtin sum, which is compensated from Python 3.12 on); np.mean
         # bitwise below 8 components, see the module docstring
-        ratios = [
-            h
-            * ((((((0 + e0 * c0) + e1 * c1) + e2 * c2) + e3 * c3) + e4 * c4) + e5 * c5)
-            / (atol + rtol * max(abs(a), abs(b)))
-            for a, b, c0, c1, c2, c3, c4, c5 in zip(x, x4, k0, k1, k2, k3, k4, k5)
-        ]
-        total = 0.0
-        for r in ratios:
-            total += r * r
-        err = math.sqrt(total / len(ratios))
-        return (x4, err) if math.isfinite(err) else None
-
-    while t < target - 1e-14 * max(1.0, abs(target)):
-        h = min(h, target - t)
-        if h < h_min:
-            raise StepUnderflow(f"step size underflow at t={t:.6g}")
-        step = attempt(x, h)
-        if step is None:
-            h *= 0.5
-            continue
-        x4, err = step
-        if err <= 1.0:
-            t += h
-            x = x4
-            if err == 0.0:
-                h *= 5.0
-            else:
-                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            h *= max(0.2, 0.9 * err ** -0.2)
-    return x, h
+        _row(
+            f"        r# = h * ({combine(_FE_ERR)}) / (atol + rtol * max(abs(a#), abs(b#)))",
+            n,
+            "\n",
+        ),
+        f"        err = sqrt((0.0 + {_row('r# * r#', n, ' + ')}) / {n})",
+        "        if not isfinite(err):",
+        *halve,
+        "        if err <= 1.0:",
+        "            t += h",
+        _row("            a# = b#", n, "\n"),
+        "            if err == 0.0:",
+        "                h *= 5.0",
+        "            else:",
+        "                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))",
+        "        else:",
+        "            h *= max(0.2, 0.9 * err ** -0.2)",
+        f"    return [{_row('a#', n)}], h",
+    ]
+    return lines

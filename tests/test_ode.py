@@ -1,7 +1,14 @@
+import inspect
+import math
+import sys
+import threading
+import traceback
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nonholib import ode
 from nonholib.ode import (
     _FE_A,
     _FE_B4,
@@ -187,6 +194,11 @@ def test_config_validation():
         IntegratorConfig(t_span=(0.0, 1.0), method="euler")
 
 
+def test_empty_state_refused():
+    with pytest.raises(ValueError, match="non-empty"):
+        integrate(decay, [], IntegratorConfig(t_span=(0.0, 1.0)))
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory([0.0, 0.0], [[1.0], [1.0]], [[0.0], [0.0]])  # not increasing
@@ -211,7 +223,8 @@ def test_transform_linear_consistency():
 
 
 # Reference loops: the integrators as whole-array numpy code, with the
-# operation order the list kernels in nonholib.ode must reproduce bit for bit.
+# operation order the generated steppers in nonholib.ode must reproduce bit
+# for bit.
 
 
 def _numpy_rk4(field, x0, times, dt):
@@ -361,6 +374,92 @@ def test_rkf45_matches_numpy_reference_bitwise(name):
     assert traj.states.tobytes() == states.tobytes()
     assert traj.derivs.tobytes() == derivs.tobytes()
     assert {b for b, n in counts.items() if n} == RKF45_BRANCHES[name]
+
+
+def _coupled_field(n):
+    """k_i = sin(x_{i+1}) - c_i x_i, indices mod n: every component feeds the
+    next.  Returns a tuple for odd n and an ndarray for even n."""
+    c = [0.5 + 0.75 * i for i in range(n)]
+
+    def field(x):
+        k = tuple(math.sin(x[(i + 1) % n]) - c[i] * x[i] for i in range(n))
+        return k if n % 2 else np.array(k)
+
+    return field
+
+
+def _coupled_start(n):
+    return [(-1.0) ** i * (0.3 + 0.2 * i) for i in range(n)]
+
+
+# from 8 components on, numpy's mean sums pairwise and is no reference
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_generated_steppers_match_numpy_reference_bitwise(method, n):
+    field, x0 = _coupled_field(n), _coupled_start(n)
+    cfg = IntegratorConfig(t_span=(0.0, 2.0), dt=5e-2, sample_dt=0.1, method=method)
+    traj = integrate(field, x0, cfg)
+    if method == "rk4":
+        states, derivs = _numpy_rk4(field, x0, traj.times, cfg.dt)
+    else:
+        states, derivs, _ = _numpy_rkf45(field, x0, traj.times, cfg)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+
+
+def test_stepper_cache_is_thread_safe():
+    # four threads race to generate the same uncached steppers
+    ode._stepper.cache_clear()
+    field, x0 = _coupled_field(3), _coupled_start(3)
+    cfgs = [
+        IntegratorConfig(t_span=(0.0, 1.0), dt=1e-2, sample_dt=0.1, method=method)
+        for method in ("rk4", "rkf45")
+    ]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(i):
+        barrier.wait(timeout=60)
+        results[i] = [integrate(field, x0, cfg) for cfg in cfgs]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often inside the generation
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = [integrate(field, x0, cfg) for cfg in cfgs]
+    for result in results:
+        for got, want in zip(result, expected):
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.derivs.tobytes() == want.derivs.tobytes()
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_generated_stepper_source_in_tracebacks(method):
+    calls = [0]
+
+    def flaky(x):
+        calls[0] += 1
+        if calls[0] == 50:
+            raise KeyError("lookup failed mid-run")
+        return [-a for a in x]
+
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-2, sample_dt=0.1, method=method)
+    with pytest.raises(KeyError, match="mid-run") as err:
+        integrate(flaky, [1.0, 2.0, 3.0], cfg)
+    [frame] = [
+        f for f in traceback.extract_tb(err.tb) if f.filename == f"<nonholib.ode {method} n=3>"
+    ]
+    assert "= field(" in frame.line
+    source = inspect.getsource(ode._stepper(method, 3))
+    assert source.startswith(f"def {method}_n3(field, x, t, target, h, cfg):\n")
+    assert source.splitlines()[frame.lineno - 1].strip() == frame.line
 
 
 def test_non_finite_stage_state_reports_time():
