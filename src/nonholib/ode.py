@@ -8,18 +8,40 @@ that advances one sample interval and hands on the step size to start the
 next.  Integration is deterministic: identical inputs produce bit-identical
 trajectories.
 
-A field is called with the state as a list of Python floats and may return
-any sequence of floats (a tuple, a list or an ndarray).  The steppers work
-on Python floats because numpy's per-operation overhead dominates arithmetic
+A field gets the state as a list of Python floats and may return any
+sequence of floats (a tuple, a list or an ndarray).  The steppers work on
+Python floats because numpy's per-operation overhead dominates arithmetic
 on vectors of a few components.  For each pair of scheme and state length n
 the stepper is generated as straight-line source: it keeps the state in
-locals ``a0 ... a{n-1}`` for the whole sample interval, hands each stage to
-the field as a list literal, unpacks the field's result into locals and
-builds a list only when it returns.  The Fehlberg stepper is generated from
-the tableau ``_FE_A``/``_FE_B4``/``_FE_ERR``, so the tableau stays the one
-statement of the method.  A stepper is compiled on first use, cached, and
-its source registered in `linecache` under a name such as
-``<nonholib.ode rk4 n=6>``, so tracebacks and `inspect.getsource` show it.
+locals ``a0 ... a{n-1}`` for the whole sample interval and builds a list
+only when it returns.  The Fehlberg stepper is generated from the tableau
+``_FE_A``/``_FE_B4``/``_FE_ERR``, so the tableau stays the one statement of
+the method.
+
+A field that is a plain straight-line function is not called by the
+stepper; its body is written into every stage.  Such a field has one
+parameter, unpacks it into n names in its first statement, only assigns to
+names after that, ends in ``return (<n expressions>)``, uses the parameter
+nowhere else, reads no local before assigning it and holds no lambda,
+comprehension, walrus or yield.  The sleigh's nh, friction and corrected
+fields and the pendulum's friction and potential fields are of this kind.
+Its source is read from `linecache` and checked with `ast`; its arguments
+become the stage locals ``a0 ...`` or ``s0 ...`` and every other name gets
+the prefix ``f_``.  Its closure cells and globals (builtins as the
+fallback) are read at the start of each stepper call, so one stepper,
+cached on the field's code, serves every closure of it (every eps), and a
+patched global is seen.  Every other field is called with each stage state
+as a list and its result unpacked into locals: fields that return an
+ndarray, the generic `dynamics` fields, lambdas and wrappers, such as the
+tracing wrapper of perfbench's ``--trace 1``, whose per-layer times
+therefore describe the called path (its evaluation counts stay exact).
+Both paths give bitwise-equal results.
+
+A stepper is compiled on first use and cached.  Its source is registered in
+`linecache` under a file name such as ``nonholib.ode rk4 n=6``, to which an
+inlined stepper adds the field's qualified name and first line (``...
+sleigh_friction_field.<locals>.rhs:201``), so tracebacks and profiles tell
+the steppers apart and show their lines, after `linecache.clearcache` too.
 
 The steppers keep the operation order of whole-array code, so their results
 are bitwise equal to it: each Fehlberg sum runs left to right from int 0 and
@@ -36,14 +58,21 @@ exact at the sample points and reproduces cubic polynomials in between.
 All functions here are pure; a `Trajectory` is immutable after construction,
 so concurrent use from several threads is safe.  The stepper cache is the
 one piece of shared state: threads that miss it at once may each compile
-the same stepper, and every copy computes the same values.
+the same stepper, and every copy computes the same values.  They read a
+field's source from `linecache` one at a time.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
+import inspect
 import linecache
 import math
+import textwrap
+import threading
+import tokenize
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -245,7 +274,8 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     times = _sample_times(*cfg.t_span, cfg.sample_dt)
-    step = _stepper(cfg.method, x0.size)
+    code = field.__code__ if isinstance(field, types.FunctionType) else None
+    step = _stepper(cfg.method, x0.size, code)
     states = np.empty((len(times), x0.size))
     derivs = np.empty((len(times), x0.size))
     ts = times.tolist()
@@ -275,16 +305,27 @@ _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 @functools.cache
-def _stepper(method: str, n: int) -> Callable:
+def _stepper(method: str, n: int, code=None) -> Callable:
     """The stepper of `method` for states of n components, compiled on first
-    use.  Its source is registered in linecache under its file name, so
+    use.  Given the code of a straight-line field (`_straight_line`) it
+    writes the field's body into every stage; otherwise it calls the field.
+    Its source is put in linecache under its file name, and the loader in its
+    namespace lets linecache read it again after a clearcache(), so
     tracebacks and inspect.getsource show it."""
-    lines = _rk4_lines(n) if method == "rk4" else _rkf45_lines(n)
+    body = None if code is None else _straight_line(code, n)
+    if code is not None and body is None:
+        return _stepper(method, n)
+    filename = f"nonholib.ode {method} n={n}"
+    if body is not None:
+        filename += f" {code.co_qualname}:{code.co_firstlineno}"
+    snippets = _field_snippets(n, code, body)
+    lines = (_rk4_lines if method == "rk4" else _rkf45_lines)(n, *snippets)
     source = "\n".join(lines) + "\n"
-    filename = f"<nonholib.ode {method} n={n}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {
-        "__name__": __name__,
+        # a name no module has, so inspect never reads another module's source
+        "__name__": filename,
+        "__loader__": types.SimpleNamespace(get_source=lambda name: source),
         "isfinite": math.isfinite,
         "sqrt": math.sqrt,
         "NonFiniteState": NonFiniteState,
@@ -292,6 +333,135 @@ def _stepper(method: str, n: int) -> Callable:
     }
     exec(compile(source, filename, "exec"), namespace)
     return namespace[f"{method}_n{n}"]
+
+
+# linecache.getlines checks for a file and then updates it, so threads that
+# read one file at once can drop each other's entry (a KeyError)
+_LINECACHE_LOCK = threading.Lock()
+
+# nodes that would give an inlined statement a scope or a value of its own
+_NOT_STRAIGHT = (
+    ast.Lambda, ast.comprehension, ast.NamedExpr, ast.Yield, ast.YieldFrom, ast.Await
+)
+
+
+def _names(nodes, ctx) -> set:
+    """The names that the nodes load (ctx ast.Load) or store (ast.Store)."""
+    return {
+        m.id
+        for node in nodes
+        for m in ast.walk(node)
+        if isinstance(m, ast.Name) and isinstance(m.ctx, ctx)
+    }
+
+
+def _straight_line(code, n: int):
+    """(argument names, statements, results) of a field written as
+    ``def f(st): <n names> = st; <assignments to names>; return (<n
+    expressions>)`` that uses st nowhere else, reads no local before
+    assigning it and holds no lambda, comprehension, walrus or yield; None
+    for any other field.  The body is read from the field's source and
+    checked against its code."""
+    # the block at the code's first line, without inspect.getsource's search
+    # of every module for the file
+    with _LINECACHE_LOCK:
+        lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1 :]
+    try:
+        fn = ast.parse(textwrap.dedent("".join(inspect.getblock(lines)))).body[0]
+    except (SyntaxError, IndexError, tokenize.TokenError):
+        return None
+    if not (
+        isinstance(fn, ast.FunctionDef)
+        and fn.name == code.co_name
+        and len(fn.args.args) == 1
+        and len(fn.body) > 1
+    ):
+        return None
+    param, (first, *stmts, last) = fn.args.args[0].arg, fn.body
+    if not (
+        isinstance(first, ast.Assign)
+        and [type(t) for t in first.targets] == [ast.Tuple]
+        and isinstance(first.value, ast.Name)
+        and first.value.id == param
+        and all(isinstance(stmt, ast.Assign) for stmt in stmts)
+        and isinstance(last, ast.Return)
+        and isinstance(last.value, ast.Tuple)
+    ):
+        return None
+    args = [t.id for t in first.targets[0].elts if isinstance(t, ast.Name)]
+    if not len(set(args)) == len(first.targets[0].elts) == len(last.value.elts) == n:
+        return None
+    local = {param, *args, *_names(stmts, ast.Store)}
+    assigned = set(args)
+    for stmt in stmts + [last]:
+        targets = [] if stmt is last else stmt.targets
+        stored = _names(targets, ast.Store)
+        if (
+            # each target a name or a tuple of names, and neither st nor an argument
+            any(
+                not isinstance(m, (ast.Name, ast.Tuple, ast.Store))
+                for target in targets
+                for m in ast.walk(target)
+            )
+            or stored & {param, *args}
+            or any(isinstance(m, _NOT_STRAIGHT) for m in ast.walk(stmt.value))
+            or _names([stmt.value], ast.Load) & (local - assigned)
+        ):
+            return None
+        assigned |= stored
+    if set(code.co_varnames) != local or not set(code.co_freevars) <= _names(fn.body, ast.Load):
+        return None  # the source is not this code's
+    return args, stmts, last.value.elts
+
+
+def _field_snippets(n: int, code, body) -> tuple:
+    """(lines binding the field's free names at the start of a stepper call,
+    a test that the stage state last taken is finite, stage(k, state, pad):
+    the lines, indented by pad, that set k{k}_# to the field's value at the
+    stage state whose component # is the expression state).  Without a body
+    the stage calls the field with the state as the list xs; with one it
+    holds the state in the locals s# (a stage at a# or s# reads them)."""
+    if body is None:
+
+        def call(k, state, pad):
+            return [f"{pad}xs = [{_row(state, n)}]", f"{pad}{_row(f'k{k}_#', n)}, = field(xs)"]
+
+        return [], "all(map(isfinite, xs))", call
+    args, stmts, results = body
+    nodes = stmts + results
+    # read at every call, so one stepper serves every closure of the code
+    # and a patched global is seen
+    bind = ["    glob, builtin = field.__globals__, field.__builtins__"]
+    for name in sorted(_names(nodes, ast.Load) - set(code.co_varnames)):
+        if name in code.co_freevars:
+            cell = code.co_freevars.index(name)
+            bind.append(f"    f_{name} = field.__closure__[{cell}].cell_contents")
+        else:
+            get = f"glob[{name!r}] if {name!r} in glob else builtin[{name!r}]"
+            bind.append(f"    f_{name} = {get}")
+    # s# starts at the state, so rk4's handler can test it after a first stage
+    bind.append(f"    {_row('s#', n)}, = x")
+    names = [(m, m.id) for node in nodes for m in ast.walk(node) if isinstance(m, ast.Name)]
+
+    def render(v):
+        # the arguments become the stage state v#, every other name f_<name>
+        rename = {arg: f"{v}{i}" for i, arg in enumerate(args)}
+        for m, name in names:
+            m.id = rename.get(name, "f_" + name)
+        return [ast.unparse(stmt) for stmt in stmts], [ast.unparse(e) for e in results]
+
+    rendered = {v: render(v) for v in "as"}
+
+    def stage(k, state, pad):
+        in_locals = state in ("a#", "s#")
+        lines, values = rendered[state[0] if in_locals else "s"]
+        return (
+            ([] if in_locals else [_row(f"{pad}s# = {state}", n, "\n")])
+            + [pad + line for line in lines]
+            + [f"{pad}k{k}_{i} = {value}" for i, value in enumerate(values)]
+        )
+
+    return bind, _all_finite("s", n), stage
 
 
 def _row(template: str, n: int, sep: str = ", ") -> str:
@@ -306,28 +476,26 @@ def _all_finite(v: str, n: int) -> str:
     return terms if n == 1 else f"isfinite({_row(v + '#', n, ' + ')}) or {terms}"
 
 
-def _rk4_lines(n: int) -> list:
+def _rk4_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
     """Advance x from t to target in equal steps of about h; h is kept."""
+    pad = " " * 12
     return [
         f"def rk4_n{n}(field, x, t, target, h, cfg):",
+        *bind,
         f"    {_row('a#', n)}, = x",
         "    nsub = max(1, int(round((target - t) / h)))",
         "    dt = (target - t) / nsub",
         "    half, sixth = 0.5 * dt, dt / 6.0",
         "    for j in range(nsub):",
-        f"        xs = [{_row('a#', n)}]",
         "        try:",
-        f"            {_row('k1_#', n)}, = field(xs)",
-        f"            xs = [{_row('a# + half * k1_#', n)}]",
-        f"            {_row('k2_#', n)}, = field(xs)",
-        f"            xs = [{_row('a# + half * k2_#', n)}]",
-        f"            {_row('k3_#', n)}, = field(xs)",
-        f"            xs = [{_row('a# + dt * k3_#', n)}]",
-        f"            {_row('k4_#', n)}, = field(xs)",
+        *stage(1, "a#", pad),
+        *stage(2, "a# + half * k1_#", pad),
+        *stage(3, "a# + half * k2_#", pad),
+        *stage(4, "a# + dt * k3_#", pad),
         "        except (ValueError, OverflowError):",
         "            # a math call on a non-finite stage state (math.cos(inf))",
         "            # is a blow-up; any other error is the field's own",
-        "            if all(map(isfinite, xs)):",
+        f"            if {finite}:",
         "                raise",
         "            raise NonFiniteState(t + (j + 1) * dt) from None",
         _row("        a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", n, "\n"),
@@ -337,7 +505,7 @@ def _rk4_lines(n: int) -> list:
     ]
 
 
-def _rkf45_lines(n: int) -> list:
+def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
     """Advance x from t to target in accepted adaptive steps; the stepper
     returns the step size to try first on the next interval.  An attempt
     whose stage state, x4 or error is non-finite halves the step."""
@@ -346,9 +514,11 @@ def _rkf45_lines(n: int) -> list:
         # left to right from int 0, zero terms kept: whole-array code's order
         return "0" + "".join(f" + {c!r} * k{j}_#" for j, c in enumerate(coeffs))
 
+    pad = " " * 8
     halve = ["            h *= 0.5", "            continue"]
     lines = [
         f"def rkf45_n{n}(field, x, t, target, h, cfg):",
+        *bind,
         f"    {_row('a#', n)}, = x",
         "    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])",
         "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
@@ -357,14 +527,14 @@ def _rkf45_lines(n: int) -> list:
         "        h = min(h, target - t)",
         "        if h < h_min:",
         '            raise StepUnderflow(f"step size underflow at t={t:.6g}")',
-        f"        {_row('k0_#', n)}, = field([{_row('a#', n)}])",
+        *stage(0, "a#", pad),
     ]
     for s in range(1, 6):
         lines += [
             _row(f"        s# = a# + h * ({combine(_FE_A[s])})", n, "\n"),
             f"        if not ({_all_finite('s', n)}):",
             *halve,
-            f"        {_row(f'k{s}_#', n)}, = field([{_row('s#', n)}])",
+            *stage(s, "s#", pad),
         ]
     lines += [
         _row(f"        b# = a# + h * ({combine(_FE_B4)})", n, "\n"),

@@ -214,6 +214,13 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
             4,
         ),
         (
+            # free fall down the y axis: an inlined stage lands on the origin
+            ["simulate", "--system", "pendulum-friction", "--model", "friction",
+             "--eps", "1e300", "--param", "g=1e-300", "--state", "0,0.3125,0,-1",
+             "--dt", "0.015625", "--sample-dt", "0.0625", "--t1", "1"],
+            3,
+        ),
+        (
             ["compare", "--system", "sleigh", "--eps", "8e-3", "--eps", "4e-3",
              "--eps", "2e-3", "--t1", "0.4"],
             4,
@@ -304,7 +311,8 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
           "1.005"], 2),
     ],
     ids=[
-        "negative-param", "nan-state", "origin-singularity", "zero-drive", "short-window",
+        "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
+        "short-window",
         "nan-param", "inf-mass", "inf-gravity", "inf-eps", "malformed-t1", "malformed-eps",
         "unknown-model", "unknown-method", "inf-t1", "nan-window-start",
         "inf-sample-dt", "nan-transient-cutoff", "zero-window-start",

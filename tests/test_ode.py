@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import linecache
 import math
 import sys
 import threading
@@ -454,7 +456,7 @@ def test_generated_stepper_source_in_tracebacks(method):
     with pytest.raises(KeyError, match="mid-run") as err:
         integrate(flaky, [1.0, 2.0, 3.0], cfg)
     [frame] = [
-        f for f in traceback.extract_tb(err.tb) if f.filename == f"<nonholib.ode {method} n=3>"
+        f for f in traceback.extract_tb(err.tb) if f.filename == f"nonholib.ode {method} n=3"
     ]
     assert "= field(" in frame.line
     source = inspect.getsource(ode._stepper(method, 3))
@@ -480,6 +482,34 @@ def test_field_errors_on_finite_states_propagate():
         cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
         with pytest.raises(ValueError, match="not a blow-up"):
             integrate(broken, [1.0], cfg)
+
+
+def _first_stage_failing_field():
+    calls = [0]
+
+    def second_call_fails(x):
+        calls[0] += 1
+        if calls[0] == 2:  # the first stage of the first step
+            raise ValueError("not a blow-up")
+        return x
+
+    def rhs(st):
+        (x,) = st
+        y = second_call_fails(x)
+        return (-y,)
+
+    return rhs
+
+
+@pytest.mark.parametrize("inlined", [False, True])
+def test_field_error_on_first_stage_propagates(inlined):
+    for method in ("rk4", "rkf45"):
+        inner = _first_stage_failing_field()
+        field = inner if inlined else (lambda x: inner(x))
+        assert (ode._straight_line(field.__code__, 1) is not None) == inlined
+        cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
+        with pytest.raises(ValueError, match="not a blow-up"):
+            integrate(field, [1.0], cfg)
 
 
 def test_sample_at_exact_on_cubic_trajectories():
@@ -510,3 +540,288 @@ def test_sample_at_exact_on_cubic_trajectories():
         assert_allclose(traj.sample_at(tq), x(tq), rtol=0, atol=1e-12 * scale)
 
     check()
+
+
+# Fields written as straight-line closures are inlined into the stepper;
+# every other field is called.
+
+
+def _inlined_fields():
+    """name -> (field, state size) of each CLI field the steppers inline."""
+    from nonholib.systems import (
+        PendulumParams,
+        SleighParams,
+        make_pendulum,
+        sleigh_corrected_field,
+        sleigh_friction_field,
+        sleigh_nh_field,
+    )
+
+    p, q = SleighParams(), PendulumParams(eps=4e-3)
+    return {
+        "sleigh-nh": (sleigh_nh_field(p), 5),
+        "sleigh-friction": (sleigh_friction_field(p, 4e-3), 6),
+        "sleigh-corrected": (sleigh_corrected_field(p, 4e-3), 5),
+        "pendulum-friction": (make_pendulum("friction", q), 4),
+        "pendulum-potential": (make_pendulum("potential", q), 4),
+    }
+
+
+def _called_fields():
+    """name -> (field, state size) of fields the steppers call."""
+    from nonholib import dynamics
+    from nonholib.systems import (
+        PendulumParams,
+        SleighParams,
+        make_pendulum,
+        sleigh_friction_field,
+        sleigh_friction_form,
+        sleigh_system,
+        sleigh_uvw_frame,
+    )
+
+    p = SleighParams()
+    friction = sleigh_friction_field(p, 4e-3)
+    counts = [0]
+
+    def counted(x):  # the shape of perfbench's tracing wrapper
+        counts[0] += 1
+        return friction(x)
+
+    generic = dynamics.friction_field(
+        sleigh_system(p), sleigh_uvw_frame(p), sleigh_friction_form(p), 4e-3
+    )
+    return {
+        "pendulum-inertial": (make_pendulum("inertial", PendulumParams(eps=4e-3)), 4),
+        "dynamics-friction": (generic, 6),
+        "lambda": (lambda x: friction(x), 6),
+        "counting-wrapper": (counted, 6),
+    }
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize("name", sorted(_inlined_fields()))
+def test_straight_line_fields_are_inlined(name, method):
+    field, n = _inlined_fields()[name]
+    step = ode._stepper(method, n, field.__code__)
+    source = inspect.getsource(step)
+    assert "field(" not in source
+    assert step.__code__.co_filename.endswith(
+        f" {field.__code__.co_qualname}:{field.__code__.co_firstlineno}"
+    )
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize("name", sorted(_called_fields()))
+def test_other_fields_are_called(name, method):
+    field, n = _called_fields()[name]
+    step = ode._stepper(method, n, field.__code__)
+    assert step is ode._stepper(method, n)
+    assert "= field(xs)" in inspect.getsource(step)
+
+
+def test_straight_line_shapes_refused():
+    k = 2.0
+
+    def reads_param(st):
+        x, v = st
+        return (v, -k * st[0])
+
+    def assigns_argument(st):
+        x, v = st
+        x = k * x
+        return (v, -x)
+
+    def reads_before_assigning(st):
+        x, v = st
+        y = z if x > 0 else v  # noqa: F821
+        z = -k * x
+        return (v, y)
+
+    def comprehension(st):
+        x, v = st
+        w = sum([x for _ in range(2)])
+        return (v, -w)
+
+    def walrus(st):
+        x, v = st
+        return (v, -(w := k * x))
+
+    def subscript_target(st):
+        x, v = st
+        out = [v, 0.0]
+        out[1] = -x
+        return (v, -x)
+
+    def wrong_length(st):
+        x, v = st
+        return (v, -x, 0.0)
+
+    for f in (
+        reads_param,
+        assigns_argument,
+        reads_before_assigning,
+        comprehension,
+        walrus,
+        subscript_target,
+        wrong_length,
+    ):
+        assert ode._straight_line(f.__code__, 2) is None, f.__name__
+
+    def accepted(st):
+        x, v = st
+        w = k * x
+        return (v, -w)
+
+    assert ode._straight_line(accepted.__code__, 2) is not None
+    assert ode._straight_line(accepted.__code__, 3) is None
+
+
+def test_source_that_is_not_the_code_is_not_inlined(monkeypatch):
+    # the source on record was edited after the code was compiled
+    namespace = {}
+    compiled = "def rhs(st):\n    (x,) = st\n    return (-x,)\n"
+    exec(compile(compiled, "edited.py", "exec"), namespace)
+    edited = ["def rhs(st):\n", "    (x,) = st\n", "    y = 2.0 * x\n", "    return (-y,)\n"]
+    monkeypatch.setitem(linecache.cache, "edited.py", (0, None, edited, "edited.py"))
+    assert ode._straight_line(namespace["rhs"].__code__, 1) is None
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_one_inlined_stepper_serves_every_eps_bitwise(method):
+    from nonholib.systems import SleighParams, sleigh_friction_field
+
+    x0 = [0.1, -0.2, 0.3, -1.0, 0.02, 0.5]
+    fields = [sleigh_friction_field(SleighParams(), eps) for eps in (8e-3, 2e-3)]
+    assert fields[0].__code__ is fields[1].__code__
+    for field, eps in zip(fields, (8e-3, 2e-3)):
+        cfg = IntegratorConfig(t_span=(0.0, 0.3), dt=eps / 20, sample_dt=1e-2, method=method)
+        traj = integrate(field, x0, cfg)
+        if method == "rk4":
+            states, derivs = _numpy_rk4(field, x0, traj.times, cfg.dt)
+        else:
+            states, derivs, _ = _numpy_rkf45(field, x0, traj.times, cfg)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.derivs.tobytes() == derivs.tobytes()
+    hits = ode._stepper.cache_info().hits
+    ode._stepper(method, 6, fields[1].__code__)
+    assert ode._stepper.cache_info().hits == hits + 1
+
+
+def _damped_root(limit):
+    def rhs(st):
+        x, v = st
+        r = math.sqrt(x - limit)  # a finite stage below the limit: ValueError
+        return (v, -r - v)
+
+    return rhs
+
+
+def test_inlined_field_errors_on_finite_states_propagate():
+    field = _damped_root(0.0)
+    assert ode._straight_line(field.__code__, 2) is not None
+    for method in ("rk4", "rkf45"):
+        cfg = IntegratorConfig(t_span=(0.0, 5.0), dt=1e-2, sample_dt=0.1, method=method)
+        with pytest.raises(ValueError, match="math domain error") as err:
+            integrate(field, [1.0, -3.0], cfg)
+        assert err.value.__class__ is ValueError
+
+
+_SHIFT = 0.0  # falsy, and no builtin of that name
+
+
+def _shifted_decay():
+    def rhs(st):
+        (x,) = st
+        return (_SHIFT - x,)
+
+    return rhs
+
+
+def test_inlined_field_reads_globals_at_each_call(monkeypatch):
+    field = _shifted_decay()
+    assert ode._straight_line(field.__code__, 1) is not None
+    cfg = IntegratorConfig(t_span=(0.0, 0.5), dt=1e-2, sample_dt=0.1)
+    runs = []
+    for shift in (0.0, 0.5):
+        monkeypatch.setitem(globals(), "_SHIFT", shift)
+        runs.append(integrate(field, [1.0], cfg).states.tobytes())
+        assert runs[-1] == integrate(lambda x: field(x), [1.0], cfg).states.tobytes()
+    assert runs[0] != runs[1]
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize(
+    "name, x0",
+    [("sleigh-nh", [0, 0, 0, 1e150, 1e150]), ("sleigh-friction", [0, 0, 0, 1e150, 0, 1e150])],
+)
+def test_inlined_blow_up_matches_call_path(name, x0, method):
+    field, _ = _inlined_fields()[name]
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2, method=method)
+    outcomes = []
+    for f in (field, lambda x: field(x)):
+        with pytest.raises((NonFiniteState, StepUnderflow)) as err:
+            integrate(f, x0, cfg)
+        outcomes.append((type(err.value), str(err.value), getattr(err.value, "t", None)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_inlined_pendulum_reaching_origin_mid_run():
+    # free fall down the y axis: with g and the friction negligible, every
+    # stage has vy = -1 exactly and y drops by dt per step, so the last
+    # stage of the step from y = dt lands on the origin
+    from nonholib.systems import OriginSingularity, PendulumParams, make_pendulum
+
+    field = make_pendulum("friction", PendulumParams(g=1e-300, eps=1e300))
+    dt = 2.0**-6
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=dt, sample_dt=4 * dt)
+    with pytest.raises(OriginSingularity) as err:
+        integrate(field, [0.0, 20 * dt, 0.0, -1.0], cfg)
+    [(frame, summary)] = [
+        (tb.tb_frame, summary)
+        for tb, summary in zip(_tracebacks(err.tb), traceback.extract_tb(err.tb))
+        if summary.filename.startswith("nonholib.ode")
+    ]
+    code = field.__code__
+    assert summary.filename.endswith(f" {code.co_qualname}:{code.co_firstlineno}")
+    assert "f__radial(" in summary.line
+    # the 20th step, the last of the fifth sample interval
+    assert (frame.f_locals["t"], frame.f_locals["j"]) == (16 * dt, 3)
+
+
+def _tracebacks(tb):
+    while tb is not None:
+        yield tb
+        tb = tb.tb_next
+
+
+def _lookup_field(limit):
+    def rhs(st):
+        (x,) = st
+        y = _failing_lookup(x, limit)
+        return (-y,)
+
+    return rhs
+
+
+def _failing_lookup(x, limit):
+    if x < limit:
+        raise KeyError("lookup failed mid-run")
+    return x
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize("inlined", [False, True])
+def test_stepper_source_survives_linecache_clear(method, inlined):
+    inner = _lookup_field(0.5)
+    field = inner if inlined else (lambda x: inner(x))
+    step = ode._stepper(method, 1, field.__code__)
+    linecache.clearcache()
+    with contextlib.suppress(OSError):  # never another module's lines
+        assert inspect.getsource(step).startswith(f"def {method}_n1(")
+    cfg = IntegratorConfig(t_span=(0.0, 2.0), dt=1e-2, sample_dt=0.1, method=method)
+    with pytest.raises(KeyError, match="mid-run") as err:
+        integrate(field, [1.0], cfg)
+    [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
+    assert ("f__failing_lookup(" if inlined else "= field(xs)") in frame.line
+    assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line

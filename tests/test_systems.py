@@ -332,6 +332,30 @@ def test_friction_slaving_invariant(sleigh):
     assert 3.0 < ratio < 5.0
 
 
+def test_friction_rung_matches_radau(sleigh):
+    # The 8e-3 rung of the sleigh ladder (README start, 10 s, rk4 at the
+    # CLI's step eps/20) against scipy's implicit Radau IIA as an independent
+    # stiff reference, at the final state.  The bound was fixed before the
+    # first run: twice rk4's own error estimate by step halving (16/15 of the
+    # change when the step is halved, for order 4) plus Radau's local
+    # tolerance summed over all of its steps.
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    eps, x0 = 8e-3, [0.0, 0.0, 0.0, -1.0, 0.0, 0.5]
+    field = sleigh_friction_field(sleigh, eps)
+    ends = []
+    for dt in (eps / 20, eps / 40):
+        cfg = IntegratorConfig(t_span=(0.0, 10.0), dt=dt, sample_dt=1e-2)
+        ends.append(integrate(field, x0, cfg).states[-1])
+    rk4_error = 16 / 15 * np.max(np.abs(ends[0] - ends[1]))
+    rtol = atol = 1e-12
+    sol = solve_ivp(
+        lambda t, x: field(x), (0.0, 10.0), x0, method="Radau", rtol=rtol, atol=atol
+    )
+    assert sol.success
+    radau_tolerance = (len(sol.t) - 1) * (atol + rtol * np.max(np.abs(sol.y)))
+    assert np.max(np.abs(ends[0] - sol.y[:, -1])) <= 2 * rk4_error + radau_tolerance
+
+
 # ---------------------------------------------------------------------------
 # pendulum
 # ---------------------------------------------------------------------------
