@@ -25,12 +25,14 @@ names after that, ends in ``return (<n expressions>)``, uses the parameter
 nowhere else, reads no local before assigning it and holds no lambda,
 comprehension, walrus or yield.  The sleigh's nh, friction and corrected
 fields and the pendulum's friction and potential fields are of this kind.
-Its source is read from `linecache` and checked with `ast`; its arguments
-become the stage locals ``a0 ...`` or ``s0 ...`` and every other name gets
-the prefix ``f_``.  Its closure cells and globals (builtins as the
-fallback) are read at the start of each stepper call, so one stepper,
-cached on the field's code, serves every closure of it (every eps), and a
-patched global is seen.  Every other field is called with each stage state
+Its source is read from `linecache`, checked with `ast` and compiled again:
+a source whose bytecode, names or constants differ from the field's code
+(a file edited since it was imported) is not inlined.  Its arguments
+become the stage locals ``s0 ...`` and every other name gets the prefix
+``f_``.  Its closure cells and globals (builtins as the fallback) are read
+at the start of each stepper call, so one stepper, cached on the field's
+code, serves every closure of it (every eps), and a patched global is
+seen.  Every other field is called with each stage state
 as a list and its result unpacked into locals: fields that return an
 ndarray, the generic `dynamics` fields, lambdas and wrappers, such as the
 tracing wrapper of perfbench's ``--trace 1``, whose per-layer times
@@ -39,9 +41,9 @@ Both paths give bitwise-equal results.
 
 A stepper is compiled on first use and cached.  Its source is registered in
 `linecache` under a file name such as ``nonholib.ode rk4 n=6``, to which an
-inlined stepper adds the field's qualified name and first line (``...
-sleigh_friction_field.<locals>.rhs:201``), so tracebacks and profiles tell
-the steppers apart and show their lines, after `linecache.clearcache` too.
+inlined stepper adds the field's name, file and first line (``... rhs
+systems.py:201``), so tracebacks and profiles tell the steppers apart and
+show their lines, after `linecache.clearcache` too.
 
 The steppers keep the operation order of whole-array code, so their results
 are bitwise equal to it: each Fehlberg sum runs left to right from int 0 and
@@ -69,6 +71,7 @@ import functools
 import inspect
 import linecache
 import math
+import os
 import textwrap
 import threading
 import tokenize
@@ -317,7 +320,7 @@ def _stepper(method: str, n: int, code=None) -> Callable:
         return _stepper(method, n)
     filename = f"nonholib.ode {method} n={n}"
     if body is not None:
-        filename += f" {code.co_qualname}:{code.co_firstlineno}"
+        filename += f" {code.co_name} {os.path.basename(code.co_filename)}:{code.co_firstlineno}"
     snippets = _field_snippets(n, code, body)
     lines = (_rk4_lines if method == "rk4" else _rkf45_lines)(n, *snippets)
     source = "\n".join(lines) + "\n"
@@ -409,9 +412,40 @@ def _straight_line(code, n: int):
         ):
             return None
         assigned |= stored
-    if set(code.co_varnames) != local or not set(code.co_freevars) <= _names(fn.body, ast.Load):
-        return None  # the source is not this code's
+    # no local but these (no second parameter), and the source is this code's
+    if set(code.co_varnames) != local or not _compiles_to(fn, code):
+        return None
     return args, stmts, last.value.elts
+
+
+def _compiles_to(fn: ast.FunctionDef, code) -> bool:
+    """Whether fn compiles to code's bytecode, names and constants, so that a
+    source edited since the code was compiled is not taken for it.  fn is
+    compiled in a function that binds code's free names, as a closure of it
+    is, and then once more with the globals whose attributes it reads
+    imported, since a method call on a name imported at a module's top
+    compiles to other bytecode."""
+    bases = {
+        node.value.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    } - {*code.co_freevars, *code.co_varnames}
+    closure = "def _():\n    " + "".join(f"{name} = " for name in code.co_freevars) + "None"
+    for imports in ("", "".join(f"import {name}\n" for name in sorted(bases))):
+        module = ast.parse(imports + closure)
+        module.body[-1].body.append(fn)
+        compiled = compile(module, code.co_filename, "exec", dont_inherit=True)
+        for name in ("_", fn.name):  # the module's code holds the closure's, which holds fn's
+            [compiled] = [c for c in compiled.co_consts if getattr(c, "co_name", None) == name]
+        if _fingerprint(compiled) == _fingerprint(code):
+            return True
+    return False
+
+
+def _fingerprint(code) -> tuple:
+    # constants told apart by type and repr: 0 == 0.0 == -0.0
+    consts = tuple((type(c), repr(c)) for c in code.co_consts)
+    return code.co_code, code.co_names, code.co_varnames, code.co_freevars, consts
 
 
 def _field_snippets(n: int, code, body) -> tuple:
@@ -439,8 +473,6 @@ def _field_snippets(n: int, code, body) -> tuple:
         else:
             get = f"glob[{name!r}] if {name!r} in glob else builtin[{name!r}]"
             bind.append(f"    f_{name} = {get}")
-    # s# starts at the state, so rk4's handler can test it after a first stage
-    bind.append(f"    {_row('s#', n)}, = x")
     names = [(m, m.id) for node in nodes for m in ast.walk(node) if isinstance(m, ast.Name)]
 
     def render(v):
@@ -487,8 +519,10 @@ def _rk4_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
         "    dt = (target - t) / nsub",
         "    half, sixth = 0.5 * dt, dt / 6.0",
         "    for j in range(nsub):",
+        # a# is finite here (x is, and so is every step), so an error at the
+        # first stage is the field's own and needs no handler
+        *stage(1, "a#", pad[4:]),
         "        try:",
-        *stage(1, "a#", pad),
         *stage(2, "a# + half * k1_#", pad),
         *stage(3, "a# + half * k2_#", pad),
         *stage(4, "a# + dt * k3_#", pad),

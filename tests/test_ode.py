@@ -501,6 +501,39 @@ def _first_stage_failing_field():
     return rhs
 
 
+def _kicked_field(values):
+    """A field whose k-th evaluation gives values[k], or raises it."""
+    calls = iter(values)
+
+    def kick(x):
+        value = next(calls)
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def rhs(st):
+        (x,) = st
+        y = kick(x)
+        return (y,)
+
+    return rhs
+
+
+@pytest.mark.parametrize("inlined", [False, True])
+def test_field_error_after_an_overflowed_stage_propagates(inlined):
+    # two steps of dt = 4 in one sample interval: the first step's third
+    # stage, 8e307, sends its fourth stage state to inf while the step
+    # stays finite (4/6 * 1.6e308); the second step's first stage fails on
+    # that finite state
+    values = [0.0, 0.0, 0.0, 8e307, 0.0, ValueError("not a blow-up")]
+    inner = _kicked_field(values)
+    field = inner if inlined else (lambda x: inner(x))
+    assert (ode._straight_line(field.__code__, 1) is not None) == inlined
+    cfg = IntegratorConfig(t_span=(0.0, 8.0), dt=4.0, sample_dt=8.0)
+    with pytest.raises(ValueError, match="not a blow-up"):
+        integrate(field, [0.0], cfg)
+
+
 @pytest.mark.parametrize("inlined", [False, True])
 def test_field_error_on_first_stage_propagates(inlined):
     for method in ("rk4", "rkf45"):
@@ -606,9 +639,8 @@ def test_straight_line_fields_are_inlined(name, method):
     step = ode._stepper(method, n, field.__code__)
     source = inspect.getsource(step)
     assert "field(" not in source
-    assert step.__code__.co_filename.endswith(
-        f" {field.__code__.co_qualname}:{field.__code__.co_firstlineno}"
-    )
+    line = field.__code__.co_firstlineno
+    assert step.__code__.co_filename.endswith(f" rhs systems.py:{line}")
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
@@ -676,15 +708,47 @@ def test_straight_line_shapes_refused():
     assert ode._straight_line(accepted.__code__, 2) is not None
     assert ode._straight_line(accepted.__code__, 3) is None
 
+    @(lambda f: f)  # a code object of its own next to the field's
+    def decorated(st):
+        x, v = st
+        return (v, -k * x)
 
-def test_source_that_is_not_the_code_is_not_inlined(monkeypatch):
+    assert ode._straight_line(decorated.__code__, 2) is not None
+
+
+_COMPILED = ["def rhs(st):\n", "    (x,) = st\n", "    y = 2.0 * x\n", "    return (-y,)\n"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("    y = 3.0 * x\n", 2),  # a constant
+        ("    y = 2 * x\n", 2),  # an int for an equal float
+        ("    y = 2.0 / x\n", 2),  # an operator
+        ("    z = 2.0 * x\n", 2),  # a local's name
+        ("    y = 2.0 * x\n    y = y + x\n", 2),  # a statement
+    ],
+)
+def test_source_that_is_not_the_code_is_not_inlined(monkeypatch, edit):
     # the source on record was edited after the code was compiled
     namespace = {}
-    compiled = "def rhs(st):\n    (x,) = st\n    return (-x,)\n"
-    exec(compile(compiled, "edited.py", "exec"), namespace)
-    edited = ["def rhs(st):\n", "    (x,) = st\n", "    y = 2.0 * x\n", "    return (-y,)\n"]
+    exec(compile("".join(_COMPILED), "edited.py", "exec"), namespace)
+    code = namespace["rhs"].__code__
+    monkeypatch.setitem(linecache.cache, "edited.py", (0, None, _COMPILED, "edited.py"))
+    assert ode._straight_line(code, 1) is not None
+    line, index = edit
+    edited = _COMPILED[:index] + [line] + _COMPILED[index + 1 :]
     monkeypatch.setitem(linecache.cache, "edited.py", (0, None, edited, "edited.py"))
-    assert ode._straight_line(namespace["rhs"].__code__, 1) is None
+    assert ode._straight_line(code, 1) is None
+
+
+def test_fields_run_many_times_are_still_inlined():
+    # the interpreter may rewrite a hot function's bytecode in place
+    fields = _inlined_fields()
+    for field, n in fields.values():
+        for _ in range(1000):
+            field([0.5] * n)
+        assert ode._straight_line(field.__code__, n) is not None
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
@@ -783,7 +847,7 @@ def test_inlined_pendulum_reaching_origin_mid_run():
         if summary.filename.startswith("nonholib.ode")
     ]
     code = field.__code__
-    assert summary.filename.endswith(f" {code.co_qualname}:{code.co_firstlineno}")
+    assert summary.filename.endswith(f" rhs systems.py:{code.co_firstlineno}")
     assert "f__radial(" in summary.line
     # the 20th step, the last of the fifth sample interval
     assert (frame.f_locals["t"], frame.f_locals["j"]) == (16 * dt, 3)
