@@ -18,31 +18,32 @@ only when it returns.  The Fehlberg stepper is generated from the tableau
 ``_FE_A``/``_FE_B4``/``_FE_ERR``, so the tableau stays the one statement of
 the method.
 
-A field that is a plain straight-line function is not called by the
-stepper; its body is written into every stage.  Such a field has one
-parameter, unpacks it into n names in its first statement, only assigns to
-names after that, ends in ``return (<n expressions>)``, uses the parameter
-nowhere else, reads no local before assigning it and holds no lambda,
-comprehension, walrus or yield.  The sleigh's nh, friction and corrected
-fields and the pendulum's friction and potential fields are of this kind.
-Its source is read from `linecache`, checked with `ast` and compiled again:
-a source whose bytecode, names or constants differ from the field's code
-(a file edited since it was imported) is not inlined.  Its arguments
+A field declared as text with `straight_line` is not called by the
+stepper; its text is written into every stage.  The text is one function
+``def name(st): <n names> = st; <assignments>; return (<n expressions>)``
+that reads st nowhere else, assigns no argument and reads no local before
+assigning it.  Every other name it reads is a constant passed when the
+field is built: the text is compiled once into a maker whose parameters are
+these names, and each field is the maker's closure over its constants.  The
+sleigh's nh, friction and corrected fields and the pendulum's friction and
+potential fields are declared this way.  In a stage the text's arguments
 become the stage locals ``s0 ...`` and every other name gets the prefix
-``f_``.  Its closure cells and globals (builtins as the fallback) are read
-at the start of each stepper call, so one stepper, cached on the field's
-code, serves every closure of it (every eps), and a patched global is
-seen.  Every other field is called with each stage state
+``f_``.  The constants are read from the field's closure at the start of
+each stepper call, so one stepper, cached on the text, serves every field
+built from it (every eps).  The stages and the callable come from one text,
+so they cannot disagree.  Every other field is called with each stage state
 as a list and its result unpacked into locals: fields that return an
 ndarray, the generic `dynamics` fields, lambdas and wrappers, such as the
 tracing wrapper of perfbench's ``--trace 1``, whose per-layer times
 therefore describe the called path (its evaluation counts stay exact).
 Both paths give bitwise-equal results.
 
-A stepper is compiled on first use and cached.  Its source is registered in
-`linecache` under a file name such as ``nonholib.ode rk4 n=6``, to which an
-inlined stepper adds the field's name, file and first line (``... rhs
-systems.py:201``), so tracebacks and profiles tell the steppers apart and
+A stepper is compiled on first use and cached.  Its source, like each
+field text's maker, is registered in `linecache` under a file name: a
+stepper's is such as ``nonholib.ode rk4 n=6``, to which an inlined stepper
+adds the field's name (``... sleigh_friction``), and a maker's is the
+field's name (``nonholib.ode sleigh_friction``).  One name declares one
+text, so tracebacks and profiles tell the steppers and fields apart and
 show their lines, after `linecache.clearcache` too.
 
 The steppers keep the operation order of whole-array code, so their results
@@ -58,23 +59,19 @@ that dense output is available through cubic Hermite interpolation, which is
 exact at the sample points and reproduces cubic polynomials in between.
 
 All functions here are pure; a `Trajectory` is immutable after construction,
-so concurrent use from several threads is safe.  The stepper cache is the
-one piece of shared state: threads that miss it at once may each compile
-the same stepper, and every copy computes the same values.  They read a
-field's source from `linecache` one at a time.
+so concurrent use from several threads is safe.  The caches of steppers
+and field texts are the shared state: threads that miss one at once may
+each compile the same stepper or text, and every copy computes the same
+values.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
-import inspect
 import linecache
 import math
-import os
 import textwrap
-import threading
-import tokenize
 import types
 from dataclasses import dataclass
 from typing import Callable
@@ -277,8 +274,7 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     times = _sample_times(*cfg.t_span, cfg.sample_dt)
-    code = field.__code__ if isinstance(field, types.FunctionType) else None
-    step = _stepper(cfg.method, x0.size, code)
+    step = _stepper(cfg.method, x0.size, _TEXTS.get(getattr(field, "__code__", None)))
     states = np.empty((len(times), x0.size))
     derivs = np.empty((len(times), x0.size))
     ts = times.tolist()
@@ -291,6 +287,90 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
         states[i] = x
         derivs[i] = field(x)
     return Trajectory(times, states, derivs)
+
+
+def straight_line(source: str, **consts) -> Callable:
+    """The field that the straight-line text `source` declares (see the
+    module docstring), with every name it reads other than its arguments and
+    locals bound to the constant of that name.  Raises ValueError for any
+    other text and for a second text of a declared name, and TypeError for a
+    missing or an extra constant."""
+    maker, _ = _declared(source)
+    return maker(**consts)
+
+
+# the code of each declared field -> its text, and its name -> its text
+_TEXTS = {}
+_NAMES = {}
+
+
+@functools.cache
+def _declared(source: str) -> tuple:
+    """(maker, code) of a field text: maker(**consts) builds a field whose
+    code is code."""
+    name, _, _, _, free = _parse(source)
+    if _NAMES.setdefault(name, source) != source:
+        raise ValueError(f"another field text is already named {name!r}")
+    text = textwrap.indent(textwrap.dedent(source).strip("\n"), "    ")
+    lines = [f"def make_{name}({', '.join(sorted(free))}):", text, f"    return {name}"]
+    maker = _compile("\n".join(lines) + "\n", f"nonholib.ode {name}", f"make_{name}")
+    [code] = [c for c in maker.__code__.co_consts if isinstance(c, types.CodeType)]
+    _TEXTS[code] = source
+    return maker, code
+
+
+def _parse(source: str) -> tuple:
+    """(name, argument names, statements, results, free names) of a field
+    text, from a fresh syntax tree; ValueError unless the text has the shape
+    that straight_line asks for."""
+    refused = ValueError(f"not a straight-line field text:\n{source}")
+    body = ast.parse(textwrap.dedent(source)).body
+    if not (
+        len(body) == 1
+        and isinstance(body[0], ast.FunctionDef)
+        and len(body[0].args.args) == 1
+        and not body[0].decorator_list
+        and len(body[0].body) > 1
+    ):
+        raise refused
+    fn = body[0]
+    param, (first, *stmts, last) = fn.args.args[0].arg, fn.body
+    if not (
+        isinstance(first, ast.Assign)
+        and [type(t) for t in first.targets] == [ast.Tuple]
+        and isinstance(first.value, ast.Name)
+        and first.value.id == param
+        and all(isinstance(stmt, ast.Assign) for stmt in stmts)
+        and isinstance(last, ast.Return)
+        and isinstance(last.value, ast.Tuple)
+    ):
+        raise refused
+    args = [t.id for t in first.targets[0].elts if isinstance(t, ast.Name)]
+    local = _names(stmts, ast.Store)
+    free = _names(stmts + [last], ast.Load) - local - set(args)
+    if (
+        not len(set(args)) == len(first.targets[0].elts) == len(last.value.elts)
+        or param in free
+        or local & {param, *args}
+    ):
+        raise refused
+    assigned = set(args)
+    for stmt in stmts + [last]:
+        # inlined, a read before the assignment would see an earlier stage's value
+        if _names([stmt], ast.Load) & (local - assigned):
+            raise refused
+        assigned |= _names([stmt], ast.Store)
+    return fn.name, args, stmts, last.value.elts, free
+
+
+def _names(nodes, ctx) -> set:
+    """The names that the nodes load (ctx ast.Load) or store (ast.Store)."""
+    return {
+        m.id
+        for node in nodes
+        for m in ast.walk(node)
+        if isinstance(m, ast.Name) and isinstance(m.ctx, ctx)
+    }
 
 
 # Fehlberg 4(5) tableau.  The fourth-order solution is propagated; the
@@ -308,171 +388,61 @@ _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 @functools.cache
-def _stepper(method: str, n: int, code=None) -> Callable:
+def _stepper(method: str, n: int, text=None) -> Callable:
     """The stepper of `method` for states of n components, compiled on first
-    use.  Given the code of a straight-line field (`_straight_line`) it
-    writes the field's body into every stage; otherwise it calls the field.
-    Its source is put in linecache under its file name, and the loader in its
-    namespace lets linecache read it again after a clearcache(), so
-    tracebacks and inspect.getsource show it."""
-    body = None if code is None else _straight_line(code, n)
-    if code is not None and body is None:
-        return _stepper(method, n)
+    use.  Given a field text (`straight_line`) it writes the text into every
+    stage; otherwise it calls the field."""
     filename = f"nonholib.ode {method} n={n}"
-    if body is not None:
-        filename += f" {code.co_name} {os.path.basename(code.co_filename)}:{code.co_firstlineno}"
-    snippets = _field_snippets(n, code, body)
-    lines = (_rk4_lines if method == "rk4" else _rkf45_lines)(n, *snippets)
-    source = "\n".join(lines) + "\n"
+    if text is not None:
+        filename += " " + _declared(text)[1].co_name
+    lines = (_rk4_lines if method == "rk4" else _rkf45_lines)(n, *_field_snippets(n, text))
+    return _compile(
+        "\n".join(lines) + "\n",
+        filename,
+        f"{method}_n{n}",
+        isfinite=math.isfinite,
+        sqrt=math.sqrt,
+        NonFiniteState=NonFiniteState,
+        StepUnderflow=StepUnderflow,
+    )
+
+
+def _compile(source: str, filename: str, name: str, **names) -> Callable:
+    """The function `name` that source defines, compiled as the file
+    filename with the given globals.  The source is put in linecache, so
+    tracebacks and inspect.getsource show it, and the loader in its
+    namespace lets tracebacks read it again after a clearcache()."""
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {
         # a name no module has, so inspect never reads another module's source
         "__name__": filename,
-        "__loader__": types.SimpleNamespace(get_source=lambda name: source),
-        "isfinite": math.isfinite,
-        "sqrt": math.sqrt,
-        "NonFiniteState": NonFiniteState,
-        "StepUnderflow": StepUnderflow,
+        "__loader__": types.SimpleNamespace(get_source=lambda _: source),
+        **names,
     }
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"{method}_n{n}"]
+    return namespace[name]
 
 
-# linecache.getlines checks for a file and then updates it, so threads that
-# read one file at once can drop each other's entry (a KeyError)
-_LINECACHE_LOCK = threading.Lock()
-
-# nodes that would give an inlined statement a scope or a value of its own
-_NOT_STRAIGHT = (
-    ast.Lambda, ast.comprehension, ast.NamedExpr, ast.Yield, ast.YieldFrom, ast.Await
-)
-
-
-def _names(nodes, ctx) -> set:
-    """The names that the nodes load (ctx ast.Load) or store (ast.Store)."""
-    return {
-        m.id
-        for node in nodes
-        for m in ast.walk(node)
-        if isinstance(m, ast.Name) and isinstance(m.ctx, ctx)
-    }
-
-
-def _straight_line(code, n: int):
-    """(argument names, statements, results) of a field written as
-    ``def f(st): <n names> = st; <assignments to names>; return (<n
-    expressions>)`` that uses st nowhere else, reads no local before
-    assigning it and holds no lambda, comprehension, walrus or yield; None
-    for any other field.  The body is read from the field's source and
-    checked against its code."""
-    # the block at the code's first line, without inspect.getsource's search
-    # of every module for the file
-    with _LINECACHE_LOCK:
-        lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1 :]
-    try:
-        fn = ast.parse(textwrap.dedent("".join(inspect.getblock(lines)))).body[0]
-    except (SyntaxError, IndexError, tokenize.TokenError):
-        return None
-    if not (
-        isinstance(fn, ast.FunctionDef)
-        and fn.name == code.co_name
-        and len(fn.args.args) == 1
-        and len(fn.body) > 1
-    ):
-        return None
-    param, (first, *stmts, last) = fn.args.args[0].arg, fn.body
-    if not (
-        isinstance(first, ast.Assign)
-        and [type(t) for t in first.targets] == [ast.Tuple]
-        and isinstance(first.value, ast.Name)
-        and first.value.id == param
-        and all(isinstance(stmt, ast.Assign) for stmt in stmts)
-        and isinstance(last, ast.Return)
-        and isinstance(last.value, ast.Tuple)
-    ):
-        return None
-    args = [t.id for t in first.targets[0].elts if isinstance(t, ast.Name)]
-    if not len(set(args)) == len(first.targets[0].elts) == len(last.value.elts) == n:
-        return None
-    local = {param, *args, *_names(stmts, ast.Store)}
-    assigned = set(args)
-    for stmt in stmts + [last]:
-        targets = [] if stmt is last else stmt.targets
-        stored = _names(targets, ast.Store)
-        if (
-            # each target a name or a tuple of names, and neither st nor an argument
-            any(
-                not isinstance(m, (ast.Name, ast.Tuple, ast.Store))
-                for target in targets
-                for m in ast.walk(target)
-            )
-            or stored & {param, *args}
-            or any(isinstance(m, _NOT_STRAIGHT) for m in ast.walk(stmt.value))
-            or _names([stmt.value], ast.Load) & (local - assigned)
-        ):
-            return None
-        assigned |= stored
-    # no local but these (no second parameter), and the source is this code's
-    if set(code.co_varnames) != local or not _compiles_to(fn, code):
-        return None
-    return args, stmts, last.value.elts
-
-
-def _compiles_to(fn: ast.FunctionDef, code) -> bool:
-    """Whether fn compiles to code's bytecode, names and constants, so that a
-    source edited since the code was compiled is not taken for it.  fn is
-    compiled in a function that binds code's free names, as a closure of it
-    is, and then once more with the globals whose attributes it reads
-    imported, since a method call on a name imported at a module's top
-    compiles to other bytecode."""
-    bases = {
-        node.value.id
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-    } - {*code.co_freevars, *code.co_varnames}
-    closure = "def _():\n    " + "".join(f"{name} = " for name in code.co_freevars) + "None"
-    for imports in ("", "".join(f"import {name}\n" for name in sorted(bases))):
-        module = ast.parse(imports + closure)
-        module.body[-1].body.append(fn)
-        compiled = compile(module, code.co_filename, "exec", dont_inherit=True)
-        for name in ("_", fn.name):  # the module's code holds the closure's, which holds fn's
-            [compiled] = [c for c in compiled.co_consts if getattr(c, "co_name", None) == name]
-        if _fingerprint(compiled) == _fingerprint(code):
-            return True
-    return False
-
-
-def _fingerprint(code) -> tuple:
-    # constants told apart by type and repr: 0 == 0.0 == -0.0
-    consts = tuple((type(c), repr(c)) for c in code.co_consts)
-    return code.co_code, code.co_names, code.co_varnames, code.co_freevars, consts
-
-
-def _field_snippets(n: int, code, body) -> tuple:
-    """(lines binding the field's free names at the start of a stepper call,
+def _field_snippets(n: int, text) -> tuple:
+    """(lines binding the field's constants at the start of a stepper call,
     a test that the stage state last taken is finite, stage(k, state, pad):
     the lines, indented by pad, that set k{k}_# to the field's value at the
-    stage state whose component # is the expression state).  Without a body
+    stage state whose component # is the expression state).  Without a text
     the stage calls the field with the state as the list xs; with one it
     holds the state in the locals s# (a stage at a# or s# reads them)."""
-    if body is None:
+    if text is None:
 
         def call(k, state, pad):
             return [f"{pad}xs = [{_row(state, n)}]", f"{pad}{_row(f'k{k}_#', n)}, = field(xs)"]
 
         return [], "all(map(isfinite, xs))", call
-    args, stmts, results = body
+    _, args, stmts, results, _ = _parse(text)
+    # read at every call, so one stepper serves every field of the text
+    bind = [
+        f"    f_{const} = field.__closure__[{i}].cell_contents"
+        for i, const in enumerate(_declared(text)[1].co_freevars)
+    ]
     nodes = stmts + results
-    # read at every call, so one stepper serves every closure of the code
-    # and a patched global is seen
-    bind = ["    glob, builtin = field.__globals__, field.__builtins__"]
-    for name in sorted(_names(nodes, ast.Load) - set(code.co_varnames)):
-        if name in code.co_freevars:
-            cell = code.co_freevars.index(name)
-            bind.append(f"    f_{name} = field.__closure__[{cell}].cell_contents")
-        else:
-            get = f"glob[{name!r}] if {name!r} in glob else builtin[{name!r}]"
-            bind.append(f"    f_{name} = {get}")
     names = [(m, m.id) for node in nodes for m in ast.walk(node) if isinstance(m, ast.Name)]
 
     def render(v):

@@ -3,9 +3,13 @@
 Closed-form right-hand sides live here so that the generic frame machinery
 in :mod:`nonholib.dynamics` can be cross-checked against them, and so that
 experiment runs do not pay the generic machinery's per-evaluation cost.
-The sleigh's run-path fields (``sleigh_*_field``) bind their parameter
-constants at build time; the ``sleigh_*_rhs`` helpers, which read them on
-every call in the same operation order, are their bitwise oracle.
+The run-path fields (``sleigh_*_field`` and the pendulum's potential and
+friction fields) are declared once each, as a straight-line text that
+`nonholib.ode.straight_line` compiles with its constants bound at build
+time; the integrator writes that text into its stages instead of calling
+the field.  The ``sleigh_*_rhs`` helpers, which read the parameters on
+every call in the same operation order, are the sleigh fields' bitwise
+oracle.
 
 Sleigh conventions.  Chart (x, y, phi): skate contact point and blade
 angle; mass m, inertia I about the center of mass, which sits a distance
@@ -32,6 +36,7 @@ import numpy as np
 
 from .dynamics import RayleighFriction, fast_field_y0
 from .geometry import MechanicalSystem, MovingFrame
+from .ode import straight_line
 
 
 class OriginSingularity(ValueError):
@@ -127,14 +132,6 @@ def sleigh_friction_ortho_rhs(p: SleighParams, eps: float, u, v, psi):
     return udot, vdot, psidot
 
 
-def sleigh_fast_closed_form(p: SleighParams, eps: float, u, omega, v0, t):
-    """Frozen-coefficient slip relaxation:
-    v(t) = (v0 + u omega / rho) exp(-rho t) - u omega / rho."""
-    rho = p.fast_rate(eps)
-    settle = -u * omega / rho
-    return (v0 - settle) * np.exp(-rho * np.asarray(t, dtype=float)) + settle
-
-
 def sleigh_h1_rhs(p: SleighParams, u: float, psi: float) -> float:
     """First-order slip drift: the slow manifold is v = eps * h1 + O(eps^2)
     with h1 = -m I u psi / (I + m a^2)."""
@@ -177,16 +174,32 @@ def sleigh_energy_ortho(p: SleighParams, u, v, psi) -> float:
 # full-state fields used by the experiment driver ---------------------------
 
 
+_SLEIGH_NH = """
+def sleigh_nh(st):
+    x, y, phi, u, om = st
+    return (u * math.cos(phi), u * math.sin(phi), om, a * om * om, nc * u * om)
+"""
+
+
 def sleigh_nh_field(p: SleighParams) -> Callable:
     """State (x, y, phi, u, omega); the rates of :func:`sleigh_nh_rhs`,
     its oracle, with the constants bound at build time."""
-    a, nc = p.a, -p.coupling
+    return straight_line(_SLEIGH_NH, a=p.a, nc=-p.coupling, math=math)
 
-    def rhs(st):
-        x, y, phi, u, om = st
-        return (u * math.cos(phi), u * math.sin(phi), om, a * om * om, nc * u * om)
 
-    return rhs
+_SLEIGH_FRICTION = """
+def sleigh_friction(st):
+    x, y, phi, u, v, om = st
+    s, c = math.sin(phi), math.cos(phi)
+    return (
+        u * c - v * s,
+        u * s + v * c,
+        om,
+        v * om + a * om * om,
+        -u * om - itot * v / mie,
+        a * v / ie,
+    )
+"""
 
 
 def sleigh_friction_field(p: SleighParams, eps: float) -> Callable:
@@ -195,22 +208,29 @@ def sleigh_friction_field(p: SleighParams, eps: float) -> Callable:
     build time."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    a, itot = p.a, p.itot
-    ie, mie = p.I * eps, p.m * p.I * eps
+    return straight_line(
+        _SLEIGH_FRICTION,
+        a=p.a,
+        itot=p.itot,
+        ie=p.I * eps,
+        mie=p.m * p.I * eps,
+        math=math,
+    )
 
-    def rhs(st):
-        x, y, phi, u, v, om = st
-        s, c = math.sin(phi), math.cos(phi)
-        return (
-            u * c - v * s,
-            u * s + v * c,
-            om,
-            v * om + a * om * om,
-            -u * om - itot * v / mie,
-            a * v / ie,
-        )
 
-    return rhs
+_SLEIGH_CORRECTED = """
+def sleigh_corrected(st):
+    x, y, phi, u, psi = st
+    s, c = math.sin(phi), math.cos(phi)
+    h1 = nsl * u * psi
+    return (
+        u * c + eps * (-h1 * s),
+        u * s + eps * (h1 * c),
+        psi + eps * (nc * h1),
+        a * psi * psi + eps * (ku * u * psi * psi),
+        nc * u * psi + eps * (kpsi * u * u * psi),
+    )
+"""
 
 
 def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
@@ -222,23 +242,16 @@ def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if eps == 0.0:
         return sleigh_nh_field(p)
-    a, nc, nsl = p.a, -p.coupling, -p.slaving
-    ku = p.slaving * (p.m * p.a**2 - p.I) / p.itot
-    kpsi = -p.slaving * p.coupling**2
-
-    def rhs(st):
-        x, y, phi, u, psi = st
-        s, c = math.sin(phi), math.cos(phi)
-        h1 = nsl * u * psi
-        return (
-            u * c + eps * (-h1 * s),
-            u * s + eps * (h1 * c),
-            psi + eps * (nc * h1),
-            a * psi * psi + eps * (ku * u * psi * psi),
-            nc * u * psi + eps * (kpsi * u * u * psi),
-        )
-
-    return rhs
+    return straight_line(
+        _SLEIGH_CORRECTED,
+        a=p.a,
+        nc=-p.coupling,
+        nsl=-p.slaving,
+        ku=p.slaving * (p.m * p.a**2 - p.I) / p.itot,
+        kpsi=-p.slaving * p.coupling**2,
+        eps=eps,
+        math=math,
+    )
 
 
 # generic-machinery builders -------------------------------------------------
@@ -389,6 +402,24 @@ def _radial(qx, qy):
     return r, qx / r, qy / r
 
 
+_PENDULUM_POTENTIAL = """
+def pendulum_potential(st):
+    x, y, vx, vy = st
+    r, ex, ey = _radial(x, y)
+    k = (r - 1.0) / eps
+    return (vx, vy, -k * ex, -g - k * ey)
+"""
+
+_PENDULUM_FRICTION = """
+def pendulum_friction(st):
+    x, y, vx, vy = st
+    r, ex, ey = _radial(x, y)
+    rdot = ex * vx + ey * vy
+    k = rdot / eps
+    return (vx, vy, -k * ex, -g - k * ey)
+"""
+
+
 def make_pendulum(variant: str, p: PendulumParams) -> Callable:
     """Unit-mass planar pendulum realizations on states (x, y, xdot, ydot).
 
@@ -402,36 +433,20 @@ def make_pendulum(variant: str, p: PendulumParams) -> Callable:
     if variant not in PENDULUM_VARIANTS:
         raise ValueError(f"unknown pendulum variant {variant!r}")
     g, eps = p.g, p.eps
+    if variant != "inertial":
+        text = _PENDULUM_POTENTIAL if variant == "potential" else _PENDULUM_FRICTION
+        return straight_line(text, g=g, eps=eps, _radial=_radial)
 
-    if variant == "potential":
-
-        def rhs(st):
-            x, y, vx, vy = st
-            r, ex, ey = _radial(x, y)
-            k = (r - 1.0) / eps
-            return (vx, vy, -k * ex, -g - k * ey)
-
-    elif variant == "friction":
-
-        def rhs(st):
-            x, y, vx, vy = st
-            r, ex, ey = _radial(x, y)
-            rdot = ex * vx + ey * vy
-            k = rdot / eps
-            return (vx, vy, -k * ex, -g - k * ey)
-
-    else:  # inertial
-
-        def rhs(st):
-            x, y, vx, vy = st
-            r, ex, ey = _radial(x, y)
-            e_r = np.array([ex, ey])
-            v = np.array([vx, vy])
-            v_perp = v - (e_r @ v) * e_r
-            mass = np.eye(2) + np.outer(e_r, e_r) / eps
-            force = np.array([0.0, -g]) - (v_perp @ v_perp) / (eps * r) * e_r
-            acc = np.linalg.solve(mass, force)
-            return np.array([vx, vy, acc[0], acc[1]])
+    def rhs(st):
+        x, y, vx, vy = st
+        r, ex, ey = _radial(x, y)
+        e_r = np.array([ex, ey])
+        v = np.array([vx, vy])
+        v_perp = v - (e_r @ v) * e_r
+        mass = np.eye(2) + np.outer(e_r, e_r) / eps
+        force = np.array([0.0, -g]) - (v_perp @ v_perp) / (eps * r) * e_r
+        acc = np.linalg.solve(mass, force)
+        return np.array([vx, vy, acc[0], acc[1]])
 
     return rhs
 

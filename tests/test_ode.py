@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import inspect
 import linecache
 import math
@@ -484,6 +485,20 @@ def test_field_errors_on_finite_states_propagate():
             integrate(broken, [1.0], cfg)
 
 
+def _text_of(field):
+    """The text the steppers write into their stages for field, or None: the
+    lookup integrate makes."""
+    return ode._TEXTS.get(getattr(field, "__code__", None))
+
+
+_FIRST_STAGE_FAILS = """
+def first_stage_fails(st):
+    (x,) = st
+    y = second_call_fails(x)
+    return (-y,)
+"""
+
+
 def _first_stage_failing_field():
     calls = [0]
 
@@ -493,12 +508,15 @@ def _first_stage_failing_field():
             raise ValueError("not a blow-up")
         return x
 
-    def rhs(st):
-        (x,) = st
-        y = second_call_fails(x)
-        return (-y,)
+    return ode.straight_line(_FIRST_STAGE_FAILS, second_call_fails=second_call_fails)
 
-    return rhs
+
+_KICKED = """
+def kicked(st):
+    (x,) = st
+    y = kick(x)
+    return (y,)
+"""
 
 
 def _kicked_field(values):
@@ -511,12 +529,7 @@ def _kicked_field(values):
             raise value
         return value
 
-    def rhs(st):
-        (x,) = st
-        y = kick(x)
-        return (y,)
-
-    return rhs
+    return ode.straight_line(_KICKED, kick=kick)
 
 
 @pytest.mark.parametrize("inlined", [False, True])
@@ -528,7 +541,7 @@ def test_field_error_after_an_overflowed_stage_propagates(inlined):
     values = [0.0, 0.0, 0.0, 8e307, 0.0, ValueError("not a blow-up")]
     inner = _kicked_field(values)
     field = inner if inlined else (lambda x: inner(x))
-    assert (ode._straight_line(field.__code__, 1) is not None) == inlined
+    assert (_text_of(field) is not None) == inlined
     cfg = IntegratorConfig(t_span=(0.0, 8.0), dt=4.0, sample_dt=8.0)
     with pytest.raises(ValueError, match="not a blow-up"):
         integrate(field, [0.0], cfg)
@@ -539,7 +552,7 @@ def test_field_error_on_first_stage_propagates(inlined):
     for method in ("rk4", "rkf45"):
         inner = _first_stage_failing_field()
         field = inner if inlined else (lambda x: inner(x))
-        assert (ode._straight_line(field.__code__, 1) is not None) == inlined
+        assert (_text_of(field) is not None) == inlined
         cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
         with pytest.raises(ValueError, match="not a blow-up"):
             integrate(field, [1.0], cfg)
@@ -575,7 +588,7 @@ def test_sample_at_exact_on_cubic_trajectories():
     check()
 
 
-# Fields written as straight-line closures are inlined into the stepper;
+# Fields declared as straight-line texts are inlined into the stepper;
 # every other field is called.
 
 
@@ -621,6 +634,10 @@ def _called_fields():
         counts[0] += 1
         return friction(x)
 
+    @functools.wraps(friction)
+    def wrapped(x):  # takes the field's name and attributes, not its code
+        return friction(x)
+
     generic = dynamics.friction_field(
         sleigh_system(p), sleigh_uvw_frame(p), sleigh_friction_form(p), 4e-3
     )
@@ -629,6 +646,7 @@ def _called_fields():
         "dynamics-friction": (generic, 6),
         "lambda": (lambda x: friction(x), 6),
         "counting-wrapper": (counted, 6),
+        "functools-wrapper": (wrapped, 6),
     }
 
 
@@ -636,119 +654,17 @@ def _called_fields():
 @pytest.mark.parametrize("name", sorted(_inlined_fields()))
 def test_straight_line_fields_are_inlined(name, method):
     field, n = _inlined_fields()[name]
-    step = ode._stepper(method, n, field.__code__)
-    source = inspect.getsource(step)
-    assert "field(" not in source
-    line = field.__code__.co_firstlineno
-    assert step.__code__.co_filename.endswith(f" rhs systems.py:{line}")
+    step = ode._stepper(method, n, _text_of(field))
+    assert "field(" not in inspect.getsource(step)
+    assert step.__code__.co_filename == f"nonholib.ode {method} n={n} {field.__name__}"
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
 @pytest.mark.parametrize("name", sorted(_called_fields()))
 def test_other_fields_are_called(name, method):
     field, n = _called_fields()[name]
-    step = ode._stepper(method, n, field.__code__)
-    assert step is ode._stepper(method, n)
-    assert "= field(xs)" in inspect.getsource(step)
-
-
-def test_straight_line_shapes_refused():
-    k = 2.0
-
-    def reads_param(st):
-        x, v = st
-        return (v, -k * st[0])
-
-    def assigns_argument(st):
-        x, v = st
-        x = k * x
-        return (v, -x)
-
-    def reads_before_assigning(st):
-        x, v = st
-        y = z if x > 0 else v  # noqa: F821
-        z = -k * x
-        return (v, y)
-
-    def comprehension(st):
-        x, v = st
-        w = sum([x for _ in range(2)])
-        return (v, -w)
-
-    def walrus(st):
-        x, v = st
-        return (v, -(w := k * x))
-
-    def subscript_target(st):
-        x, v = st
-        out = [v, 0.0]
-        out[1] = -x
-        return (v, -x)
-
-    def wrong_length(st):
-        x, v = st
-        return (v, -x, 0.0)
-
-    for f in (
-        reads_param,
-        assigns_argument,
-        reads_before_assigning,
-        comprehension,
-        walrus,
-        subscript_target,
-        wrong_length,
-    ):
-        assert ode._straight_line(f.__code__, 2) is None, f.__name__
-
-    def accepted(st):
-        x, v = st
-        w = k * x
-        return (v, -w)
-
-    assert ode._straight_line(accepted.__code__, 2) is not None
-    assert ode._straight_line(accepted.__code__, 3) is None
-
-    @(lambda f: f)  # a code object of its own next to the field's
-    def decorated(st):
-        x, v = st
-        return (v, -k * x)
-
-    assert ode._straight_line(decorated.__code__, 2) is not None
-
-
-_COMPILED = ["def rhs(st):\n", "    (x,) = st\n", "    y = 2.0 * x\n", "    return (-y,)\n"]
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        ("    y = 3.0 * x\n", 2),  # a constant
-        ("    y = 2 * x\n", 2),  # an int for an equal float
-        ("    y = 2.0 / x\n", 2),  # an operator
-        ("    z = 2.0 * x\n", 2),  # a local's name
-        ("    y = 2.0 * x\n    y = y + x\n", 2),  # a statement
-    ],
-)
-def test_source_that_is_not_the_code_is_not_inlined(monkeypatch, edit):
-    # the source on record was edited after the code was compiled
-    namespace = {}
-    exec(compile("".join(_COMPILED), "edited.py", "exec"), namespace)
-    code = namespace["rhs"].__code__
-    monkeypatch.setitem(linecache.cache, "edited.py", (0, None, _COMPILED, "edited.py"))
-    assert ode._straight_line(code, 1) is not None
-    line, index = edit
-    edited = _COMPILED[:index] + [line] + _COMPILED[index + 1 :]
-    monkeypatch.setitem(linecache.cache, "edited.py", (0, None, edited, "edited.py"))
-    assert ode._straight_line(code, 1) is None
-
-
-def test_fields_run_many_times_are_still_inlined():
-    # the interpreter may rewrite a hot function's bytecode in place
-    fields = _inlined_fields()
-    for field, n in fields.values():
-        for _ in range(1000):
-            field([0.5] * n)
-        assert ode._straight_line(field.__code__, n) is not None
+    assert _text_of(field) is None
+    assert "= field(xs)" in inspect.getsource(ode._stepper(method, n))
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
@@ -768,50 +684,26 @@ def test_one_inlined_stepper_serves_every_eps_bitwise(method):
         assert traj.states.tobytes() == states.tobytes()
         assert traj.derivs.tobytes() == derivs.tobytes()
     hits = ode._stepper.cache_info().hits
-    ode._stepper(method, 6, fields[1].__code__)
+    ode._stepper(method, 6, _text_of(fields[1]))
     assert ode._stepper.cache_info().hits == hits + 1
 
 
-def _damped_root(limit):
-    def rhs(st):
-        x, v = st
-        r = math.sqrt(x - limit)  # a finite stage below the limit: ValueError
-        return (v, -r - v)
-
-    return rhs
+_DAMPED_ROOT = """
+def damped_root(st):
+    x, v = st
+    r = math.sqrt(x - limit)  # a finite stage below the limit: ValueError
+    return (v, -r - v)
+"""
 
 
 def test_inlined_field_errors_on_finite_states_propagate():
-    field = _damped_root(0.0)
-    assert ode._straight_line(field.__code__, 2) is not None
+    field = ode.straight_line(_DAMPED_ROOT, math=math, limit=0.0)
+    assert _text_of(field) is not None
     for method in ("rk4", "rkf45"):
         cfg = IntegratorConfig(t_span=(0.0, 5.0), dt=1e-2, sample_dt=0.1, method=method)
         with pytest.raises(ValueError, match="math domain error") as err:
             integrate(field, [1.0, -3.0], cfg)
         assert err.value.__class__ is ValueError
-
-
-_SHIFT = 0.0  # falsy, and no builtin of that name
-
-
-def _shifted_decay():
-    def rhs(st):
-        (x,) = st
-        return (_SHIFT - x,)
-
-    return rhs
-
-
-def test_inlined_field_reads_globals_at_each_call(monkeypatch):
-    field = _shifted_decay()
-    assert ode._straight_line(field.__code__, 1) is not None
-    cfg = IntegratorConfig(t_span=(0.0, 0.5), dt=1e-2, sample_dt=0.1)
-    runs = []
-    for shift in (0.0, 0.5):
-        monkeypatch.setitem(globals(), "_SHIFT", shift)
-        runs.append(integrate(field, [1.0], cfg).states.tobytes())
-        assert runs[-1] == integrate(lambda x: field(x), [1.0], cfg).states.tobytes()
-    assert runs[0] != runs[1]
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
@@ -846,8 +738,7 @@ def test_inlined_pendulum_reaching_origin_mid_run():
         for tb, summary in zip(_tracebacks(err.tb), traceback.extract_tb(err.tb))
         if summary.filename.startswith("nonholib.ode")
     ]
-    code = field.__code__
-    assert summary.filename.endswith(f" rhs systems.py:{code.co_firstlineno}")
+    assert summary.filename == "nonholib.ode rk4 n=4 pendulum_friction"
     assert "f__radial(" in summary.line
     # the 20th step, the last of the fifth sample interval
     assert (frame.f_locals["t"], frame.f_locals["j"]) == (16 * dt, 3)
@@ -859,13 +750,12 @@ def _tracebacks(tb):
         tb = tb.tb_next
 
 
-def _lookup_field(limit):
-    def rhs(st):
-        (x,) = st
-        y = _failing_lookup(x, limit)
-        return (-y,)
-
-    return rhs
+_LOOKUP = """
+def lookup(st):
+    (x,) = st
+    y = failing_lookup(x, limit)
+    return (-y,)
+"""
 
 
 def _failing_lookup(x, limit):
@@ -877,15 +767,64 @@ def _failing_lookup(x, limit):
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
 @pytest.mark.parametrize("inlined", [False, True])
 def test_stepper_source_survives_linecache_clear(method, inlined):
-    inner = _lookup_field(0.5)
+    inner = ode.straight_line(_LOOKUP, failing_lookup=_failing_lookup, limit=0.5)
     field = inner if inlined else (lambda x: inner(x))
-    step = ode._stepper(method, 1, field.__code__)
+    step = ode._stepper(method, 1, _text_of(field))
     linecache.clearcache()
     with contextlib.suppress(OSError):  # never another module's lines
         assert inspect.getsource(step).startswith(f"def {method}_n1(")
     cfg = IntegratorConfig(t_span=(0.0, 2.0), dt=1e-2, sample_dt=0.1, method=method)
     with pytest.raises(KeyError, match="mid-run") as err:
         integrate(field, [1.0], cfg)
-    [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
-    assert ("f__failing_lookup(" if inlined else "= field(xs)") in frame.line
+    [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename == step.__code__.co_filename]
+    assert ("f_failing_lookup(" if inlined else "= field(xs)") in frame.line
     assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
+
+
+_SCALED_DECAY = """
+def scaled_decay(st):
+    (x,) = st
+    return (-k * x,)
+"""
+
+
+def test_declared_constants_checked_when_built():
+    assert ode.straight_line(_SCALED_DECAY, k=2.0)([3.0]) == (-6.0,)
+    with pytest.raises(TypeError, match="'k'"):
+        ode.straight_line(_SCALED_DECAY)
+    with pytest.raises(TypeError, match="'c'"):
+        ode.straight_line(_SCALED_DECAY, k=2.0, c=1.0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "def f(st):\n    x, v = st\n    return (v, -k * st[0])\n",  # reads st again
+        "def f(st):\n    x, v = st\n    x = k * x\n    return (v, -x)\n",  # assigns x
+        "def f(st):\n    x, v = st\n    y = z\n    z = k * x\n    return (v, y)\n",  # z first
+        "def f(st):\n    x, v = st\n    k * x\n    return (v, -x)\n",  # no assignment
+        "def f(st):\n    x, v = st\n    return (v, -k * x, 0.0)\n",  # three results
+        "@staticmethod\ndef f(st):\n    x, v = st\n    return (v, -k * x)\n",  # decorated
+    ],
+)
+def test_malformed_texts_refused_when_declared(text):
+    with pytest.raises(ValueError, match="not a straight-line field"):
+        ode.straight_line(text, k=2.0)
+
+
+def test_a_field_name_declares_one_text():
+    # so a field's maker and its steppers never share a linecache file with
+    # those of another text
+    _kicked_field([0.0])
+    with pytest.raises(ValueError, match="'kicked'"):
+        ode.straight_line(_KICKED.replace("(y,)", "(-y,)"), kick=abs)
+
+
+def test_called_declared_field_traceback_shows_its_line():
+    # integrate's per-sample field(x) calls the declared field itself
+    field = _kicked_field([KeyError("lookup failed mid-run")])
+    linecache.clearcache()
+    with pytest.raises(KeyError, match="mid-run") as err:
+        integrate(field, [1.0], IntegratorConfig(t_span=(0.0, 1.0)))
+    [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
+    assert (frame.filename, frame.name, frame.line) == ("nonholib.ode kicked", "kicked", "y = kick(x)")
