@@ -44,6 +44,16 @@ class DegenerateFit(ValueError):
     """A fit's data is identically zero, so the fit is undetermined."""
 
 
+class NonFiniteValue(ValueError):
+    """A value an analysis pass reads is NaN or infinite, such as a state
+    column that `ode.integrate` left out."""
+
+
+def _finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue(f"{what} holds a non-finite value")
+
+
 @dataclass
 class ManifoldFit:
     """Post-transient samples against the first-order slow-manifold graph."""
@@ -77,7 +87,8 @@ def sup_distance(
     Both trajectories are interpolated onto a common grid whose spacing is
     the finer of the two sampling intervals; distance is taken over the
     selected components (all shared components by default).  Symmetric in
-    its trajectory arguments and a metric on any fixed grid.
+    its trajectory arguments and a metric on any fixed grid.  Raises
+    NonFiniteValue if a selected component is not finite on the grid.
     """
     if t_end <= t1:
         raise WindowMismatch(f"need t_end > t1, got [{t1}, {t_end}]")
@@ -99,6 +110,8 @@ def sup_distance(
         xb = xb[:, idx]
     elif xa.shape[1] != xb.shape[1]:
         raise WindowMismatch("trajectories have different dimensions")
+    _finite(xa, "the first trajectory")
+    _finite(xb, "the second trajectory")
     return float(np.max(np.linalg.norm(xa - xb, axis=1)))
 
 
@@ -133,13 +146,16 @@ def pseudo_solution_defect(
     Measures how far a curve is from solving the given field; a trajectory
     produced by integrating the same field has zero defect by construction,
     while a projected large-friction trajectory tested against the
-    constrained field has a defect proportional to eps.
+    constrained field has a defect proportional to eps.  The field may be
+    handed states with non-finite columns it does not read; a selected
+    difference that is not finite raises NonFiniteValue.
     """
     diffs = np.empty_like(traj.states)
     for i in range(len(traj)):
         diffs[i] = traj.derivs[i] - field_fn(traj.states[i])
     if components is not None:
         diffs = diffs[:, list(components)]
+    _finite(diffs, "the defect xdot - X(x)")
     return float(np.max(np.linalg.norm(diffs, axis=1)))
 
 

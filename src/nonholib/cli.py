@@ -45,6 +45,7 @@ from .ode import (
     Trajectory,
     integrate,
     restrict_window,
+    rows_read,
     transform_linear,
 )
 from .systems import (
@@ -381,15 +382,24 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     rate = _fast_rate(cfg, entry, fric_state)
     fric_icfgs = [_integrator_config(cfg, eps, rate) for eps in cfg.eps]
     nh_field = nh_spec.build(cfg.params, None)
-    nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg))
     comps = entry.compare_components or None
+    nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg), read=comps)
     adapted = entry.adapted_frame is not None
     to_reduced = entry.reduce_matrix(cfg.params) if adapted else None
     t1, t_end = cfg.window_start, cfg.t1
+    # a friction run is read through the compared components and, by the
+    # defect, through the rows the nh field reads; None reads every row
+    fric_read, nh_reads = None, rows_read(nh_field)
+    if comps is not None and nh_reads is not None:
+        fric_read = sorted(nh_reads.union(comps))
+        if adapted:
+            fric_read = np.flatnonzero(to_reduced[fric_read].any(axis=0)).tolist()
 
     errors, defects, corr_errors = [], [], []
     for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
-        fric_traj = integrate(fric_spec.build(cfg.params, eps), fric_state, fric_icfg)
+        fric_traj = integrate(
+            fric_spec.build(cfg.params, eps), fric_state, fric_icfg, read=fric_read
+        )
         reduced = transform_linear(fric_traj, to_reduced) if adapted else fric_traj
         errors.append(analysis.sup_distance(reduced, nh_traj, t1, t_end, comps))
         # defect over the post-transient window, matching the report window
@@ -401,6 +411,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 corr_spec.build(cfg.params, eps),
                 nh_state,
                 _integrator_config(cfg),
+                read=comps,
             )
             corr_errors.append(
                 analysis.sup_distance(reduced, corr_traj, t1, t_end, comps)
@@ -563,6 +574,7 @@ def main(argv=None) -> int:
         analysis.TransientTooShort,
         analysis.WindowMismatch,
         analysis.DegenerateFit,
+        analysis.NonFiniteValue,
     ) as exc:
         print(f"analysis precondition failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS

@@ -38,13 +38,31 @@ tracing wrapper of perfbench's ``--trace 1``, whose per-layer times
 therefore describe the called path (its evaluation counts stay exact).
 Both paths give bitwise-equal results.
 
+Which rows are integrated: every row, unless the caller names the rows
+it reads (`integrate`'s ``read``) and the field is declared as text.  Each
+rate of a text reads the rows its expression reads, directly or through
+the locals it reads (`rows_read`).  An rk4 run then leaves out each row
+that the caller does not read and that no rate reads: it integrates the
+text restricted to the kept rows, with the statements only the left-out
+results need dropped (the sleigh's ``s, c = math.sin(phi), math.cos(phi)``
+when its x and y are left out).  The restricted text is cached like any
+text and declared under its own name, such as ``sleigh_friction_rows_2_3_4_5``,
+so one stepper serves every eps and tracebacks tell it apart.  A left-out
+row's state column is NaN; its derivative column is exact, the whole
+field's value at each sample, since that value reads only kept rows.  The
+kept rows are bitwise those of the whole run.  An rkf45 run, a called
+field and ``read=None`` integrate every row: the Fehlberg error norm reads
+every row, and a called field may read any.
+
 A stepper is compiled on first use and cached.  Its source, like each
 field text's maker, is registered in `linecache` under a file name: a
 stepper's is such as ``nonholib.ode rk4 n=6``, to which an inlined stepper
 adds the field's name (``... sleigh_friction``), and a maker's is the
 field's name (``nonholib.ode sleigh_friction``).  One name declares one
 text, so tracebacks and profiles tell the steppers and fields apart and
-show their lines, after `linecache.clearcache` too.
+show their lines, after `linecache.clearcache` too.  `inspect.getsource`
+does not: after a clearcache it finds no module for such a file name and
+raises OSError until a traceback has read the lines again.
 
 The steppers keep the operation order of whole-array code, so their results
 are bitwise equal to it: each Fehlberg sum runs left to right from int 0 and
@@ -225,10 +243,21 @@ def transform_linear(traj: Trajectory, matrix) -> Trajectory:
 
     Useful for projecting onto a subset of components or for constant
     changes of quasi-velocity coordinates; both commute with d/dt, so the
-    stored derivatives stay consistent.
+    stored derivatives stay consistent.  A NaN (a row left out by
+    `integrate`) makes NaN only the outputs whose map row has a nonzero
+    entry in its column; finite input gives the plain product.
     """
     m = np.asarray(matrix, dtype=float)
-    return Trajectory(traj.times, traj.states @ m.T, traj.derivs @ m.T)
+    return Trajectory(traj.times, _apply(traj.states, m), _apply(traj.derivs, m))
+
+
+def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    nan = np.isnan(x)
+    if not nan.any():
+        return x @ m.T
+    out = np.where(nan, 0.0, x) @ m.T
+    out[nan @ (m != 0).T] = np.nan
+    return out
 
 
 def restrict_window(traj: Trajectory, t_lo: float, t_hi: float) -> Trajectory:
@@ -244,7 +273,7 @@ def _sample_times(t0: float, t1: float, sample_dt: float) -> np.ndarray:
     return t0 + sample_dt * np.arange(n + 1)
 
 
-def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
+def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajectory:
     """Integrate ``x' = field(x)`` over cfg.t_span, sampling every sample_dt.
 
     Parameters
@@ -255,6 +284,10 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
     x0 : array_like
         Initial state, finite.
     cfg : IntegratorConfig
+    read : iterable of int, optional
+        The rows whose states the caller reads; None reads every row.  A
+        row that is not read and that no rate of a declared field reads is
+        left out of an rk4 run (see the module docstring).
 
     Returns
     -------
@@ -273,20 +306,36 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig) -> Trajectory:
         raise ValueError("x0 must be a non-empty flat vector")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
+    rows = list(range(x0.size))
+    reads = None if read is None or cfg.method != "rk4" else rows_read(field)
+    if reads is not None:
+        if not set(read) <= set(rows):
+            raise ValueError(f"read rows {sorted(read)} outside a state of {x0.size}")
+        rows = sorted(reads.union(read))
+    left_out = len(rows) < x0.size
+    stepped = _restricted_field(field, tuple(rows)) if left_out else field
+    step = _stepper(cfg.method, len(rows), _TEXTS.get(getattr(stepped, "__code__", None)))
+    cols = rows if left_out else slice(None)  # a slice: whole runs index fast
     times = _sample_times(*cfg.t_span, cfg.sample_dt)
-    step = _stepper(cfg.method, x0.size, _TEXTS.get(getattr(field, "__code__", None)))
-    states = np.empty((len(times), x0.size))
+    states = np.full((len(times), x0.size), np.nan)
     derivs = np.empty((len(times), x0.size))
     ts = times.tolist()
-    x = x0.tolist()
+    x = x0[cols].tolist()
     h = cfg.dt
-    states[0] = x
-    derivs[0] = field(x)
-    for i in range(1, len(ts)):
-        x, h = step(field, x, ts[i - 1], ts[i], h, cfg)
-        states[i] = x
-        derivs[i] = field(x)
+    for i in range(len(ts)):
+        if i:
+            x, h = step(stepped, x, ts[i - 1], ts[i], h, cfg)
+        states[i, cols] = x
+        # exact on a left-out row too, since no rate reads it
+        derivs[i] = field(states[i].tolist() if left_out else x)
     return Trajectory(times, states, derivs)
+
+
+def rows_read(field: Callable):
+    """The rows that some rate of a field declared as text reads, as a
+    frozenset; None for a called field, which may read any row."""
+    text = _TEXTS.get(getattr(field, "__code__", None))
+    return None if text is None else frozenset().union(*_rate_reads(text))
 
 
 def straight_line(source: str, **consts) -> Callable:
@@ -308,7 +357,7 @@ _NAMES = {}
 def _declared(source: str) -> tuple:
     """(maker, code) of a field text: maker(**consts) builds a field whose
     code is code."""
-    name, _, _, _, free = _parse(source)
+    name, _, _, _, _, free = _parse(source)
     if _NAMES.setdefault(name, source) != source:
         raise ValueError(f"another field text is already named {name!r}")
     text = textwrap.indent(textwrap.dedent(source).strip("\n"), "    ")
@@ -320,9 +369,9 @@ def _declared(source: str) -> tuple:
 
 
 def _parse(source: str) -> tuple:
-    """(name, argument names, statements, results, free names) of a field
-    text, from a fresh syntax tree; ValueError unless the text has the shape
-    that straight_line asks for."""
+    """(name, parameter, argument names, statements, results, free names) of
+    a field text, from a fresh syntax tree; ValueError unless the text has
+    the shape that straight_line asks for."""
     refused = ValueError(f"not a straight-line field text:\n{source}")
     body = ast.parse(textwrap.dedent(source)).body
     if not (
@@ -360,7 +409,7 @@ def _parse(source: str) -> tuple:
         if _names([stmt], ast.Load) & (local - assigned):
             raise refused
         assigned |= _names([stmt], ast.Store)
-    return fn.name, args, stmts, last.value.elts, free
+    return fn.name, param, args, stmts, last.value.elts, free
 
 
 def _names(nodes, ctx) -> set:
@@ -371,6 +420,49 @@ def _names(nodes, ctx) -> set:
         for m in ast.walk(node)
         if isinstance(m, ast.Name) and isinstance(m.ctx, ctx)
     }
+
+
+@functools.cache
+def _rate_reads(text: str) -> tuple:
+    """For each rate of a field text, the rows (argument indices) that it
+    reads, directly or through the locals it reads."""
+    _, _, args, stmts, results, _ = _parse(text)
+    rows = {arg: {i} for i, arg in enumerate(args)}
+
+    def read_by(node):
+        return set().union(*(rows.get(name, ()) for name in _names([node], ast.Load)))
+
+    for stmt in stmts:
+        for name in _names([stmt], ast.Store):
+            rows[name] = read_by(stmt)
+    return tuple(frozenset(read_by(result)) for result in results)
+
+
+@functools.cache
+def _restricted(text: str, keep: tuple) -> str:
+    """The field text of the rows keep of a field text, named after them:
+    their arguments and results, and the statements these results need."""
+    name, param, args, stmts, results, _ = _parse(text)
+    need, body = _names([results[i] for i in keep], ast.Load), []
+    for stmt in reversed(stmts):
+        stored = _names([stmt], ast.Store)
+        if stored & need:
+            body.insert(0, f"    {ast.unparse(stmt)}")
+            need = need - stored | _names([stmt], ast.Load)
+    lines = [
+        f"def {name}_rows_{'_'.join(map(str, keep))}({param}):",
+        f"    {', '.join(args[i] for i in keep)}, = {param}",
+        *body,
+        f"    return ({', '.join(ast.unparse(results[i]) for i in keep)},)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _restricted_field(field: Callable, keep: tuple) -> Callable:
+    """The field of the rows keep of a declared field, with its constants."""
+    consts = dict(zip(field.__code__.co_freevars, field.__closure__ or ()))
+    maker, code = _declared(_restricted(_TEXTS[field.__code__], keep))
+    return maker(**{name: consts[name].cell_contents for name in code.co_freevars})
 
 
 # Fehlberg 4(5) tableau.  The fourth-order solution is propagated; the
@@ -436,7 +528,7 @@ def _field_snippets(n: int, text) -> tuple:
             return [f"{pad}xs = [{_row(state, n)}]", f"{pad}{_row(f'k{k}_#', n)}, = field(xs)"]
 
         return [], "all(map(isfinite, xs))", call
-    _, args, stmts, results, _ = _parse(text)
+    _, _, args, stmts, results, _ = _parse(text)
     # read at every call, so one stepper serves every field of the text
     bind = [
         f"    f_{const} = field.__closure__[{i}].cell_contents"

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from nonholib.analysis import (
     DegenerateFit,
     LadderTooShort,
+    NonFiniteValue,
     TransientTooShort,
     WindowMismatch,
     energy_audit,
@@ -102,6 +103,22 @@ def test_sup_distance_window_mismatch():
         sup_distance(a, b, 0.5, 1.5)
     with pytest.raises(WindowMismatch):
         sup_distance(a, b, 0.9, 0.2)
+
+
+def test_nan_column_reaches_no_distance_or_defect():
+    # column 0 left out of the run, as integrate leaves a row no one reads
+    a = constant_traj([np.nan, 1.0])
+    b = constant_traj([0.0, 0.5])
+    assert sup_distance(a, b, 0.1, 0.9, components=(1,)) == 0.5
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(NonFiniteValue, match="non-finite"):
+            sup_distance(x, y, 0.1, 0.9)
+    assert pseudo_solution_defect(a, lambda x: [0.0, 0.0]) == 0.0
+    with pytest.raises(NonFiniteValue, match="non-finite"):
+        pseudo_solution_defect(a, lambda x: [x[0], 0.0])
+    with pytest.raises(NonFiniteValue, match="non-finite"):
+        pseudo_solution_defect(a, lambda x: [x[0], 0.0], components=(0,))
+    assert pseudo_solution_defect(a, lambda x: [x[0], 0.0], components=(1,)) == 0.0
 
 
 def test_sup_distance_sleigh_decreases_with_eps(sleigh):

@@ -391,6 +391,47 @@ def test_compare_pendulum_defects_shrink(tmp_path):
     assert 1.5 < d[0] / d[1] < 2.5
 
 
+_SHORT_COMPARE = [
+    "compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1.5",
+    "--state", "0.3,-0.2,0.7,-1.1,0.45",
+]
+
+
+def test_compare_report_equals_whole_runs(tmp_path, monkeypatch):
+    # oracle: the same report with every run integrating every row
+    from nonholib import cli, ode
+
+    runs = []
+
+    def recorded(field, x0, cfg, read=None):
+        traj = ode.integrate(field, x0, cfg, read=read)
+        runs.append((read, np.isnan(traj.states).all(axis=0).nonzero()[0].tolist()))
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    assert run(_SHORT_COMPARE + ["--out", str(tmp_path / "part")]) == 0
+    # the nh run, then per rung a friction run and a corrected run
+    assert runs == [((3, 4), [0, 1])] + [([2, 3, 4, 5], [0, 1]), ((3, 4), [0, 1])] * 3
+    monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
+    assert run(_SHORT_COMPARE + ["--out", str(tmp_path / "whole")]) == 0
+    part = (tmp_path / "part_compare.json").read_bytes()
+    assert part == (tmp_path / "whole_compare.json").read_bytes()
+
+
+def test_left_out_row_read_by_analysis_exits_4(tmp_path, monkeypatch, capsys):
+    # a distance over every component reads the NaN x, y columns
+    from nonholib import analysis
+
+    sup_distance = analysis.sup_distance
+    monkeypatch.setattr(
+        analysis, "sup_distance", lambda a, b, t1, t_end, comps: sup_distance(a, b, t1, t_end)
+    )
+    assert run(_SHORT_COMPARE + ["--out", str(tmp_path / "cmp")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "cmp_compare.json").exists()
+
+
 def test_simulate_eps_ladder_writes_tagged_files(tmp_path):
     out = tmp_path / "runs.csv"
     rc = run(

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import inspect
 import linecache
@@ -12,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nonholib import ode
+from nonholib.systems import _SLEIGH_CORRECTED, _SLEIGH_FRICTION
 from nonholib.ode import (
     _FE_A,
     _FE_B4,
@@ -771,14 +771,18 @@ def test_stepper_source_survives_linecache_clear(method, inlined):
     field = inner if inlined else (lambda x: inner(x))
     step = ode._stepper(method, 1, _text_of(field))
     linecache.clearcache()
-    with contextlib.suppress(OSError):  # never another module's lines
-        assert inspect.getsource(step).startswith(f"def {method}_n1(")
+    # inspect finds no module for the stepper's file name, so it reads no
+    # other module's lines; the traceback below reads them back
+    with pytest.raises(OSError, match="source code not available"):
+        inspect.getsource(step)
     cfg = IntegratorConfig(t_span=(0.0, 2.0), dt=1e-2, sample_dt=0.1, method=method)
     with pytest.raises(KeyError, match="mid-run") as err:
         integrate(field, [1.0], cfg)
     [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename == step.__code__.co_filename]
     assert ("f_failing_lookup(" if inlined else "= field(xs)") in frame.line
-    assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
+    source = inspect.getsource(step)
+    assert source.startswith(f"def {method}_n1(")
+    assert source.splitlines()[frame.lineno - 1].strip() == frame.line
 
 
 _SCALED_DECAY = """
@@ -828,3 +832,114 @@ def test_called_declared_field_traceback_shows_its_line():
         integrate(field, [1.0], IntegratorConfig(t_span=(0.0, 1.0)))
     [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
     assert (frame.filename, frame.name, frame.line) == ("nonholib.ode kicked", "kicked", "y = kick(x)")
+
+
+# Which rows each rate reads, from the texts: the sleigh's x and y (rows 0
+# and 1) are read by no rate, and every pendulum row is read by some rate.
+_RATE_READS = {
+    "sleigh-nh": ({2, 3}, {2, 3}, {4}, {4}, {3, 4}),
+    "sleigh-friction": ({2, 3, 4}, {2, 3, 4}, {5}, {4, 5}, {3, 4, 5}, {4}),
+    "sleigh-corrected": ({2, 3, 4}, {2, 3, 4}, {3, 4}, {3, 4}, {3, 4}),
+    "pendulum-friction": ({2}, {3}, {0, 1, 2, 3}, {0, 1, 2, 3}),
+    "pendulum-potential": ({2}, {3}, {0, 1}, {0, 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RATE_READS))
+def test_rows_each_rate_reads(name):
+    field, n = _inlined_fields()[name]
+    assert ode._rate_reads(_text_of(field)) == tuple(map(frozenset, _RATE_READS[name]))
+    expected = set(range(2, n)) if name.startswith("sleigh") else set(range(n))
+    assert ode.rows_read(field) == expected
+
+
+# (initial state, rk4 step, rows the caller reads, rows an rk4 run integrates)
+_RESTRICTED_RUNS = {
+    "sleigh-nh": ([0.1, -0.2, 0.3, -1.0, 0.5], 1e-3, (3, 4), [2, 3, 4]),
+    "sleigh-friction": ([0.1, -0.2, 0.3, -1.0, 0.02, 0.5], 2e-4, (3, 4), [2, 3, 4, 5]),
+    "sleigh-corrected": ([0.1, -0.2, 0.3, -1.0, 0.5], 1e-3, (3,), [2, 3, 4]),
+    "pendulum-friction": ([0.6, -0.8, 0.3, 0.2], 2e-4, (0,), [0, 1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize("name", sorted(_RESTRICTED_RUNS))
+def test_rows_no_one_reads_are_left_out_of_rk4_runs(name, method):
+    field, n = _inlined_fields()[name]
+    x0, dt, read, kept = _RESTRICTED_RUNS[name]
+    cfg = IntegratorConfig(t_span=(0.0, 0.5), dt=dt, sample_dt=1e-2, method=method)
+    whole = integrate(field, x0, cfg)
+    part = integrate(field, x0, cfg, read=read)
+    if method == "rkf45":  # the error norm reads every row
+        kept = list(range(n))
+    left_out = sorted(set(range(n)) - set(kept))
+    assert part.states[:, kept].tobytes() == whole.states[:, kept].tobytes()
+    assert part.derivs.tobytes() == whole.derivs.tobytes()
+    assert np.isnan(part.states[:, left_out]).all()
+    assert not np.isnan(whole.states).any()
+
+
+def test_restricted_stepper_is_its_own_text_and_serves_every_eps():
+    from nonholib.systems import SleighParams, sleigh_friction_field
+
+    x0 = [0.1, -0.2, 0.3, -1.0, 0.02, 0.5]
+    cfg = IntegratorConfig(t_span=(0.0, 0.1), dt=1e-4, sample_dt=1e-2)
+    for eps in (8e-3, 2e-3):
+        integrate(sleigh_friction_field(SleighParams(), eps), x0, cfg, read=(3, 4))
+    hits = ode._stepper.cache_info().hits
+    step = ode._stepper("rk4", 4, ode._restricted(_SLEIGH_FRICTION, (2, 3, 4, 5)))
+    assert ode._stepper.cache_info().hits == hits + 1
+    assert step.__code__.co_filename == "nonholib.ode rk4 n=4 sleigh_friction_rows_2_3_4_5"
+    # the sin and cos of phi went with the x and y rates
+    source = inspect.getsource(step)
+    assert "field(" not in source and "f_math" not in source
+
+
+def test_restricted_text_keeps_what_its_results_need():
+    text = ode._restricted(_SLEIGH_CORRECTED, (2, 3, 4))
+    assert text == (
+        "def sleigh_corrected_rows_2_3_4(st):\n"
+        "    phi, u, psi, = st\n"
+        "    h1 = nsl * u * psi\n"
+        "    return (psi + eps * (nc * h1), a * psi * psi + eps * (ku * u * psi * psi),"
+        " nc * u * psi + eps * (kpsi * u * u * psi),)\n"
+    )
+
+
+def test_called_fields_and_unread_runs_integrate_every_row():
+    field, _ = _inlined_fields()["sleigh-friction"]
+    x0, dt = _RESTRICTED_RUNS["sleigh-friction"][:2]
+    cfg = IntegratorConfig(t_span=(0.0, 0.3), dt=dt, sample_dt=1e-2)
+    whole = integrate(field, x0, cfg)
+    for f, r in ((lambda x: field(x), (3, 4)), (field, None)):
+        run = integrate(f, x0, cfg, read=r)
+        assert run.states.tobytes() == whole.states.tobytes()
+        assert run.derivs.tobytes() == whole.derivs.tobytes()
+    assert ode.rows_read(lambda x: field(x)) is None
+
+
+def test_read_rows_outside_the_state_refused():
+    field, _ = _inlined_fields()["sleigh-nh"]
+    with pytest.raises(ValueError, match="outside a state of 5"):
+        integrate(field, [0.0, 0.0, 0.0, -1.0, 0.5], IntegratorConfig(t_span=(0, 1)), read=(5,))
+
+
+def test_transform_linear_bitwise_on_finite_input_and_nan_only_where_read():
+    rng = np.random.default_rng(3)
+    states, derivs = rng.normal(size=(2, 9, 4))
+    traj = Trajectory(np.arange(9.0), states, derivs)
+    m = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 2.0, 0.0], [0.0, 0.0, 0.7, 1.3]])
+    mapped = transform_linear(traj, m)
+    assert mapped.states.tobytes() == (states @ m.T).tobytes()
+    assert mapped.derivs.tobytes() == (derivs @ m.T).tobytes()
+    # column 1 NaN throughout, column 3 at one sample: only outputs whose map
+    # row reads that column (and, for column 3, only at that sample) are NaN
+    holed = states.copy()
+    holed[:, 1] = np.nan
+    holed[4, 3] = np.nan
+    out = transform_linear(Trajectory(traj.times, holed, derivs), m).states
+    nan = np.zeros(out.shape, dtype=bool)
+    nan[:, 1] = True
+    nan[4, 2] = True
+    assert (np.isnan(out) == nan).all()
+    assert out[~nan].tobytes() == mapped.states[~nan].tobytes()
