@@ -66,9 +66,11 @@ EXIT_ANALYSIS = 4
 STIFF_DT_CAP = 1e-3
 STIFF_DT_FRACTION = 20.0
 
-#: Stability interval of classic RK4 on the negative real axis: a step h
-#: with h * fast_rate beyond it amplifies the fast relaxation mode.
+#: Stability intervals of classic RK4 on the negative real axis and on the
+#: imaginary axis (2 sqrt(2)): a step h with h * fast_rate beyond the bound
+#: of its mode amplifies the fast relaxation or oscillation.
 RK4_STABILITY_BOUND = 2.785
+RK4_OSCILLATION_BOUND = 2.83
 
 
 class ConfigError(ValueError):
@@ -230,29 +232,39 @@ def _initial_state(cfg: ExperimentConfig, spec: ModelSpec) -> np.ndarray:
     return state
 
 
-def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[Callable]:
-    """For a friction realization's friction run, the function giving its
-    relaxation rate at eps = 1 from its start state; None for other runs.
-    Called only where needed (not by rkf45): an eigensolver costs ~1 MB RSS."""
-    if cfg.model != "friction" or entry.realization is None:
+def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[tuple]:
+    """For a stiff friction run, (rate, rk4's stability bound for its mode),
+    rate(eps) being the fast rate at eps: a friction realization's
+    relaxation rate from its start state, or a declared oscillation rate.
+    None for other runs.  The rate is computed only where needed (not by
+    rkf45): an eigensolver costs ~1 MB RSS."""
+    if cfg.model != "friction":
+        return None
+    if entry.oscillation_rate is not None:
+        return entry.oscillation_rate, RK4_OSCILLATION_BOUND
+    if entry.realization is None:
         return None
     sysm, _, fric = entry.realization(cfg.params)
-    return lambda: dynamics.relaxation_rate(sysm, fric, state[: sysm.n])
+    return (
+        lambda eps: dynamics.relaxation_rate(sysm, fric, state[: sysm.n]) / eps,
+        RK4_STABILITY_BOUND,
+    )
 
 
-def _integrator_config(cfg: ExperimentConfig, eps=None, rate=None) -> IntegratorConfig:
-    """One run's settings; rate is :func:`_fast_rate`, None if nonstiff."""
+def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> IntegratorConfig:
+    """One run's settings; fast is :func:`_fast_rate`, None if nonstiff."""
     dt = cfg.dt
     if dt is None:
-        dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if rate else STIFF_DT_CAP
-    if rate and cfg.method == "rk4":
+        dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if fast else STIFF_DT_CAP
+    if fast and cfg.method == "rk4":
+        rate, bound = fast
         # the effective step: rk4 lands exactly on every sample time
         h = cfg.sample_dt / max(1, round(cfg.sample_dt / dt))
-        ratio = h * (rate() / eps)
-        if ratio > RK4_STABILITY_BOUND:
+        ratio = h * rate(eps)
+        if ratio > bound:
             raise ConfigError(
                 f"rk4 step {h:g} times fast rate at eps={eps:g} is {ratio:.4g}, "
-                f"past the stability bound {RK4_STABILITY_BOUND}; lower --dt"
+                f"past the stability bound {bound}; lower --dt"
             )
     try:
         icfg = IntegratorConfig(
@@ -342,8 +354,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     eps_list = list(cfg.eps) if spec.needs_eps else [None]
     multi = len(eps_list) > 1
     # every run's step is checked before the first file is written
-    rate = _fast_rate(cfg, entry, state)
-    icfgs = [_integrator_config(cfg, eps, rate) for eps in eps_list]
+    fast = _fast_rate(cfg, entry, state)
+    icfgs = [_integrator_config(cfg, eps, fast) for eps in eps_list]
     for eps, icfg in zip(eps_list, icfgs):
         field_fn = spec.build(cfg.params, eps)
         traj = integrate(field_fn, state, icfg)
@@ -379,8 +391,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
     nh_state = _initial_state(cfg, nh_spec)
     fric_state = entry.lift_state(cfg.params, nh_state)
-    rate = _fast_rate(cfg, entry, fric_state)
-    fric_icfgs = [_integrator_config(cfg, eps, rate) for eps in cfg.eps]
+    fast = _fast_rate(cfg, entry, fric_state)
+    fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     nh_field = nh_spec.build(cfg.params, None)
     comps = entry.compare_components or None
     nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg), read=comps)
@@ -445,11 +457,11 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"system {cfg.system!r} has no slow-manifold support")
     _require_decreasing(cfg.eps)
     state = _initial_state(cfg, fric_spec)
-    rate = _fast_rate(cfg, entry, state)
+    fast = _fast_rate(cfg, entry, state)
     # The initial slip offset is O(eps) and the slow-manifold residual
     # O(eps^2): e^-10 of the offset is below eps^2 for every eps above 5e-5,
     # so the cutoff must cover 10 fast time constants at the largest eps.
-    constants = (cfg.transient_cutoff - cfg.t0) * rate() / max(cfg.eps)
+    constants = (cfg.transient_cutoff - cfg.t0) * fast[0](max(cfg.eps))
     if not constants >= 10:
         raise ConfigError(
             f"manifold transient cutoff {cfg.transient_cutoff:g} covers {constants:.3g}"
@@ -458,7 +470,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
     n, k = sysm.n, frame.k
-    icfgs = [_integrator_config(cfg, eps, rate) for eps in cfg.eps]
+    icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     to_frame = entry.frame_state_matrix(cfg.params)
 
     residuals, slopes, expected_slopes = [], [], []

@@ -25,10 +25,10 @@ that reads st nowhere else, assigns no argument and reads no local before
 assigning it.  Every other name it reads is a constant passed when the
 field is built: the text is compiled once into a maker whose parameters are
 these names, and each field is the maker's closure over its constants.  The
-sleigh's nh, friction and corrected fields and the pendulum's friction and
-potential fields are declared this way.  In a stage the text's arguments
-become the stage locals ``s0 ...`` and every other name gets the prefix
-``f_``.  The constants are read from the field's closure at the start of
+sleigh's nh, friction and corrected fields and the pendulum's friction,
+potential and nh fields are declared this way.  In a stage the text's
+arguments become the stage locals ``s0 ...`` and every other name gets the
+prefix ``f_``.  The constants are read from the field's closure at the start of
 each stepper call, so one stepper, cached on the text, serves every field
 built from it (every eps).  The stages and the callable come from one text,
 so they cannot disagree.  Every other field is called with each stage state
@@ -49,10 +49,11 @@ when its x and y are left out).  The restricted text is cached like any
 text and declared under its own name, such as ``sleigh_friction_rows_2_3_4_5``,
 so one stepper serves every eps and tracebacks tell it apart.  A left-out
 row's state column is NaN; its derivative column is exact, the whole
-field's value at each sample, since that value reads only kept rows.  The
-kept rows are bitwise those of the whole run.  An rkf45 run, a called
-field and ``read=None`` integrate every row: the Fehlberg error norm reads
-every row, and a called field may read any.
+field's value at each sample (called with a tuple that holds NaN in the
+left-out places), since that value reads only kept rows.  The kept rows are
+bitwise those of the whole run.  An rkf45 run, a called field and
+``read=None`` integrate every row: the Fehlberg error norm reads every row,
+and a called field may read any.
 
 A stepper is compiled on first use and cached.  Its source, like each
 field text's maker, is registered in `linecache` under a file name: a
@@ -70,7 +71,10 @@ keeps its zero-coefficient terms.  The adaptive scheme's error norm is the
 root of a left-to-right sum of the squared scaled errors divided by the
 number of components n.  Below 8 components that sum is bitwise numpy's mean
 (a plain loop there); from 8 on numpy adds in pairwise blocks, which differs
-at rounding level and can change the step-size sequence.
+at rounding level and can change the step-size sequence.  The error norm and
+the step control call no builtin: their min, max and abs are conditional
+expressions with the same values (with a# and b# finite only the sign of a
+zero can differ, and atol + rtol * -0.0 is atol).
 
 Trajectories store the state *and* the right-hand side at every sample so
 that dense output is available through cubic Hermite interpolation, which is
@@ -89,6 +93,7 @@ import ast
 import functools
 import linecache
 import math
+import operator
 import textwrap
 import types
 from dataclasses import dataclass
@@ -315,19 +320,25 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
     left_out = len(rows) < x0.size
     stepped = _restricted_field(field, tuple(rows)) if left_out else field
     step = _stepper(cfg.method, len(rows), _TEXTS.get(getattr(stepped, "__code__", None)))
-    cols = rows if left_out else slice(None)  # a slice: whole runs index fast
     times = _sample_times(*cfg.t_span, cfg.sample_dt)
-    states = np.full((len(times), x0.size), np.nan)
+    states = np.empty((len(times), len(rows)))  # the kept rows
     derivs = np.empty((len(times), x0.size))
     ts = times.tolist()
-    x = x0[cols].tolist()
+    x = x0[rows].tolist()
+    if left_out:  # the whole state: each row's item of x + [nan], the NaN if left out
+        where = [rows.index(j) if j in rows else -1 for j in range(x0.size)]
+        spread, nan = operator.itemgetter(*where), [math.nan]
     h = cfg.dt
     for i in range(len(ts)):
         if i:
             x, h = step(stepped, x, ts[i - 1], ts[i], h, cfg)
-        states[i, cols] = x
+        states[i] = x
         # exact on a left-out row too, since no rate reads it
-        derivs[i] = field(states[i].tolist() if left_out else x)
+        derivs[i] = field(spread(x + nan) if left_out else x)
+    if left_out:
+        whole = np.full((len(times), x0.size), np.nan)
+        whole[:, rows] = states
+        states = whole
     return Trajectory(times, states, derivs)
 
 
@@ -618,9 +629,12 @@ def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
         f"    {_row('a#', n)}, = x",
         "    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])",
         "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
-        "    stop = target - 1e-14 * max(1.0, abs(target))",
+        # max(1.0, abs(target)) and min(h, target - t), written out
+        "    stop = target - 1e-14 * ("
+        "target if target > 1.0 else -target if target < -1.0 else 1.0)",
         "    while t < stop:",
-        "        h = min(h, target - t)",
+        "        rest = target - t",
+        "        h = rest if rest < h else h",
         "        if h < h_min:",
         '            raise StepUnderflow(f"step size underflow at t={t:.6g}")',
         *stage(0, "a#", pad),
@@ -636,11 +650,15 @@ def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
         _row(f"        b# = a# + h * ({combine(_FE_B4)})", n, "\n"),
         f"        if not ({_all_finite('b', n)}):",
         *halve,
+        # max(abs(a#), abs(b#)) written out: a and b are finite here, so only
+        # the sign of a zero can differ, and atol + rtol * -0.0 is atol
+        _row("        p# = a# if a# >= 0.0 else -a#", n, "\n"),
+        _row("        q# = b# if b# >= 0.0 else -b#", n, "\n"),
         # RMS of the scaled error: a left-to-right sum divided by n (not the
         # builtin sum, which is compensated from Python 3.12 on); np.mean
         # bitwise below 8 components, see the module docstring
         _row(
-            f"        r# = h * ({combine(_FE_ERR)}) / (atol + rtol * max(abs(a#), abs(b#)))",
+            f"        r# = h * ({combine(_FE_ERR)}) / (atol + rtol * (q# if q# > p# else p#))",
             n,
             "\n",
         ),
@@ -650,12 +668,16 @@ def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
         "        if err <= 1.0:",
         "            t += h",
         _row("            a# = b#", n, "\n"),
+        # min(5.0, max(0.2, grow)) and max(0.2, grow), written out; an
+        # accepted err is at most 1, so its grow is at least 0.9
         "            if err == 0.0:",
         "                h *= 5.0",
         "            else:",
-        "                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))",
+        "                grow = 0.9 * err ** -0.2",
+        "                h *= 5.0 if grow >= 5.0 else grow",
         "        else:",
-        "            h *= max(0.2, 0.9 * err ** -0.2)",
+        "            grow = 0.9 * err ** -0.2",
+        "            h *= grow if grow > 0.2 else 0.2",
         f"    return [{_row('a#', n)}], h",
     ]
     return lines

@@ -3,13 +3,16 @@
 Closed-form right-hand sides live here so that the generic frame machinery
 in :mod:`nonholib.dynamics` can be cross-checked against them, and so that
 experiment runs do not pay the generic machinery's per-evaluation cost.
-The run-path fields (``sleigh_*_field`` and the pendulum's potential and
-friction fields) are declared once each, as a straight-line text that
-`nonholib.ode.straight_line` compiles with its constants bound at build
-time; the integrator writes that text into its stages instead of calling
-the field.  The ``sleigh_*_rhs`` helpers, which read the parameters on
-every call in the same operation order, are the sleigh fields' bitwise
-oracle.
+The run-path fields (``sleigh_*_field`` and the pendulum's potential,
+friction and nh fields) are declared once each, as a straight-line text
+that `nonholib.ode.straight_line` compiles with its constants bound at
+build time; the integrator writes that text into its stages instead of
+calling the field, so a stage makes no Python-level call.  The
+``sleigh_*_rhs`` helpers, which read the parameters on every call in the
+same operation order, are the sleigh fields' bitwise oracle.  The pendulum
+texts write ``_radial`` out, its origin check included, so the potential
+and friction fields are bitwise its composition; the nh field computes the
+former numpy formula on floats, which agrees with it to a few ulps.
 
 Sleigh conventions.  Chart (x, y, phi): skate contact point and blade
 angle; mass m, inertia I about the center of mass, which sits a distance
@@ -395,17 +398,25 @@ PENDULUM_VARIANTS = ("potential", "friction", "inertial")
 _R_MIN = 1e-8
 
 
+def _origin():
+    raise OriginSingularity("pendulum state too close to the origin")
+
+
 def _radial(qx, qy):
     r = math.hypot(qx, qy)
     if r < _R_MIN:
-        raise OriginSingularity("pendulum state too close to the origin")
+        _origin()
     return r, qx / r, qy / r
 
 
+# The pendulum texts open with _radial's values written out: the guard sits
+# in r, which every result reads, and a NaN radius passes it as in _radial.
 _PENDULUM_POTENTIAL = """
 def pendulum_potential(st):
     x, y, vx, vy = st
-    r, ex, ey = _radial(x, y)
+    h = hypot(x, y)
+    r = _origin() if h < r_min else h
+    ex, ey = x / r, y / r
     k = (r - 1.0) / eps
     return (vx, vy, -k * ex, -g - k * ey)
 """
@@ -413,11 +424,30 @@ def pendulum_potential(st):
 _PENDULUM_FRICTION = """
 def pendulum_friction(st):
     x, y, vx, vy = st
-    r, ex, ey = _radial(x, y)
+    h = hypot(x, y)
+    r = _origin() if h < r_min else h
+    ex, ey = x / r, y / r
     rdot = ex * vx + ey * vy
     k = rdot / eps
     return (vx, vy, -k * ex, -g - k * ey)
 """
+
+# numpy's grav - (grav @ e_r) * e_r - (v @ v) / r * e_r on floats; its
+# 2-term v @ v rounds differently from vx * vx + vy * vy, so the rates agree
+# with the numpy formula to a few ulps of g + |v|^2 / r, not bitwise
+_PENDULUM_NH = """
+def pendulum_nh(st):
+    x, y, vx, vy = st
+    h = hypot(x, y)
+    r = _origin() if h < r_min else h
+    ex, ey = x / r, y / r
+    gr = 0.0 * ex + -g * ey
+    c = (vx * vx + vy * vy) / r
+    return (vx, vy, (0.0 - gr * ex) - c * ex, (-g - gr * ey) - c * ey)
+"""
+
+# the names the pendulum texts read besides g and eps
+_RADIUS = {"hypot": math.hypot, "_origin": _origin, "r_min": _R_MIN}
 
 
 def make_pendulum(variant: str, p: PendulumParams) -> Callable:
@@ -435,7 +465,7 @@ def make_pendulum(variant: str, p: PendulumParams) -> Callable:
     g, eps = p.g, p.eps
     if variant != "inertial":
         text = _PENDULUM_POTENTIAL if variant == "potential" else _PENDULUM_FRICTION
-        return straight_line(text, g=g, eps=eps, _radial=_radial)
+        return straight_line(text, g=g, eps=eps, **_RADIUS)
 
     def rhs(st):
         x, y, vx, vy = st
@@ -454,19 +484,7 @@ def make_pendulum(variant: str, p: PendulumParams) -> Callable:
 def pendulum_nh_field(p: PendulumParams) -> Callable:
     """Limit dynamics on concentric circles: tangential gravity only plus
     the centripetal acceleration that keeps r constant."""
-    g = p.g
-
-    def rhs(st):
-        x, y, vx, vy = st
-        r, ex, ey = _radial(x, y)
-        e_r = np.array([ex, ey])
-        v = np.array([vx, vy])
-        grav = np.array([0.0, -g])
-        tang = grav - (grav @ e_r) * e_r
-        acc = tang - (v @ v) / r * e_r
-        return np.array([vx, vy, acc[0], acc[1]])
-
-    return rhs
+    return straight_line(_PENDULUM_NH, g=p.g, **_RADIUS)
 
 
 def pendulum_system(p: PendulumParams) -> MechanicalSystem:
@@ -537,8 +555,10 @@ class SystemEntry:
 
     A Rayleigh friction realization is declared once, as ``realization``;
     the ``fast`` model and the friction model's rk4 step check derive from
-    it.  An ``adapted_frame`` adds the frame-state, reduce and lift maps;
-    without one the friction and constrained states share one layout.
+    it.  A realization without a Rayleigh form declares the rate of its
+    stiff oscillation instead, for the same check.  An ``adapted_frame``
+    adds the frame-state, reduce and lift maps; without one the friction
+    and constrained states share one layout.
     """
 
     param_defaults: dict
@@ -553,6 +573,9 @@ class SystemEntry:
     # (params: dict) -> adapted orthogonal frame; its change of frame from
     # the realization's frame must be constant in q
     adapted_frame: Callable = None
+    # eps -> angular frequency of the friction model's stiff oscillation,
+    # for a realization without a Rayleigh form
+    oscillation_rate: Callable = None
 
     def __post_init__(self):
         if self.realization is not None:  # fast time at eps = 0, same columns
@@ -691,6 +714,10 @@ def _pendulum_entry(variant: str) -> SystemEntry:
         models=models,
         energy_of_state=energy_of,
         realization=realization if variant == "friction" else None,
+        # the radial spring: stiffness 1/eps at unit mass
+        oscillation_rate=(
+            (lambda eps: 1.0 / math.sqrt(eps)) if variant == "potential" else None
+        ),
     )
 
 

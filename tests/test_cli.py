@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import nonholib
-from nonholib.cli import main
+from nonholib.cli import ExperimentConfig, _fast_rate, _integrator_config, main
+from nonholib.systems import get_system
 
 
 def run(argv):
@@ -154,17 +156,18 @@ def test_simulate_bad_config_exit_2(tmp_path):
 
 
 def test_simulate_blowup_exit_3(tmp_path, capsys):
-    # a deliberately unstable step size on the stiff potential realization
+    # a deliberately unstable step size on the constrained pendulum, which
+    # no step check covers: h sqrt(g) = 3.13 is past rk4's 2.83 on the
+    # imaginary axis
     with np.errstate(over="ignore", invalid="ignore"):
         rc = run(
             [
                 "simulate",
-                "--system", "pendulum-potential",
-                "--model", "friction",
-                "--eps", "1e-6",
+                "--system", "pendulum-friction",
+                "--model", "nh",
                 "--dt", "1.0",
                 "--sample-dt", "1.0",
-                "--t1", "50",
+                "--t1", "200",
                 "--out", str(tmp_path / "x.csv"),
             ]
         )
@@ -179,6 +182,9 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         ("sleigh", "0.5", "is 52,"),
         # radial friction relaxes at 1/eps = 100: 0.05 * 100 = 5
         ("pendulum-friction", "0.05", "is 5,"),
+        # the stiff spring oscillates at 1/sqrt(eps) = 10: 0.5 * 10 = 5, past
+        # rk4's imaginary-axis bound 2.83
+        ("pendulum-potential", "0.5", "is 5,"),
     ):
         out = tmp_path / f"{system}.csv"
         rc = run(
@@ -196,6 +202,18 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         assert rc == 2, system
         assert ratio in capsys.readouterr().err, system
         assert not out.exists()
+
+
+def test_spring_default_step_is_never_refused():
+    # the default step min(1e-3, eps/20) gives h / sqrt(eps) <= sqrt(eps)/20,
+    # up to rounding
+    entry = get_system("pendulum-potential")
+    cfg = ExperimentConfig(system="pendulum-potential", model="friction")
+    fast = _fast_rate(cfg, entry, None)
+    assert fast[1] == 2.83
+    for eps in (10.0, 1.0, 1e-2, 1e-6, 1e-12):
+        icfg = _integrator_config(cfg, eps, fast)
+        assert icfg.dt * fast[0](eps) <= (1 + 1e-12) * math.sqrt(eps) / 20
 
 
 @pytest.mark.parametrize(
@@ -309,6 +327,11 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
           "--sample-dt", "0.3"], 2),
         (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1",
           "1.005"], 2),
+        (
+            ["simulate", "--system", "pendulum-potential", "--model", "friction",
+             "--eps", "1e-6", "--dt", "1.0", "--sample-dt", "1.0", "--t1", "50"],
+            2,
+        ),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -320,6 +343,7 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         "inertial-blow-up", "pendulum-nh-blow-up", "cutoff-within-transient",
         "equilibrium-compare", "manifold-rising-ladder", "manifold-repeated-eps",
         "short-horizon", "ragged-horizon", "ragged-compare-horizon",
+        "unstable-spring-step",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

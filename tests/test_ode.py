@@ -598,6 +598,7 @@ def _inlined_fields():
         PendulumParams,
         SleighParams,
         make_pendulum,
+        pendulum_nh_field,
         sleigh_corrected_field,
         sleigh_friction_field,
         sleigh_nh_field,
@@ -610,6 +611,7 @@ def _inlined_fields():
         "sleigh-corrected": (sleigh_corrected_field(p, 4e-3), 5),
         "pendulum-friction": (make_pendulum("friction", q), 4),
         "pendulum-potential": (make_pendulum("potential", q), 4),
+        "pendulum-nh": (pendulum_nh_field(q), 4),
     }
 
 
@@ -657,6 +659,14 @@ def test_straight_line_fields_are_inlined(name, method):
     step = ode._stepper(method, n, _text_of(field))
     assert "field(" not in inspect.getsource(step)
     assert step.__code__.co_filename == f"nonholib.ode {method} n={n} {field.__name__}"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rkf45_error_norm_and_step_control_call_no_builtin(n):
+    # min, max and abs are written out as conditional expressions; the
+    # numpy reference pins their values
+    source = inspect.getsource(ode._stepper("rkf45", n))
+    assert not [name for name in ("min(", "max(", "abs(") if name in source]
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
@@ -739,7 +749,7 @@ def test_inlined_pendulum_reaching_origin_mid_run():
         if summary.filename.startswith("nonholib.ode")
     ]
     assert summary.filename == "nonholib.ode rk4 n=4 pendulum_friction"
-    assert "f__radial(" in summary.line
+    assert "f__origin(" in summary.line
     # the 20th step, the last of the fifth sample interval
     assert (frame.f_locals["t"], frame.f_locals["j"]) == (16 * dt, 3)
 
@@ -842,6 +852,7 @@ _RATE_READS = {
     "sleigh-corrected": ({2, 3, 4}, {2, 3, 4}, {3, 4}, {3, 4}, {3, 4}),
     "pendulum-friction": ({2}, {3}, {0, 1, 2, 3}, {0, 1, 2, 3}),
     "pendulum-potential": ({2}, {3}, {0, 1}, {0, 1}),
+    "pendulum-nh": ({2}, {3}, {0, 1, 2, 3}, {0, 1, 2, 3}),
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from nonholib.systems import (
     REGISTRY,
     SleighParams,
     get_system,
+    _radial,
     make_pendulum,
     pendulum_default_state,
+    pendulum_nh_field,
     sleigh_constraint_force,
     sleigh_corrected_field,
     sleigh_energy,
@@ -299,10 +302,7 @@ def test_run_path_fields_refuse_eps_when_built(sleigh):
 # declared text, written into the steppers' stages
 CALLED_MODELS = {
     ("sleigh", "fast"),
-    ("pendulum-potential", "nh"),
-    ("pendulum-friction", "nh"),
     ("pendulum-friction", "fast"),
-    ("pendulum-inertial", "nh"),
     ("pendulum-inertial", "friction"),
 }
 
@@ -422,6 +422,88 @@ def test_pendulum_origin_singularity():
         f = make_pendulum(variant, p)
         with pytest.raises(OriginSingularity):
             f(np.array([0.0, 0.0, 0.1, 0.1]))
+
+
+def _radial_rates(variant, p, st):
+    """The potential and friction rates as composed from _radial."""
+    x, y, vx, vy = st
+    r, ex, ey = _radial(x, y)
+    k = (r - 1.0) / p.eps if variant == "potential" else (ex * vx + ey * vy) / p.eps
+    return (vx, vy, -k * ex, -p.g - k * ey)
+
+
+def _pendulum_states(rng, count):
+    """Random states; a quarter of them with positions scaled down to radii
+    from 1e-9 to 1, around the origin check at 1e-8."""
+    states = rng.uniform(-3.0, 3.0, (count, 4))
+    near = states[: count // 4]
+    near[:, :2] *= 10.0 ** rng.uniform(-9.0, 0.0, (len(near), 1))
+    return states
+
+
+@pytest.mark.parametrize("variant", ("potential", "friction"))
+def test_pendulum_texts_equal_their_radial_composition(variant):
+    # the texts write _radial out, guard included; every value stays bitwise
+    # the composition's, for list rows (the integrator's) and ndarray rows
+    rng = np.random.default_rng(35)
+    for eps in (1e-2, 2e-3):
+        p = PendulumParams(g=9.81, eps=eps)
+        field = make_pendulum(variant, p)
+        for row in _pendulum_states(rng, 5000):
+            for st in (row, row.tolist()):
+                try:
+                    want = _radial_rates(variant, p, st)
+                except OriginSingularity:
+                    with pytest.raises(OriginSingularity):
+                        field(st)
+                    continue
+                assert field(st) == want
+
+
+def _nh_numpy_rates(p, st):
+    """The constrained pendulum's rates as numpy computed them before its
+    field became a text."""
+    x, y, vx, vy = st
+    r, ex, ey = _radial(x, y)
+    e_r, v, grav = np.array([ex, ey]), np.array([vx, vy]), np.array([0.0, -p.g])
+    acc = grav - (grav @ e_r) * e_r - (v @ v) / r * e_r
+    return np.array([vx, vy, acc[0], acc[1]])
+
+
+def test_pendulum_nh_text_within_four_ulps_of_the_numpy_rates():
+    # not bitwise: numpy's 2-term v @ v rounds differently from
+    # vx * vx + vy * vy.  The bound was fixed before the first run: 4 ulps
+    # of 1 (2**-52) times the scale g + |v|^2 / r of the accelerations
+    rng = np.random.default_rng(36)
+    for g in (9.81, 1.0):
+        p = PendulumParams(g=g, eps=1.0)
+        field = pendulum_nh_field(p)
+        for row in rng.uniform(-3.0, 3.0, (5000, 4)):
+            want = _nh_numpy_rates(p, row)
+            x, y, vx, vy = row
+            bound = 4 * 2.0**-52 * (g + (vx * vx + vy * vy) / math.hypot(x, y))
+            for st in (row, row.tolist()):
+                got = field(st)
+                assert got[:2] == (want[0], want[1])
+                assert abs(got[2] - want[2]) <= bound and abs(got[3] - want[3]) <= bound
+
+
+@pytest.mark.parametrize("model", ("potential", "friction", "nh"))
+def test_pendulum_texts_refuse_the_origin_called_and_inlined(model):
+    p = PendulumParams(g=9.81, eps=1e-2)
+    field = pendulum_nh_field(p) if model == "nh" else make_pendulum(model, p)
+    state = [5e-9, 0.0, 0.0, 0.0]  # 0 < r < 1e-8
+    with pytest.raises(OriginSingularity):
+        field(state)
+    for method in ("rk4", "rkf45"):
+        step = ode._stepper(method, 4, ode._TEXTS[field.__code__])
+        cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
+        with pytest.raises(OriginSingularity) as err:
+            step(field, state, 0.0, 1e-2, 1e-3, cfg)
+        # raised by the guard written into the stage, not by a call
+        last = traceback.extract_tb(err.tb)[-2]
+        assert last.filename == f"nonholib.ode {method} n=4 pendulum_{model}"
+        assert "f__origin()" in last.line
 
 
 def test_make_pendulum_unknown_variant():
