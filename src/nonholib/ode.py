@@ -39,26 +39,28 @@ therefore describe the called path (its evaluation counts stay exact).
 Both paths give bitwise-equal results.
 
 Which rows are integrated: every row, unless the caller names the rows
-it reads (`integrate`'s ``read``) and the field is declared as text.  Each
-rate of a text reads the rows its expression reads, directly or through
-the locals it reads (`rows_read`).  An rk4 run then leaves out each row
-that the caller does not read and that no rate reads: it integrates the
-text restricted to the kept rows, with the statements only the left-out
-results need dropped (the sleigh's ``s, c = math.sin(phi), math.cos(phi)``
-when its x and y are left out).  The restricted text is cached like any
-text and declared under its own name, such as ``sleigh_friction_rows_2_3_4_5``,
-so one stepper serves every eps and tracebacks tell it apart.  A left-out
-row's state column is NaN; its derivative column is exact, the whole
-field's value at each sample (called with a tuple that holds NaN in the
-left-out places), since that value reads only kept rows.  The kept rows are
-bitwise those of the whole run.  An rkf45 run, a called field and
-``read=None`` integrate every row: the Fehlberg error norm reads every row,
+it reads (`integrate`'s ``read``) and the field is declared as text.  A
+text's rates read the rows that their expressions read, directly or
+through the statements they need (`rows_read`).  An rk4 run then leaves
+out each row that the caller does not read and that no rate reads: its
+stepper, keyed on the text and the kept rows, writes into each stage only
+the kept rows' results, the statements these need and the constants they
+read (so the sleigh's ``s, c = math.sin(phi), math.cos(phi)`` goes with
+its x and y rates).  No second text is declared; one stepper serves every
+eps, and its file name names the kept rows.  The stepper takes and
+returns the whole state, NaN in each left-out place, so a left-out row's
+state column is NaN from the first sample on.  Its derivative column is
+exact, the whole field's value at each sample, since that value reads
+only kept rows.  The kept rows are bitwise those of the whole run.  An
+rkf45 run, a called field, ``read=None`` and a run that keeps no row or
+every row integrate every row: the Fehlberg error norm reads every row,
 and a called field may read any.
 
 A stepper is compiled on first use and cached.  Its source, like each
 field text's maker, is registered in `linecache` under a file name: a
 stepper's is such as ``nonholib.ode rk4 n=6``, to which an inlined stepper
-adds the field's name (``... sleigh_friction``), and a maker's is the
+adds the field's name (``... sleigh_friction``) and a restricted one its
+kept rows (``... sleigh_friction rows 2,3,4,5``), and a maker's is the
 field's name (``nonholib.ode sleigh_friction``).  One name declares one
 text, so tracebacks and profiles tell the steppers and fields apart and
 show their lines, after `linecache.clearcache` too.  `inspect.getsource`
@@ -93,7 +95,6 @@ import ast
 import functools
 import linecache
 import math
-import operator
 import textwrap
 import types
 from dataclasses import dataclass
@@ -250,7 +251,7 @@ def transform_linear(traj: Trajectory, matrix) -> Trajectory:
     changes of quasi-velocity coordinates; both commute with d/dt, so the
     stored derivatives stay consistent.  A NaN (a row left out by
     `integrate`) makes NaN only the outputs whose map row has a nonzero
-    entry in its column; finite input gives the plain product.
+    entry in its column; finite input gives the plain product bitwise.
     """
     m = np.asarray(matrix, dtype=float)
     return Trajectory(traj.times, _apply(traj.states, m), _apply(traj.derivs, m))
@@ -258,8 +259,6 @@ def transform_linear(traj: Trajectory, matrix) -> Trajectory:
 
 def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     nan = np.isnan(x)
-    if not nan.any():
-        return x @ m.T
     out = np.where(nan, 0.0, x) @ m.T
     out[nan @ (m != 0).T] = np.nan
     return out
@@ -311,42 +310,37 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
         raise ValueError("x0 must be a non-empty flat vector")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    rows = list(range(x0.size))
+    n = x0.size
+    if read is not None and not set(read) <= set(range(n)):
+        raise ValueError(f"read rows {sorted(read)} outside a state of {n}")
+    text = _TEXTS.get(getattr(field, "__code__", None))
+    # rkf45's error norm reads every row, and a called field may read any
     reads = None if read is None or cfg.method != "rk4" else rows_read(field)
-    if reads is not None:
-        if not set(read) <= set(rows):
-            raise ValueError(f"read rows {sorted(read)} outside a state of {x0.size}")
-        rows = sorted(reads.union(read))
-    left_out = len(rows) < x0.size
-    stepped = _restricted_field(field, tuple(rows)) if left_out else field
-    step = _stepper(cfg.method, len(rows), _TEXTS.get(getattr(stepped, "__code__", None)))
+    keep = () if reads is None else tuple(sorted(reads.union(read)))
+    # keeping no row or every row is a whole run, whose stepper names no rows
+    keep = keep if len(keep) < n else ()
+    step = _stepper(cfg.method, n, text, *keep)
     times = _sample_times(*cfg.t_span, cfg.sample_dt)
-    states = np.empty((len(times), len(rows)))  # the kept rows
-    derivs = np.empty((len(times), x0.size))
+    states = np.empty((len(times), n))
+    derivs = np.empty((len(times), n))
     ts = times.tolist()
-    x = x0[rows].tolist()
-    if left_out:  # the whole state: each row's item of x + [nan], the NaN if left out
-        where = [rows.index(j) if j in rows else -1 for j in range(x0.size)]
-        spread, nan = operator.itemgetter(*where), [math.nan]
+    x = [v if j in (keep or range(n)) else math.nan for j, v in enumerate(x0.tolist())]
     h = cfg.dt
     for i in range(len(ts)):
         if i:
-            x, h = step(stepped, x, ts[i - 1], ts[i], h, cfg)
+            x, h = step(field, x, ts[i - 1], ts[i], h, cfg)
         states[i] = x
         # exact on a left-out row too, since no rate reads it
-        derivs[i] = field(spread(x + nan) if left_out else x)
-    if left_out:
-        whole = np.full((len(times), x0.size), np.nan)
-        whole[:, rows] = states
-        states = whole
+        derivs[i] = field(x)
     return Trajectory(times, states, derivs)
 
 
 def rows_read(field: Callable):
-    """The rows that some rate of a field declared as text reads, as a
-    frozenset; None for a called field, which may read any row."""
+    """The rows that some rate of a field declared as text reads, directly
+    or through the statements it needs, as a frozenset; None for a called
+    field, which may read any row."""
     text = _TEXTS.get(getattr(field, "__code__", None))
-    return None if text is None else frozenset().union(*_rate_reads(text))
+    return None if text is None else _rows_read(text)
 
 
 def straight_line(source: str, **consts) -> Callable:
@@ -434,46 +428,22 @@ def _names(nodes, ctx) -> set:
 
 
 @functools.cache
-def _rate_reads(text: str) -> tuple:
-    """For each rate of a field text, the rows (argument indices) that it
-    reads, directly or through the locals it reads."""
+def _rows_read(text: str) -> frozenset:
     _, _, args, stmts, results, _ = _parse(text)
-    rows = {arg: {i} for i, arg in enumerate(args)}
-
-    def read_by(node):
-        return set().union(*(rows.get(name, ()) for name in _names([node], ast.Load)))
-
-    for stmt in stmts:
-        for name in _names([stmt], ast.Store):
-            rows[name] = read_by(stmt)
-    return tuple(frozenset(read_by(result)) for result in results)
+    loads = _names(_live(stmts, results) + results, ast.Load)
+    return frozenset(i for i, arg in enumerate(args) if arg in loads)
 
 
-@functools.cache
-def _restricted(text: str, keep: tuple) -> str:
-    """The field text of the rows keep of a field text, named after them:
-    their arguments and results, and the statements these results need."""
-    name, param, args, stmts, results, _ = _parse(text)
-    need, body = _names([results[i] for i in keep], ast.Load), []
+def _live(stmts: list, results: list) -> list:
+    """The statements that the results need, directly or through each
+    other, in their order."""
+    need, live = _names(results, ast.Load), []
     for stmt in reversed(stmts):
         stored = _names([stmt], ast.Store)
         if stored & need:
-            body.insert(0, f"    {ast.unparse(stmt)}")
+            live.insert(0, stmt)
             need = need - stored | _names([stmt], ast.Load)
-    lines = [
-        f"def {name}_rows_{'_'.join(map(str, keep))}({param}):",
-        f"    {', '.join(args[i] for i in keep)}, = {param}",
-        *body,
-        f"    return ({', '.join(ast.unparse(results[i]) for i in keep)},)",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _restricted_field(field: Callable, keep: tuple) -> Callable:
-    """The field of the rows keep of a declared field, with its constants."""
-    consts = dict(zip(field.__code__.co_freevars, field.__closure__ or ()))
-    maker, code = _declared(_restricted(_TEXTS[field.__code__], keep))
-    return maker(**{name: consts[name].cell_contents for name in code.co_freevars})
+    return live
 
 
 # Fehlberg 4(5) tableau.  The fourth-order solution is propagated; the
@@ -491,20 +461,27 @@ _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 @functools.cache
-def _stepper(method: str, n: int, text=None) -> Callable:
+def _stepper(method: str, n: int, text=None, *keep) -> Callable:
     """The stepper of `method` for states of n components, compiled on first
     use.  Given a field text (`straight_line`) it writes the text into every
-    stage; otherwise it calls the field."""
+    stage; otherwise it calls the field.  Given the rows to keep (an rk4
+    stepper of a text), it integrates only those and returns NaN in every
+    other place; without them it integrates every row."""
+    rows = keep or range(n)
     filename = f"nonholib.ode {method} n={n}"
     if text is not None:
         filename += " " + _declared(text)[1].co_name
-    lines = (_rk4_lines if method == "rk4" else _rkf45_lines)(n, *_field_snippets(n, text))
+    if keep:
+        filename += f" rows {','.join(map(str, keep))}"
+    snippets = _field_snippets(rows, text)
+    lines = _rk4_lines(n, rows, *snippets) if method == "rk4" else _rkf45_lines(n, *snippets)
     return _compile(
         "\n".join(lines) + "\n",
         filename,
         f"{method}_n{n}",
         isfinite=math.isfinite,
         sqrt=math.sqrt,
+        nan=math.nan,
         NonFiniteState=NonFiniteState,
         StepUnderflow=StepUnderflow,
     )
@@ -526,26 +503,31 @@ def _compile(source: str, filename: str, name: str, **names) -> Callable:
     return namespace[name]
 
 
-def _field_snippets(n: int, text) -> tuple:
+def _field_snippets(rows, text) -> tuple:
     """(lines binding the field's constants at the start of a stepper call,
     a test that the stage state last taken is finite, stage(k, state, pad):
-    the lines, indented by pad, that set k{k}_# to the field's value at the
-    stage state whose component # is the expression state).  Without a text
-    the stage calls the field with the state as the list xs; with one it
-    holds the state in the locals s# (a stage at a# or s# reads them)."""
+    the lines, indented by pad, that set k{k}_# for each # in rows to the
+    field's value at the stage state whose component # is the expression
+    state).  Without a text the stage calls the field with the state as the
+    list xs; with one it holds the state in the locals s# (a stage at a# or
+    s# reads them) and writes only the results of rows, the statements they
+    need and the constants these read."""
     if text is None:
 
         def call(k, state, pad):
-            return [f"{pad}xs = [{_row(state, n)}]", f"{pad}{_row(f'k{k}_#', n)}, = field(xs)"]
+            return [f"{pad}xs = [{_row(state, rows)}]", f"{pad}{_row(f'k{k}_#', rows)}, = field(xs)"]
 
         return [], "all(map(isfinite, xs))", call
     _, _, args, stmts, results, _ = _parse(text)
+    results = [results[i] for i in rows]
+    stmts = _live(stmts, results)
+    nodes = stmts + results
     # read at every call, so one stepper serves every field of the text
     bind = [
         f"    f_{const} = field.__closure__[{i}].cell_contents"
         for i, const in enumerate(_declared(text)[1].co_freevars)
+        if const in _names(nodes, ast.Load)
     ]
-    nodes = stmts + results
     names = [(m, m.id) for node in nodes for m in ast.walk(node) if isinstance(m, ast.Name)]
 
     def render(v):
@@ -561,33 +543,34 @@ def _field_snippets(n: int, text) -> tuple:
         in_locals = state in ("a#", "s#")
         lines, values = rendered[state[0] if in_locals else "s"]
         return (
-            ([] if in_locals else [_row(f"{pad}s# = {state}", n, "\n")])
+            ([] if in_locals else [_row(f"{pad}s# = {state}", rows, "\n")])
             + [pad + line for line in lines]
-            + [f"{pad}k{k}_{i} = {value}" for i, value in enumerate(values)]
+            + [f"{pad}k{k}_{i} = {value}" for i, value in zip(rows, values)]
         )
 
-    return bind, _all_finite("s", n), stage
+    return bind, _all_finite("s", rows), stage
 
 
-def _row(template: str, n: int, sep: str = ", ") -> str:
-    """The template once per component, # replaced by its index, joined by sep."""
-    return sep.join(template.replace("#", str(i)) for i in range(n))
+def _row(template: str, rows, sep: str = ", ") -> str:
+    """The template once per row, # replaced by its index, joined by sep."""
+    return sep.join(template.replace("#", str(i)) for i in rows)
 
 
-def _all_finite(v: str, n: int) -> str:
+def _all_finite(v: str, rows) -> str:
     # A finite sum implies finite terms; a sum that overflows falls back to
     # the termwise check.
-    terms = _row(f"isfinite({v}#)", n, " and ")
-    return terms if n == 1 else f"isfinite({_row(v + '#', n, ' + ')}) or {terms}"
+    terms = _row(f"isfinite({v}#)", rows, " and ")
+    return terms if len(rows) == 1 else f"isfinite({_row(v + '#', rows, ' + ')}) or {terms}"
 
 
-def _rk4_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
-    """Advance x from t to target in equal steps of about h; h is kept."""
+def _rk4_lines(n: int, rows, bind: list, finite: str, stage: Callable) -> list:
+    """Advance the rows of x from t to target in equal steps of about h; h
+    is kept.  Every other place of x is skipped and returned as NaN."""
     pad = " " * 12
     return [
         f"def rk4_n{n}(field, x, t, target, h, cfg):",
         *bind,
-        f"    {_row('a#', n)}, = x",
+        f"    {', '.join(f'a{i}' if i in rows else '_' for i in range(n))}, = x",
         "    nsub = max(1, int(round((target - t) / h)))",
         "    dt = (target - t) / nsub",
         "    half, sixth = 0.5 * dt, dt / 6.0",
@@ -605,10 +588,10 @@ def _rk4_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
         f"            if {finite}:",
         "                raise",
         "            raise NonFiniteState(t + (j + 1) * dt) from None",
-        _row("        a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", n, "\n"),
-        f"        if not ({_all_finite('a', n)}):",
+        _row("        a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n"),
+        f"        if not ({_all_finite('a', rows)}):",
         "            raise NonFiniteState(t + (j + 1) * dt)",
-        f"    return [{_row('a#', n)}], h",
+        f"    return [{', '.join(f'a{i}' if i in rows else 'nan' for i in range(n))}], h",
     ]
 
 
@@ -621,12 +604,12 @@ def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
         # left to right from int 0, zero terms kept: whole-array code's order
         return "0" + "".join(f" + {c!r} * k{j}_#" for j, c in enumerate(coeffs))
 
-    pad = " " * 8
+    rows, pad = range(n), " " * 8
     halve = ["            h *= 0.5", "            continue"]
     lines = [
         f"def rkf45_n{n}(field, x, t, target, h, cfg):",
         *bind,
-        f"    {_row('a#', n)}, = x",
+        f"    {_row('a#', rows)}, = x",
         "    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])",
         "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
         # max(1.0, abs(target)) and min(h, target - t), written out
@@ -641,33 +624,33 @@ def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
     ]
     for s in range(1, 6):
         lines += [
-            _row(f"        s# = a# + h * ({combine(_FE_A[s])})", n, "\n"),
-            f"        if not ({_all_finite('s', n)}):",
+            _row(f"        s# = a# + h * ({combine(_FE_A[s])})", rows, "\n"),
+            f"        if not ({_all_finite('s', rows)}):",
             *halve,
             *stage(s, "s#", pad),
         ]
     lines += [
-        _row(f"        b# = a# + h * ({combine(_FE_B4)})", n, "\n"),
-        f"        if not ({_all_finite('b', n)}):",
+        _row(f"        b# = a# + h * ({combine(_FE_B4)})", rows, "\n"),
+        f"        if not ({_all_finite('b', rows)}):",
         *halve,
         # max(abs(a#), abs(b#)) written out: a and b are finite here, so only
         # the sign of a zero can differ, and atol + rtol * -0.0 is atol
-        _row("        p# = a# if a# >= 0.0 else -a#", n, "\n"),
-        _row("        q# = b# if b# >= 0.0 else -b#", n, "\n"),
+        _row("        p# = a# if a# >= 0.0 else -a#", rows, "\n"),
+        _row("        q# = b# if b# >= 0.0 else -b#", rows, "\n"),
         # RMS of the scaled error: a left-to-right sum divided by n (not the
         # builtin sum, which is compensated from Python 3.12 on); np.mean
         # bitwise below 8 components, see the module docstring
         _row(
             f"        r# = h * ({combine(_FE_ERR)}) / (atol + rtol * (q# if q# > p# else p#))",
-            n,
+            rows,
             "\n",
         ),
-        f"        err = sqrt((0.0 + {_row('r# * r#', n, ' + ')}) / {n})",
+        f"        err = sqrt((0.0 + {_row('r# * r#', rows, ' + ')}) / {n})",
         "        if not isfinite(err):",
         *halve,
         "        if err <= 1.0:",
         "            t += h",
-        _row("            a# = b#", n, "\n"),
+        _row("            a# = b#", rows, "\n"),
         # min(5.0, max(0.2, grow)) and max(0.2, grow), written out; an
         # accepted err is at most 1, so its grow is at least 0.9
         "            if err == 0.0:",
@@ -678,6 +661,6 @@ def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
         "        else:",
         "            grow = 0.9 * err ** -0.2",
         "            h *= grow if grow > 0.2 else 0.2",
-        f"    return [{_row('a#', n)}], h",
+        f"    return [{_row('a#', rows)}], h",
     ]
     return lines

@@ -411,23 +411,22 @@ def _radial(qx, qy):
 
 # The pendulum texts open with _radial's values written out: the guard sits
 # in r, which every result reads, and a NaN radius passes it as in _radial.
-_PENDULUM_POTENTIAL = """
-def pendulum_potential(st):
+_PENDULUM_PROLOGUE = """\
     x, y, vx, vy = st
     h = hypot(x, y)
     r = _origin() if h < r_min else h
     ex, ey = x / r, y / r
-    k = (r - 1.0) / eps
+"""
+
+_PENDULUM_POTENTIAL = f"""
+def pendulum_potential(st):
+{_PENDULUM_PROLOGUE}    k = (r - 1.0) / eps
     return (vx, vy, -k * ex, -g - k * ey)
 """
 
-_PENDULUM_FRICTION = """
+_PENDULUM_FRICTION = f"""
 def pendulum_friction(st):
-    x, y, vx, vy = st
-    h = hypot(x, y)
-    r = _origin() if h < r_min else h
-    ex, ey = x / r, y / r
-    rdot = ex * vx + ey * vy
+{_PENDULUM_PROLOGUE}    rdot = ex * vx + ey * vy
     k = rdot / eps
     return (vx, vy, -k * ex, -g - k * ey)
 """
@@ -435,13 +434,9 @@ def pendulum_friction(st):
 # numpy's grav - (grav @ e_r) * e_r - (v @ v) / r * e_r on floats; its
 # 2-term v @ v rounds differently from vx * vx + vy * vy, so the rates agree
 # with the numpy formula to a few ulps of g + |v|^2 / r, not bitwise
-_PENDULUM_NH = """
+_PENDULUM_NH = f"""
 def pendulum_nh(st):
-    x, y, vx, vy = st
-    h = hypot(x, y)
-    r = _origin() if h < r_min else h
-    ex, ey = x / r, y / r
-    gr = 0.0 * ex + -g * ey
+{_PENDULUM_PROLOGUE}    gr = 0.0 * ex + -g * ey
     c = (vx * vx + vy * vy) / r
     return (vx, vy, (0.0 - gr * ex) - c * ex, (-g - gr * ey) - c * ey)
 """

@@ -593,26 +593,18 @@ def test_sample_at_exact_on_cubic_trajectories():
 
 
 def _inlined_fields():
-    """name -> (field, state size) of each CLI field the steppers inline."""
-    from nonholib.systems import (
-        PendulumParams,
-        SleighParams,
-        make_pendulum,
-        pendulum_nh_field,
-        sleigh_corrected_field,
-        sleigh_friction_field,
-        sleigh_nh_field,
-    )
+    """name -> (field, default state) of each field text that a model of the
+    registry builds, named after its text with - for _: the CLI fields the
+    steppers inline."""
+    from nonholib.systems import REGISTRY
 
-    p, q = SleighParams(), PendulumParams(eps=4e-3)
-    return {
-        "sleigh-nh": (sleigh_nh_field(p), 5),
-        "sleigh-friction": (sleigh_friction_field(p, 4e-3), 6),
-        "sleigh-corrected": (sleigh_corrected_field(p, 4e-3), 5),
-        "pendulum-friction": (make_pendulum("friction", q), 4),
-        "pendulum-potential": (make_pendulum("potential", q), 4),
-        "pendulum-nh": (pendulum_nh_field(q), 4),
-    }
+    fields = {}
+    for entry in REGISTRY.values():
+        for spec in entry.models.values():
+            field = spec.build(entry.param_defaults, 4e-3)
+            if _text_of(field) is not None:
+                fields[field.__name__.replace("_", "-")] = (field, list(spec.default_state))
+    return fields
 
 
 def _called_fields():
@@ -655,7 +647,8 @@ def _called_fields():
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
 @pytest.mark.parametrize("name", sorted(_inlined_fields()))
 def test_straight_line_fields_are_inlined(name, method):
-    field, n = _inlined_fields()[name]
+    field, x0 = _inlined_fields()[name]
+    n = len(x0)
     step = ode._stepper(method, n, _text_of(field))
     assert "field(" not in inspect.getsource(step)
     assert step.__code__.co_filename == f"nonholib.ode {method} n={n} {field.__name__}"
@@ -844,83 +837,128 @@ def test_called_declared_field_traceback_shows_its_line():
     assert (frame.filename, frame.name, frame.line) == ("nonholib.ode kicked", "kicked", "y = kick(x)")
 
 
-# Which rows each rate reads, from the texts: the sleigh's x and y (rows 0
-# and 1) are read by no rate, and every pendulum row is read by some rate.
-_RATE_READS = {
-    "sleigh-nh": ({2, 3}, {2, 3}, {4}, {4}, {3, 4}),
-    "sleigh-friction": ({2, 3, 4}, {2, 3, 4}, {5}, {4, 5}, {3, 4, 5}, {4}),
-    "sleigh-corrected": ({2, 3, 4}, {2, 3, 4}, {3, 4}, {3, 4}, {3, 4}),
-    "pendulum-friction": ({2}, {3}, {0, 1, 2, 3}, {0, 1, 2, 3}),
-    "pendulum-potential": ({2}, {3}, {0, 1}, {0, 1}),
-    "pendulum-nh": ({2}, {3}, {0, 1, 2, 3}, {0, 1, 2, 3}),
+# The rows some rate of each text reads, from the texts: the sleigh's x and
+# y (rows 0 and 1) are read by no rate, and every pendulum row is read by
+# some rate.
+_ROWS_READ = {
+    "sleigh-nh": {2, 3, 4},
+    "sleigh-friction": {2, 3, 4, 5},
+    "sleigh-corrected": {2, 3, 4},
+    "pendulum-friction": {0, 1, 2, 3},
+    "pendulum-potential": {0, 1, 2, 3},
+    "pendulum-nh": {0, 1, 2, 3},
 }
 
 
-@pytest.mark.parametrize("name", sorted(_RATE_READS))
+@pytest.mark.parametrize("name", sorted(_ROWS_READ))
 def test_rows_each_rate_reads(name):
-    field, n = _inlined_fields()[name]
-    assert ode._rate_reads(_text_of(field)) == tuple(map(frozenset, _RATE_READS[name]))
-    expected = set(range(2, n)) if name.startswith("sleigh") else set(range(n))
-    assert ode.rows_read(field) == expected
+    field, _ = _inlined_fields()[name]
+    assert ode.rows_read(field) == _ROWS_READ[name]
 
 
-# (initial state, rk4 step, rows the caller reads, rows an rk4 run integrates)
-_RESTRICTED_RUNS = {
-    "sleigh-nh": ([0.1, -0.2, 0.3, -1.0, 0.5], 1e-3, (3, 4), [2, 3, 4]),
-    "sleigh-friction": ([0.1, -0.2, 0.3, -1.0, 0.02, 0.5], 2e-4, (3, 4), [2, 3, 4, 5]),
-    "sleigh-corrected": ([0.1, -0.2, 0.3, -1.0, 0.5], 1e-3, (3,), [2, 3, 4]),
-    "pendulum-friction": ([0.6, -0.8, 0.3, 0.2], 2e-4, (0,), [0, 1, 2, 3]),
-}
+_DEAD_LOCAL = """
+def dead_local(st):
+    x, y, z = st
+    w = k * y
+    unread = x + z
+    return (w, -w, k)
+"""
+
+
+def test_rows_read_follows_only_the_statements_the_rates_need():
+    # no rate reads `unread`, so x and z are read by no rate
+    assert ode.rows_read(ode.straight_line(_DEAD_LOCAL, k=2.0)) == {1}
+
+
+def test_inlined_fields_are_the_declared_registry_texts():
+    assert sorted(_inlined_fields()) == sorted(_ROWS_READ)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
-@pytest.mark.parametrize("name", sorted(_RESTRICTED_RUNS))
+@pytest.mark.parametrize("name", sorted(_inlined_fields()))
 def test_rows_no_one_reads_are_left_out_of_rk4_runs(name, method):
-    field, n = _inlined_fields()[name]
-    x0, dt, read, kept = _RESTRICTED_RUNS[name]
-    cfg = IntegratorConfig(t_span=(0.0, 0.5), dt=dt, sample_dt=1e-2, method=method)
+    field, x0 = _inlined_fields()[name]
+    n = len(x0)
+    cfg = IntegratorConfig(t_span=(0.0, 0.3), dt=2e-4, sample_dt=1e-2, method=method)
     whole = integrate(field, x0, cfg)
-    part = integrate(field, x0, cfg, read=read)
-    if method == "rkf45":  # the error norm reads every row
-        kept = list(range(n))
-    left_out = sorted(set(range(n)) - set(kept))
-    assert part.states[:, kept].tobytes() == whole.states[:, kept].tobytes()
-    assert part.derivs.tobytes() == whole.derivs.tobytes()
-    assert np.isnan(part.states[:, left_out]).all()
     assert not np.isnan(whole.states).any()
+    for row in range(n):
+        part = integrate(field, x0, cfg, read=(row,))
+        # the Fehlberg error norm reads every row
+        kept = sorted(_ROWS_READ[name] | {row}) if method == "rk4" else list(range(n))
+        left_out = sorted(set(range(n)) - set(kept))
+        assert part.states[:, kept].tobytes() == whole.states[:, kept].tobytes()
+        assert part.derivs.tobytes() == whole.derivs.tobytes()
+        assert np.isnan(part.states[:, left_out]).all()
 
 
-def test_restricted_stepper_is_its_own_text_and_serves_every_eps():
+def test_restricted_stepper_serves_every_eps():
     from nonholib.systems import SleighParams, sleigh_friction_field
 
     x0 = [0.1, -0.2, 0.3, -1.0, 0.02, 0.5]
     cfg = IntegratorConfig(t_span=(0.0, 0.1), dt=1e-4, sample_dt=1e-2)
-    for eps in (8e-3, 2e-3):
-        integrate(sleigh_friction_field(SleighParams(), eps), x0, cfg, read=(3, 4))
-    hits = ode._stepper.cache_info().hits
-    step = ode._stepper("rk4", 4, ode._restricted(_SLEIGH_FRICTION, (2, 3, 4, 5)))
-    assert ode._stepper.cache_info().hits == hits + 1
-    assert step.__code__.co_filename == "nonholib.ode rk4 n=4 sleigh_friction_rows_2_3_4_5"
+    integrate(sleigh_friction_field(SleighParams(), 8e-3), x0, cfg, read=(3, 4))
+    before = ode._stepper.cache_info()
+    integrate(sleigh_friction_field(SleighParams(), 2e-3), x0, cfg, read=(3, 4))
+    after = ode._stepper.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    step = ode._stepper("rk4", 6, _SLEIGH_FRICTION, 2, 3, 4, 5)
+    assert ode._stepper.cache_info().hits == after.hits + 1
+    assert step.__code__.co_filename == "nonholib.ode rk4 n=6 sleigh_friction rows 2,3,4,5"
     # the sin and cos of phi went with the x and y rates
     source = inspect.getsource(step)
     assert "field(" not in source and "f_math" not in source
 
 
-def test_restricted_text_keeps_what_its_results_need():
-    text = ode._restricted(_SLEIGH_CORRECTED, (2, 3, 4))
-    assert text == (
-        "def sleigh_corrected_rows_2_3_4(st):\n"
-        "    phi, u, psi, = st\n"
-        "    h1 = nsl * u * psi\n"
-        "    return (psi + eps * (nc * h1), a * psi * psi + eps * (ku * u * psi * psi),"
-        " nc * u * psi + eps * (kpsi * u * u * psi),)\n"
-    )
+def test_restricted_stepper_keeps_what_its_results_need():
+    source = inspect.getsource(ode._stepper("rk4", 5, _SLEIGH_CORRECTED, 2, 3, 4))
+    assert "    _, _, a2, a3, a4, = x\n" in source
+    assert "        f_h1 = f_nsl * a3 * a4\n" in source
+    assert "k1_2 = " in source and "k1_0" not in source and "k1_1" not in source
+    assert "f_math" not in source
+    assert "    return [nan, nan, a2, a3, a4], h\n" in source
+
+
+def test_restricted_blow_up_traceback_shows_the_restricted_stepper():
+    field, _ = _inlined_fields()["sleigh-friction"]
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
+    with pytest.raises(NonFiniteState) as err:
+        integrate(field, [0, 0, 0, 1e150, 0, 1e150], cfg, read=(3, 4))
+    assert err.value.t == pytest.approx(1e-3)
+    step = ode._stepper("rk4", 6, _SLEIGH_FRICTION, 2, 3, 4, 5)
+    [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
+    assert frame.filename == "nonholib.ode rk4 n=6 sleigh_friction rows 2,3,4,5"
+    assert frame.line == "raise NonFiniteState(t + (j + 1) * dt)"
+    assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
+
+
+_CONSTANT_RATES = """
+def constant_rates(st):
+    x, y = st
+    return (c, -c)
+"""
+
+
+def test_runs_keeping_no_row_or_every_row_use_the_whole_stepper():
+    # no rate reads a row: read=() keeps none, and read=(0, 1) keeps both
+    field = ode.straight_line(_CONSTANT_RATES, c=0.5)
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-2, sample_dt=0.1)
+    whole = integrate(field, [1.0, 2.0], cfg)
+    misses = ode._stepper.cache_info().misses
+    for read in ((), (0, 1)):
+        run = integrate(field, [1.0, 2.0], cfg, read=read)
+        assert run.states.tobytes() == whole.states.tobytes()
+        assert run.derivs.tobytes() == whole.derivs.tobytes()
+    # both took the whole stepper, cached by the first run
+    assert ode._stepper.cache_info().misses == misses
+    step = ode._stepper("rk4", 2, _text_of(field))
+    assert step.__code__.co_filename == "nonholib.ode rk4 n=2 constant_rates"
 
 
 def test_called_fields_and_unread_runs_integrate_every_row():
     field, _ = _inlined_fields()["sleigh-friction"]
-    x0, dt = _RESTRICTED_RUNS["sleigh-friction"][:2]
-    cfg = IntegratorConfig(t_span=(0.0, 0.3), dt=dt, sample_dt=1e-2)
+    x0 = [0.1, -0.2, 0.3, -1.0, 0.02, 0.5]
+    cfg = IntegratorConfig(t_span=(0.0, 0.3), dt=2e-4, sample_dt=1e-2)
     whole = integrate(field, x0, cfg)
     for f, r in ((lambda x: field(x), (3, 4)), (field, None)):
         run = integrate(f, x0, cfg, read=r)
