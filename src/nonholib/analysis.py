@@ -138,23 +138,19 @@ def estimate_order(eps_ladder, errors) -> np.ndarray:
     return np.log(errors[:-1] / errors[1:]) / np.log(eps_ladder[:-1] / eps_ladder[1:])
 
 
-def pseudo_solution_defect(
-    traj: Trajectory, field_fn: Callable, components: Optional[Sequence[int]] = None
-) -> float:
+def pseudo_solution_defect(traj: Trajectory, field_fn: Callable) -> float:
     """sup_t ||xdot(t) - X(x(t))|| over the stored samples.
 
     Measures how far a curve is from solving the given field; a trajectory
     produced by integrating the same field has zero defect by construction,
     while a projected large-friction trajectory tested against the
     constrained field has a defect proportional to eps.  The field may be
-    handed states with non-finite columns it does not read; a selected
-    difference that is not finite raises NonFiniteValue.
+    handed states with non-finite columns it does not read; a difference
+    that is not finite raises NonFiniteValue.
     """
     diffs = np.empty_like(traj.states)
     for i in range(len(traj)):
         diffs[i] = traj.derivs[i] - field_fn(traj.states[i])
-    if components is not None:
-        diffs = diffs[:, list(components)]
     _finite(diffs, "the defect xdot - X(x)")
     return float(np.max(np.linalg.norm(diffs, axis=1)))
 

@@ -17,10 +17,10 @@ Outputs are deterministic: repeated runs of the same configuration produce
 byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 (falling back to the working directory).
 
-Exit codes: 0 ok, 2 configuration error (including an rk4 step past the
-stability bound and a horizon that is not a whole number of sample
-intervals), 3 numerical blow-up or singular state, 4 analysis
-precondition failure.
+Exit codes: 0 ok, 2 configuration error (including a dt too small for
+sample_dt, an rk4 step past the stability bound and a horizon that is not
+a whole number of sample intervals), 3 numerical blow-up or singular
+state, 4 analysis precondition failure.
 """
 
 from __future__ import annotations
@@ -256,16 +256,6 @@ def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> Integrator
     dt = cfg.dt
     if dt is None:
         dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if fast else STIFF_DT_CAP
-    if fast and cfg.method == "rk4":
-        rate, bound = fast
-        # the effective step: rk4 lands exactly on every sample time
-        h = cfg.sample_dt / max(1, round(cfg.sample_dt / dt))
-        ratio = h * rate(eps)
-        if ratio > bound:
-            raise ConfigError(
-                f"rk4 step {h:g} times fast rate at eps={eps:g} is {ratio:.4g}, "
-                f"past the stability bound {bound}; lower --dt"
-            )
     try:
         icfg = IntegratorConfig(
             t_span=(cfg.t0, cfg.t1),
@@ -275,6 +265,16 @@ def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> Integrator
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if fast and cfg.method == "rk4":
+        rate, bound = fast
+        # the step every interval takes: rk4 lands exactly on every sample time
+        h = cfg.sample_dt / icfg.substeps
+        ratio = h * rate(eps)
+        if ratio > bound:
+            raise ConfigError(
+                f"rk4 step {h:g} times fast rate at eps={eps:g} is {ratio:.4g}, "
+                f"past the stability bound {bound}; lower --dt"
+            )
     # the sample grid ends at t1 only on a whole number of intervals (with
     # the grid's own 1e-9 slack); otherwise the run would stop short of t1
     intervals = (cfg.t1 - cfg.t0) / cfg.sample_dt
@@ -380,9 +380,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     if len(cfg.eps) < 3:
         raise ConfigError("compare needs an eps ladder with at least 3 entries")
     _require_decreasing(cfg.eps)
-    if not cfg.window_start > 0:
+    if not cfg.window_start > cfg.t0:
         raise ConfigError(
-            f"compare window start must be positive, got {cfg.window_start:g}"
+            f"compare window start must be after t0={cfg.t0:g}, got {cfg.window_start:g}"
         )
 
     fric_spec = entry.models["friction"]

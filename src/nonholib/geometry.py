@@ -197,30 +197,11 @@ class MovingFrame:
             raise SingularFrame("frame condition number exceeds 1e12")
         return f
 
-    def inverse_at(self, q) -> np.ndarray:
-        return np.linalg.inv(self.fields_at(q))
-
     def field_derivs_at(self, q) -> np.ndarray:
         fn = self.field_derivs
         if fn is None:
             fn = _central_difference(self.fields, np.shape(q)[-1])
         return _at_rows(fn, q)
-
-
-@dataclass
-class FrameState:
-    """Quasi-velocity state (q, xi, eta) relative to an adapted frame."""
-
-    q: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=float)
-        self.eta = np.asarray(self.eta, dtype=float)
-        if self.xi.size + self.eta.size != self.q.size:
-            raise ValueError("xi and eta sizes must add up to dim(q)")
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +305,6 @@ def christoffel_to_frame(sys: MechanicalSystem, fr: MovingFrame, q) -> np.ndarra
     return np.einsum("ai,ijk,jb,kg->abg", lam, gamma, f, f) + np.einsum(
         "ai,ibk,kg->abg", lam, df, f
     )
-
-
-# ---------------------------------------------------------------------------
-# chart <-> quasi-velocity conversions
-# ---------------------------------------------------------------------------
-
-
-def chart_to_frame(fr: MovingFrame, q, qdot) -> FrameState:
-    """Split a chart velocity into quasi-velocities (xi, eta)."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    w = fr.inverse_at(q) @ qdot
-    return FrameState(q, w[: fr.k], w[fr.k :])
-
-
-def frame_to_chart(fr: MovingFrame, state: FrameState):
-    """Inverse of :func:`chart_to_frame`."""
-    w = np.concatenate([state.xi, state.eta])
-    return state.q.copy(), fr.fields_at(state.q) @ w
 
 
 # ---------------------------------------------------------------------------

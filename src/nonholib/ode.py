@@ -28,9 +28,10 @@ these names, and each field is the maker's closure over its constants.  The
 sleigh's nh, friction and corrected fields and the pendulum's friction,
 potential and nh fields are declared this way.  In a stage the text's
 arguments become the stage locals ``s0 ...`` and every other name gets the
-prefix ``f_``.  The constants are read from the field's closure at the start of
-each stepper call, so one stepper, cached on the text, serves every field
-built from it (every eps).  The stages and the callable come from one text,
+prefix ``f_``; an rk4 stage stores only the arguments that its lines load.
+The constants are read from the field's closure at the start of each
+stepper call, so one stepper, cached on the text, serves every field built
+from it (every eps).  The stages and the callable come from one text,
 so they cannot disagree.  Every other field is called with each stage state
 as a list and its result unpacked into locals: fields that return an
 ndarray, the generic `dynamics` fields, lambdas and wrappers, such as the
@@ -129,8 +130,10 @@ class IntegratorConfig:
         Start and end time, t1 > t0.
     dt : float
         Step size for the fixed-step scheme; initial step for the adaptive
-        one.  The fixed-step scheme lands exactly on every sample time, so
-        the effective step is sample_dt / round(sample_dt / dt).
+        one.  The fixed-step scheme lands exactly on every sample time: it
+        takes `substeps` equal steps on every sample interval, so the
+        effective step is sample_dt / substeps.  sample_dt / dt must be
+        finite.
     sample_dt : float
         Output sampling interval.  Samples are t0 + i * sample_dt.
     method : str
@@ -154,10 +157,17 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.sample_dt > 0:
             raise ValueError(f"sample_dt must be positive, got {self.sample_dt}")
+        if not math.isfinite(self.sample_dt / self.dt):
+            raise ValueError(f"dt {self.dt:g} is too small for sample_dt {self.sample_dt:g}")
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown method {self.method!r}")
+
+    @property
+    def substeps(self) -> int:
+        """The number of equal rk4 steps on every sample interval."""
+        return max(1, round(self.sample_dt / self.dt))
 
 
 class Trajectory:
@@ -509,9 +519,10 @@ def _field_snippets(rows, text) -> tuple:
     the lines, indented by pad, that set k{k}_# for each # in rows to the
     field's value at the stage state whose component # is the expression
     state).  Without a text the stage calls the field with the state as the
-    list xs; with one it holds the state in the locals s# (a stage at a# or
-    s# reads them) and writes only the results of rows, the statements they
-    need and the constants these read."""
+    list xs; with one it writes only the results of rows, the statements
+    they need and the constants these read, and holds in the locals s# only
+    the state components that these load (a stage at a# or s# reads them,
+    and the finite test reads only them)."""
     if text is None:
 
         def call(k, state, pad):
@@ -522,12 +533,14 @@ def _field_snippets(rows, text) -> tuple:
     results = [results[i] for i in rows]
     stmts = _live(stmts, results)
     nodes = stmts + results
+    loads = _names(nodes, ast.Load)
     # read at every call, so one stepper serves every field of the text
     bind = [
         f"    f_{const} = field.__closure__[{i}].cell_contents"
         for i, const in enumerate(_declared(text)[1].co_freevars)
-        if const in _names(nodes, ast.Load)
+        if const in loads
     ]
+    loaded = [i for i in rows if args[i] in loads]
     names = [(m, m.id) for node in nodes for m in ast.walk(node) if isinstance(m, ast.Name)]
 
     def render(v):
@@ -543,12 +556,13 @@ def _field_snippets(rows, text) -> tuple:
         in_locals = state in ("a#", "s#")
         lines, values = rendered[state[0] if in_locals else "s"]
         return (
-            ([] if in_locals else [_row(f"{pad}s# = {state}", rows, "\n")])
+            ([] if in_locals else [_row(f"{pad}s# = {state}", [i]) for i in loaded])
             + [pad + line for line in lines]
             + [f"{pad}k{k}_{i} = {value}" for i, value in zip(rows, values)]
         )
 
-    return bind, _all_finite("s", rows), stage
+    # a stage that loads no state component can raise only the field's own errors
+    return bind, _all_finite("s", loaded) if loaded else "True", stage
 
 
 def _row(template: str, rows, sep: str = ", ") -> str:
@@ -564,14 +578,14 @@ def _all_finite(v: str, rows) -> str:
 
 
 def _rk4_lines(n: int, rows, bind: list, finite: str, stage: Callable) -> list:
-    """Advance the rows of x from t to target in equal steps of about h; h
-    is kept.  Every other place of x is skipped and returned as NaN."""
+    """Advance the rows of x from t to target in cfg.substeps equal steps;
+    h is kept.  Every other place of x is skipped and returned as NaN."""
     pad = " " * 12
     return [
         f"def rk4_n{n}(field, x, t, target, h, cfg):",
         *bind,
         f"    {', '.join(f'a{i}' if i in rows else '_' for i in range(n))}, = x",
-        "    nsub = max(1, int(round((target - t) / h)))",
+        "    nsub = cfg.substeps",
         "    dt = (target - t) / nsub",
         "    half, sixth = 0.5 * dt, dt / 6.0",
         "    for j in range(nsub):",

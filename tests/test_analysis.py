@@ -116,9 +116,14 @@ def test_nan_column_reaches_no_distance_or_defect():
     assert pseudo_solution_defect(a, lambda x: [0.0, 0.0]) == 0.0
     with pytest.raises(NonFiniteValue, match="non-finite"):
         pseudo_solution_defect(a, lambda x: [x[0], 0.0])
-    with pytest.raises(NonFiniteValue, match="non-finite"):
-        pseudo_solution_defect(a, lambda x: [x[0], 0.0], components=(0,))
-    assert pseudo_solution_defect(a, lambda x: [x[0], 0.0], components=(1,)) == 0.0
+
+
+def test_sup_distance_widths_must_match_without_components():
+    a = constant_traj([0.0, 1.0])
+    b = constant_traj([0.0, 1.0, 2.0], dim=3)
+    with pytest.raises(WindowMismatch, match="different dimensions"):
+        sup_distance(a, b, 0.1, 0.9)
+    assert sup_distance(a, b, 0.1, 0.9, components=(0, 1)) == 0.0
 
 
 def test_sup_distance_sleigh_decreases_with_eps(sleigh):
@@ -189,6 +194,8 @@ def test_estimate_order_validation():
         estimate_order([1e-2, 5e-3], [0.1, -0.2])
     with pytest.raises(DegenerateFit):  # an equilibrium start's zero errors
         estimate_order([1e-2, 5e-3], [0.1, 0.0])
+    with pytest.raises(ValueError, match="matching"):
+        estimate_order([1e-2, 5e-3], [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +281,15 @@ def test_energy_audit_grid_check(sleigh_setup):
         energy_audit(traj, sysm, None, 1.0)
 
 
+def test_energy_audit_shape_checks(sleigh_setup):
+    sysm = sleigh_setup[0]
+    times = np.linspace(0.0, 0.3, 4)
+    with pytest.raises(ValueError, match="expected state dimension 6"):
+        energy_audit(Trajectory(times, np.zeros((4, 5)), np.zeros((4, 5))), sysm, None, 1.0)
+    with pytest.raises(ValueError, match="at least five samples"):
+        energy_audit(Trajectory(times, np.zeros((4, 6)), np.zeros((4, 6))), sysm, None, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # manifold fit
 # ---------------------------------------------------------------------------
@@ -328,6 +344,14 @@ def test_manifold_fit_transient_too_short(sleigh_setup):
     times = np.linspace(0.0, 0.2, 5)
     traj = Trajectory(times, np.zeros((5, 6)), np.zeros((5, 6)))
     with pytest.raises(TransientTooShort):
+        manifold_fit(traj, expansion, 1e-2, 0.5, 3, 2)
+
+
+def test_manifold_fit_frame_state_width_check(sleigh_setup):
+    expansion = compute_h1(*sleigh_setup)
+    times = np.linspace(0.0, 1.0, 5)
+    traj = Trajectory(times, np.zeros((5, 5)), np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="expected frame-state dimension 6"):
         manifold_fit(traj, expansion, 1e-2, 0.5, 3, 2)
 
 

@@ -204,6 +204,19 @@ def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_half_integer_step_ratio_runs_the_checked_step(tmp_path):
+    # sample_dt / dt = 3.5 rounds to 4 steps on every interval, the step the
+    # stability check passed (h * fast_rate = 0.0025 * 1040 = 2.6), so the
+    # run equals the one at dt = sample_dt / 4
+    for name, dt in (("ratio", "0.002857142857142857"), ("quarter", "0.0025")):
+        argv = [
+            "simulate", "--system", "sleigh", "--model", "friction", "--eps", "1e-3",
+            "--dt", dt, "--t1", "10", "--out", str(tmp_path / name),
+        ]
+        assert run(argv) == 0
+    assert (tmp_path / "ratio.csv").read_bytes() == (tmp_path / "quarter.csv").read_bytes()
+
+
 def test_spring_default_step_is_never_refused():
     # the default step min(1e-3, eps/20) gives h / sqrt(eps) <= sqrt(eps)/20,
     # up to rounding
@@ -332,6 +345,14 @@ def test_spring_default_step_is_never_refused():
              "--eps", "1e-6", "--dt", "1.0", "--sample-dt", "1.0", "--t1", "50"],
             2,
         ),
+        (["simulate", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+          "--dt", "0", "--t1", "1"], 2),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--dt", "1e-320",
+          "--t1", "1"], 2),
+        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t0", "1",
+          "--t1", "3", "--window-start", "1"], 2),
+        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t0", "1",
+          "--t1", "3", "--window-start", "0.5"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -343,7 +364,8 @@ def test_spring_default_step_is_never_refused():
         "inertial-blow-up", "pendulum-nh-blow-up", "cutoff-within-transient",
         "equilibrium-compare", "manifold-rising-ladder", "manifold-repeated-eps",
         "short-horizon", "ragged-horizon", "ragged-compare-horizon",
-        "unstable-spring-step",
+        "unstable-spring-step", "zero-dt-friction", "dt-too-small-for-sample-dt",
+        "window-start-at-t0", "window-start-before-t0",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

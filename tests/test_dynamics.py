@@ -561,6 +561,15 @@ def test_expansion_defect_quadratic_in_eps(sleigh_setup):
     assert np.all(np.array(ratios) < 5.0)
 
 
+def test_corrected_field_and_expansion_defect_refuse_bad_eps(sleigh_setup):
+    # eps = 0 is the nh field for corrected_field, and no graph for the defect
+    with pytest.raises(NonPositiveEpsilon):
+        corrected_field(*sleigh_setup, -1e-3)
+    for eps in (0.0, -1e-2):
+        with pytest.raises(NonPositiveEpsilon):
+            expansion_defect(*sleigh_setup, eps, np.zeros(3), np.array([1.0, 0.5]))
+
+
 def test_fast_relaxation_rate(sleigh, sleigh_setup):
     # slip decay rate along the friction flow within 10% of the block
     # eigenvalue over eps

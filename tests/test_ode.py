@@ -195,6 +195,39 @@ def test_config_validation():
         IntegratorConfig(t_span=(0.0, 1.0), sample_dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_span=(0.0, 1.0), method="euler")
+    for tols in ({"abs_tol": 0.0}, {"rel_tol": -1e-9}):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            IntegratorConfig(t_span=(0.0, 1.0), **tols)
+    # sample_dt / dt overflows: no whole number of steps fits an interval
+    with pytest.raises(ValueError, match="too small for sample_dt"):
+        IntegratorConfig(t_span=(0.0, 1.0), dt=1e-320)
+
+
+def test_substeps_are_derived_from_dt_and_sample_dt():
+    assert IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2).substeps == 10
+    # a step longer than the interval takes one step per interval
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=0.3, sample_dt=0.1)
+    assert cfg.substeps == 1
+    with pytest.raises(AttributeError):
+        cfg.substeps = 2
+    with pytest.raises(TypeError):
+        IntegratorConfig(t_span=(0.0, 1.0), substeps=2)
+
+
+def test_rk4_takes_the_configured_substeps_on_every_interval():
+    # sample_dt / dt = 3.5 rounds to 4; rounding each interval's own length
+    # over dt gave 3 on some intervals, a longer step than the one checked
+    cfg = IntegratorConfig(t_span=(0.0, 10.0), dt=0.002857142857142857, sample_dt=1e-2)
+    assert cfg.substeps == 4
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return decay(x)
+
+    samples = len(integrate(counted, [1.0], cfg))
+    # one evaluation per sample and 4 per step, 4 steps per interval
+    assert calls[0] == samples + 4 * 4 * (samples - 1)
 
 
 def test_empty_state_refused():
@@ -202,11 +235,28 @@ def test_empty_state_refused():
         integrate(decay, [], IntegratorConfig(t_span=(0.0, 1.0)))
 
 
+def test_non_finite_start_refused():
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        integrate(decay, [1.0, math.inf], IntegratorConfig(t_span=(0.0, 1.0)))
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory([0.0, 0.0], [[1.0], [1.0]], [[0.0], [0.0]])  # not increasing
     with pytest.raises(ValueError):
         Trajectory([0.0, 1.0], [[1.0], [1.0]], [[0.0]])  # shape mismatch
+    with pytest.raises(ValueError, match="1-d"):
+        Trajectory([[0.0, 1.0]], [[1.0], [1.0]], [[0.0], [0.0]])  # 2-d times
+    with pytest.raises(ValueError, match="len\\(times\\)"):
+        Trajectory([0.0, 1.0], [[1.0], [1.0], [1.0]], [[0.0], [0.0], [0.0]])
+
+
+def test_sample_at_one_sample_trajectory():
+    traj = Trajectory([0.5], [[1.0, -2.0]], [[3.0, 4.0]])
+    assert traj.sample_at(0.5).tolist() == [1.0, -2.0]
+    assert traj.sample_at([0.5, 0.5]).tolist() == [[1.0, -2.0], [1.0, -2.0]]
+    with pytest.raises(OutOfRange):
+        traj.sample_at(0.6)
 
 
 def test_trajectory_immutable():
@@ -908,6 +958,24 @@ def test_restricted_stepper_serves_every_eps():
     # the sin and cos of phi went with the x and y rates
     source = inspect.getsource(step)
     assert "field(" not in source and "f_math" not in source
+
+
+def test_rk4_stages_store_only_the_state_their_lines_load():
+    def source(*key):
+        # read through the stepper's loader, as a traceback does, since an
+        # earlier linecache.clearcache() leaves inspect without its lines
+        step = ode._stepper(*key)
+        return "".join(linecache.getlines(step.__code__.co_filename, step.__globals__))
+
+    # no kept rate of the restricted sleigh friction stepper reads phi, and
+    # no sleigh rate reads x or y
+    restricted = source("rk4", 6, _SLEIGH_FRICTION, 2, 3, 4, 5)
+    whole = source("rk4", 6, _SLEIGH_FRICTION)
+    assert "s2 = " not in restricted and "s3 = " in restricted
+    assert "s0 = " not in whole and "s1 = " not in whole and "s2 = " in whole
+    # rkf45's finite test decides the halving, so it keeps every stage state
+    fehlberg = source("rkf45", 6, _SLEIGH_FRICTION)
+    assert "s0 = " in fehlberg and "s1 = " in fehlberg
 
 
 def test_restricted_stepper_keeps_what_its_results_need():

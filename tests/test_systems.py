@@ -123,6 +123,9 @@ def test_friction_rhs_values(sleigh):
     assert_allclose(vdot, -1.0, atol=1e-14)
     with pytest.raises(ValueError):
         sleigh_friction_rhs(sleigh, 0.0, 1.0, 0.0, 1.0)
+    for eps in (0.0, -1e-2):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            sleigh_friction_ortho_rhs(sleigh, eps, 1.0, 0.0, 1.0)
 
 
 def test_friction_rhs_free_limit(sleigh):
