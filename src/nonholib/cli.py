@@ -18,9 +18,10 @@ byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 (falling back to the working directory).
 
 Exit codes: 0 ok, 2 configuration error (including a dt too small for
-sample_dt, an rk4 step past the stability bound and a horizon that is not
-a whole number of sample intervals), 3 numerical blow-up or singular
-state, 4 analysis precondition failure.
+sample_dt, an rk4 step past the stability bound, an rk4 run of more than
+ode.MAX_RK4_STEPS steps and a horizon that is not a whole number of sample
+intervals), 3 numerical blow-up or singular state, 4 analysis precondition
+failure.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .geometry import SingularFrame, SingularMetric
 from .ode import (
     IntegratorConfig,
     NonFiniteState,
+    RunTooLong,
     StepUnderflow,
     Trajectory,
     integrate,
@@ -567,7 +569,7 @@ def main(argv=None) -> int:
             if args.command == "compare":
                 return cmd_compare(cfg)
             return cmd_manifold(cfg)
-    except (ConfigError, InvalidParameter) as exc:
+    except (ConfigError, InvalidParameter, RunTooLong) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

@@ -18,13 +18,19 @@ State layouts are flat vectors: reduced (q, xi) of length n + k, frame
 (q, xi, eta) of length 2n, chart (q, qdot) of length 2n.  Field builders
 return pure callables and are safe to evaluate concurrently.
 
-Each evaluation of a frame-based field or of h1 reads its point data once
-(_Point): one connection evaluation, one frame read and one metric read.
-_Point works on stacks of states with a leading sample axis, and a single
-state is a stack of one.  h1 takes one point (q, xi) or stacks (qs, xis) of
-shapes (m, n) and (m, k); a stack goes through geometry.in_blocks in blocks
-of at most geometry.BLOCK_ROWS rows, each block read with one call per
-point accessor and checked row by row as in geometry.
+Each evaluation of a frame-based field or of h1 reads each callback it needs
+once per point (_Point): the frame, metric, field_derivs and metric_derivs
+callbacks and the friction form nu, each checked once.  _Point reads and
+checks the frame and the metric and hands them, with the frame's inverse, to
+connection_coefficients, which then reads only the two derivative callbacks.
+It calls connection_coefficients through this module's name for it, so that
+a wrapper bound to that name (perfbench's ``--trace 1`` tracer) sees and
+times every connection evaluation.  _Point works on stacks of states with a
+leading sample axis, and a single state is a stack of one.  h1 takes one
+point (q, xi) or stacks (qs, xis) of shapes (m, n) and (m, k); a stack goes
+through geometry.in_blocks in blocks of at most geometry.BLOCK_ROWS rows,
+each block read with one call per point accessor and checked row by row as
+in geometry.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .geometry import (
     MovingFrame,
     _at_rows,
     _central_difference,
+    _read_point,
     _square,
     christoffel,
     connection_coefficients,
@@ -84,8 +91,7 @@ def friction_matrix(sys, fr, fric, q) -> np.ndarray:
     eta-eta block because nu kills D and kappa^{-1} maps the annihilator
     of D onto its orthogonal complement.
     """
-    f = fr.fields_at(q)
-    return _frame_friction(fric, q, f, np.linalg.inv(f), sys.metric_at(q))
+    return _frame_friction(fric, q, *_read_point(sys, fr, q))
 
 
 def _frame_friction(fric, q, f, lam, kappa) -> np.ndarray:
@@ -110,8 +116,9 @@ def _solve(a, b) -> np.ndarray:
 
 
 def _contract(w, omega, v) -> np.ndarray:
-    """omega^a_bg w^b v^g for stacks of coefficients and vectors."""
-    return np.einsum("...abg,...b,...g->...a", omega, w, v)
+    """omega^a_bg w^b v^g for stacks of coefficients and vectors: the sum
+    over g first, then over b."""
+    return _matvec(_matvec(omega, v[:, None]), w)
 
 
 class _Point:
@@ -122,10 +129,9 @@ class _Point:
 
     def __init__(self, sys, fr, q, w):
         self.q, self.w, self.k = q, w, fr.k
-        self.f = fr.fields_at(q)
-        self.lam = np.linalg.inv(self.f)
-        self.kappa = sys.metric_at(q)
-        self.omega = connection_coefficients(sys, fr, q)
+        checked = _read_point(sys, fr, q)
+        self.f, self.lam, self.kappa = checked
+        self.omega = connection_coefficients(sys, fr, q, checked=checked)
         self.acc = -_contract(w, self.omega, w)
         dV = sys.potential_grad_at(q)
         # only rows with a potential force are touched, so a row without one

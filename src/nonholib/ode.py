@@ -116,6 +116,10 @@ class StepUnderflow(RuntimeError):
     """The adaptive step size shrank below the resolvable limit."""
 
 
+class RunTooLong(ValueError):
+    """An rk4 run would take more than MAX_RK4_STEPS steps."""
+
+
 class OutOfRange(ValueError):
     """Interpolation time outside the stored trajectory span."""
 
@@ -282,6 +286,14 @@ def restrict_window(traj: Trajectory, t_lo: float, t_hi: float) -> Trajectory:
     return Trajectory(traj.times[keep], traj.states[keep], traj.derivs[keep])
 
 
+#: Most steps `integrate` lets one rk4 run take (substeps times sample
+#: intervals).  The generated sleigh friction stepper takes about 3 us a
+#: step on a 2-vCPU Xeon VM, so this is most of an hour of it, and 80 times
+#: the 1.2e7 steps of a sleigh rung at eps = 1e-4 on [0, 61] at the default
+#: step eps / 20.
+MAX_RK4_STEPS = 1e9
+
+
 def _sample_times(t0: float, t1: float, sample_dt: float) -> np.ndarray:
     n = int(np.floor((t1 - t0) / sample_dt + 1e-9))
     return t0 + sample_dt * np.arange(n + 1)
@@ -314,12 +326,21 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
         If any state component becomes NaN/Inf.
     StepUnderflow
         If the adaptive step falls below 1e-14 * (t1 - t0).
+    RunTooLong
+        Before any step, if an rk4 run would take more than MAX_RK4_STEPS
+        steps.
     """
     x0 = np.array(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("x0 must be a non-empty flat vector")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
+    steps = cfg.substeps * (cfg.t_span[1] - cfg.t_span[0]) / cfg.sample_dt
+    if cfg.method == "rk4" and not steps <= MAX_RK4_STEPS:
+        raise RunTooLong(
+            f"dt {cfg.dt:g} takes {steps:.3g} rk4 steps over {cfg.t_span}, "
+            f"more than {MAX_RK4_STEPS:.0e}"
+        )
     n = x0.size
     if read is not None and not set(read) <= set(range(n)):
         raise ValueError(f"read rows {sorted(read)} outside a state of {n}")
@@ -483,8 +504,11 @@ def _stepper(method: str, n: int, text=None, *keep) -> Callable:
         filename += " " + _declared(text)[1].co_name
     if keep:
         filename += f" rows {','.join(map(str, keep))}"
-    snippets = _field_snippets(rows, text)
-    lines = _rk4_lines(n, rows, *snippets) if method == "rk4" else _rkf45_lines(n, *snippets)
+    bind, finite, stage = _field_snippets(rows, text)
+    if method == "rk4":
+        lines = _rk4_lines(n, rows, bind, finite, stage)
+    else:
+        lines = _rkf45_lines(n, bind, stage)
     return _compile(
         "\n".join(lines) + "\n",
         filename,
@@ -609,7 +633,7 @@ def _rk4_lines(n: int, rows, bind: list, finite: str, stage: Callable) -> list:
     ]
 
 
-def _rkf45_lines(n: int, bind: list, finite: str, stage: Callable) -> list:
+def _rkf45_lines(n: int, bind: list, stage: Callable) -> list:
     """Advance x from t to target in accepted adaptive steps; the stepper
     returns the step size to try first on the next interval.  An attempt
     whose stage state, x4 or error is non-finite halves the step."""

@@ -353,6 +353,9 @@ def test_spring_default_step_is_never_refused():
           "--t1", "3", "--window-start", "1"], 2),
         (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t0", "1",
           "--t1", "3", "--window-start", "0.5"], 2),
+        # about 1e298 substeps: refused before the first step
+        (["simulate", "--system", "sleigh", "--model", "nh", "--dt", "1e-300",
+          "--t1", "1"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -365,7 +368,7 @@ def test_spring_default_step_is_never_refused():
         "equilibrium-compare", "manifold-rising-ladder", "manifold-repeated-eps",
         "short-horizon", "ragged-horizon", "ragged-compare-horizon",
         "unstable-spring-step", "zero-dt-friction", "dt-too-small-for-sample-dt",
-        "window-start-at-t0", "window-start-before-t0",
+        "window-start-at-t0", "window-start-before-t0", "unbounded-rk4-run",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

@@ -393,6 +393,90 @@ def test_stacked_h1_and_connection_equal_per_row_bitwise(name, sleigh, sleigh_se
     assert omega.tobytes() == per_row.tobytes()
 
 
+def _three_operand_connection(sysm, frame, qs):
+    """The reference for connection_coefficients: the Koszul formula with
+    three-operand einsums, one read per accessor."""
+    f, df = frame.fields_at(qs), frame.field_derivs_at(qs)
+    kappa, dkappa = sysm.metric_at(qs), sysm.metric_derivs_at(qs)
+    lam = np.linalg.inv(f)
+    K = np.swapaxes(f, -1, -2) @ kappa @ f
+    Kinv = np.linalg.inv(K)
+    dk_chart = (
+        np.einsum("...iam,...ij,...jb->...abm", df, kappa, f)
+        + np.einsum("...ia,...ijm,...jb->...abm", f, dkappa, f)
+        + np.einsum("...ia,...ij,...jbm->...abm", f, kappa, df)
+    )
+    DK = np.einsum("...abm,...mc->...abc", dk_chart, f)
+    bracket = np.einsum("...mb,...igm->...ibg", f, df) - np.einsum(
+        "...mg,...ibm->...ibg", f, df
+    )
+    C = np.einsum("...ai,...ibg->...abg", lam, bracket)
+    kosz = 0.5 * (
+        np.einsum("...eb,...gbd->...egd", Kinv, DK)
+        + np.einsum("...eb,...dbg->...egd", Kinv, DK)
+        - np.einsum("...eb,...dgb->...egd", Kinv, DK)
+    )
+    cterm = 0.5 * (
+        np.swapaxes(C, -1, -2)
+        + np.einsum("...ag,...eb,...abd->...egd", K, Kinv, C)
+        + np.einsum("...ad,...eb,...abg->...egd", K, Kinv, C)
+    )
+    return kosz + cterm
+
+
+def _three_operand_h1(sysm, frame, fric, qs, xis):
+    """h1 from the three-operand connection and connection term."""
+    k = frame.k
+    w = np.zeros((len(qs), sysm.n))
+    w[:, :k] = xis
+    f, kappa = frame.fields_at(qs), sysm.metric_at(qs)
+    lam = np.linalg.inv(f)
+    omega = _three_operand_connection(sysm, frame, qs)
+    force = lam @ np.linalg.solve(kappa, sysm.potential_grad_at(qs)[..., None])
+    acc = -np.einsum("...abg,...b,...g->...a", omega, w, w) - force[..., 0]
+    block = (lam @ np.linalg.solve(kappa, fric.nu_at(qs)) @ f)[:, k:, k:]
+    return np.linalg.solve(block, acc[:, k:, None])[..., 0]
+
+
+def _polar_setup():
+    """The stack setup of the polar metric diag(1, r^2) in the chart frame,
+    whose frame metric varies (the sleigh's and the pendulum's do not)."""
+    sysm = MechanicalSystem(
+        n=2,
+        metric=lambda q: np.diag([1.0, q[0] ** 2]),
+        metric_derivs=lambda q: np.array(
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0 * q[0], 0.0]]]
+        ),
+    )
+    frame = MovingFrame(
+        k=1, fields=lambda q: np.eye(2), field_derivs=lambda q: np.zeros((2, 2, 2))
+    )
+    fric = RayleighFriction(nu=lambda q: np.diag([0.0, 1.0]))
+    rng = np.random.default_rng(34)
+    rows = BLOCK_ROWS + 44
+    qs = np.stack([rng.uniform(0.5, 2.0, rows), rng.uniform(-np.pi, np.pi, rows)], axis=1)
+    return sysm, frame, fric, qs, rng.normal(size=(rows, 1))
+
+
+@pytest.mark.parametrize(
+    "name", ["sleigh-ortho", "sleigh-uvw", "sleigh-spring", "pendulum", "polar"]
+)
+def test_pairwise_contractions_match_three_operand_form(name, sleigh, sleigh_setup):
+    # the two forms sum the same products in a different order; each entry
+    # agrees to rounding relative to the largest entry of its stack
+    if name == "polar":
+        sysm, frame, fric, qs, xis = _polar_setup()
+    else:
+        sysm, frame, fric, qs, xis = _stack_setup(name, sleigh, sleigh_setup)
+    h1 = compute_h1(sysm, frame, fric).h1
+    for new, old in (
+        (connection_coefficients(sysm, frame, qs), _three_operand_connection(sysm, frame, qs)),
+        (h1(qs, xis), _three_operand_h1(sysm, frame, fric, qs, xis)),
+    ):
+        assert new.shape == old.shape
+        assert_allclose(new, old, rtol=1e-13, atol=1e-13 * np.abs(old).max())
+
+
 BAD_X = 7.0  # chart x-coordinate of the one bad point in a stack
 EYE3 = np.eye(3)
 
@@ -491,8 +575,9 @@ def test_corrected_field_dissipates(sleigh, sleigh_setup):
 
 
 def test_each_point_read_once(sleigh_setup):
-    # callback reads per evaluation at one point: the connection reads each
-    # callback once, and the fields add at most one frame and one metric read
+    # callback reads per evaluation: every callback that an evaluation needs
+    # is read exactly once per point, on one point and on a stack of more
+    # than one block
     sysm, fr, fric = sleigh_setup
     counts = collections.Counter()
 
@@ -513,28 +598,33 @@ def test_each_point_read_once(sleigh_setup):
         fields=counted("fields", fr.fields),
         field_derivs=counted("field_derivs", fr.field_derivs),
     )
+    fric = dataclasses.replace(fric, nu=counted("nu", fric.nu))
     q = np.array([0.1, -0.2, 0.3])
     reduced = np.concatenate([q, [-1.0, 0.5]])
     framed = np.concatenate([reduced, [0.2]])
-    once = {"fields": 1, "field_derivs": 1, "metric": 1, "metric_derivs": 1}
+    connection = {"fields": 1, "field_derivs": 1, "metric": 1, "metric_derivs": 1}
     for evaluate in (
         lambda: connection_coefficients(sysm, fr, q),
         lambda: geodesic_rhs_struct(sysm, fr, q, framed[3:]),
     ):
         counts.clear()
         evaluate()
-        assert counts == once
-    # (evaluation, most frame reads, most metric reads)
-    bounds = (
-        (lambda: compute_h1(sysm, fr, fric).h1(q, reduced[3:]), 2, 2),
-        (lambda: friction_field(sysm, fr, fric, 1e-2)(framed), 3, 2),
-        (lambda: first_order_field(sysm, fr, fric)(reduced), 3, 2),
-        (lambda: corrected_field(sysm, fr, fric, 1e-2)(reduced), 3, 2),
-    )
-    for evaluate, max_frame, max_metric in bounds:
+        assert counts == connection, counts
+    once = {**connection, "nu": 1}
+    for evaluate in (
+        lambda: compute_h1(sysm, fr, fric).h1(q, reduced[3:]),
+        lambda: friction_field(sysm, fr, fric, 1e-2)(framed),
+        lambda: first_order_field(sysm, fr, fric)(reduced),
+        lambda: corrected_field(sysm, fr, fric, 1e-2)(reduced),
+    ):
         counts.clear()
         evaluate()
-        assert counts["fields"] <= max_frame and counts["metric"] <= max_metric, counts
+        assert counts == once, counts
+    rows = BLOCK_ROWS + 44
+    rng = np.random.default_rng(33)
+    counts.clear()
+    compute_h1(sysm, fr, fric).h1(random_sleigh_q(rng, rows), rng.normal(size=(rows, 2)))
+    assert counts == {name: rows for name in once}, counts
 
 
 def test_slow_equation_coefficient_identity(sleigh):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import linecache
@@ -16,9 +17,11 @@ from nonholib.ode import (
     _FE_A,
     _FE_B4,
     _FE_ERR,
+    MAX_RK4_STEPS,
     IntegratorConfig,
     NonFiniteState,
     OutOfRange,
+    RunTooLong,
     StepUnderflow,
     Trajectory,
     integrate,
@@ -212,6 +215,27 @@ def test_substeps_are_derived_from_dt_and_sample_dt():
         cfg.substeps = 2
     with pytest.raises(TypeError):
         IntegratorConfig(t_span=(0.0, 1.0), substeps=2)
+
+
+def test_rk4_run_longer_than_the_step_bound_is_refused_before_a_step():
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return decay(x)
+
+    # 1e6 substeps on each of 1000 intervals is the bound itself
+    at_bound = IntegratorConfig(t_span=(0.0, 10.0), dt=1e-8, sample_dt=1e-2)
+    assert at_bound.substeps * 1000 == MAX_RK4_STEPS
+    past = dataclasses.replace(at_bound, dt=0.99e-8)
+    with pytest.raises(RunTooLong, match="rk4 steps"):
+        integrate(counted, [1.0], past)
+    with pytest.raises(RunTooLong):
+        integrate(counted, [1.0], IntegratorConfig(t_span=(0.0, 1.0), dt=1e-300))
+    assert calls[0] == 0
+    # the bound is rk4's: rkf45 reads dt only as its first step
+    rkf = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-12, sample_dt=0.5, method="rkf45")
+    assert len(integrate(decay, [1.0], rkf)) == 3
 
 
 def test_rk4_takes_the_configured_substeps_on_every_interval():
