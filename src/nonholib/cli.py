@@ -18,8 +18,9 @@ byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 (falling back to the working directory).
 
 Exit codes: 0 ok, 2 configuration error (including a dt too small for
-sample_dt, an rk4 step past the stability bound, an rk4 run of more than
-ode.MAX_RK4_STEPS steps and a horizon that is not a whole number of sample
+sample_dt, an rk4 step past the stability bound, a run of more than
+ode.MAX_SAMPLES samples or ode.MAX_RK4_STEPS rk4 steps, refused before a
+command's first run, and a horizon that is not a whole number of sample
 intervals), 3 numerical blow-up or singular state, 4 analysis precondition
 failure.
 """
@@ -45,6 +46,7 @@ from .ode import (
     RunTooLong,
     StepUnderflow,
     Trajectory,
+    check_run_size,
     integrate,
     restrict_window,
     rows_read,
@@ -355,9 +357,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     state = _initial_state(cfg, spec)
     eps_list = list(cfg.eps) if spec.needs_eps else [None]
     multi = len(eps_list) > 1
-    # every run's step is checked before the first file is written
+    # every run's step and size are checked before the first file is written
     fast = _fast_rate(cfg, entry, state)
     icfgs = [_integrator_config(cfg, eps, fast) for eps in eps_list]
+    for icfg in icfgs:
+        check_run_size(icfg)
     for eps, icfg in zip(eps_list, icfgs):
         field_fn = spec.build(cfg.params, eps)
         traj = integrate(field_fn, state, icfg)
@@ -395,19 +399,23 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     fric_state = entry.lift_state(cfg.params, nh_state)
     fast = _fast_rate(cfg, entry, fric_state)
     fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
-    nh_field = nh_spec.build(cfg.params, None)
-    comps = entry.compare_components or None
-    nh_traj = integrate(nh_field, nh_state, _integrator_config(cfg), read=comps)
+    nh_icfg = _integrator_config(cfg)
+    for icfg in (nh_icfg, *fric_icfgs):
+        check_run_size(icfg)
+    # with an adapted frame the compared rows are the reduced velocities xi,
+    # rows n to n + k - 1 of the reduced state (q, xi); without one, every row
     adapted = entry.adapted_frame is not None
     to_reduced = entry.reduce_matrix(cfg.params) if adapted else None
+    comps = tuple(range(to_reduced.shape[1] // 2, len(to_reduced))) if adapted else None
+    nh_field = nh_spec.build(cfg.params, None)
+    nh_traj = integrate(nh_field, nh_state, nh_icfg, read=comps)
     t1, t_end = cfg.window_start, cfg.t1
     # a friction run is read through the compared components and, by the
     # defect, through the rows the nh field reads; None reads every row
     fric_read, nh_reads = None, rows_read(nh_field)
-    if comps is not None and nh_reads is not None:
-        fric_read = sorted(nh_reads.union(comps))
-        if adapted:
-            fric_read = np.flatnonzero(to_reduced[fric_read].any(axis=0)).tolist()
+    if adapted and nh_reads is not None:
+        rows = sorted(nh_reads.union(comps))
+        fric_read = np.flatnonzero(to_reduced[rows].any(axis=0)).tolist()
 
     errors, defects, corr_errors = [], [], []
     for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
@@ -422,10 +430,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         )
         if corr_spec is not None:
             corr_traj = integrate(
-                corr_spec.build(cfg.params, eps),
-                nh_state,
-                _integrator_config(cfg),
-                read=comps,
+                corr_spec.build(cfg.params, eps), nh_state, nh_icfg, read=comps
             )
             corr_errors.append(
                 analysis.sup_distance(reduced, corr_traj, t1, t_end, comps)
@@ -469,10 +474,12 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
             f"manifold transient cutoff {cfg.transient_cutoff:g} covers {constants:.3g}"
             f" fast time constants after t0={cfg.t0:g} at eps={max(cfg.eps):g}; needs 10"
         )
+    icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
+    for icfg in icfgs:
+        check_run_size(icfg)
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
     n, k = sysm.n, frame.k
-    icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     to_frame = entry.frame_state_matrix(cfg.params)
 
     residuals, slopes, expected_slopes = [], [], []

@@ -24,6 +24,11 @@ a ahead of the contact point along the blade.  Quasi-velocities:
 * psi    = omega + (m a / (I + m a^2)) v, the angular coordinate that
          diagonalizes the kinetic metric; psi = omega on D.
 
+The chart metric and the blade frame (u, v, omega) are each written once,
+as constant, sin phi and cos phi parts, and their phi-derivatives are
+derived from the parts; the adapted frame (u, psi, v) is the blade frame
+times the constant change of frame that psi makes.
+
 The friction force is -v/eps times the unit covector normal to the blade
 (unit friction coefficient in the slip direction).
 """
@@ -260,108 +265,64 @@ def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
 # generic-machinery builders -------------------------------------------------
 
 
+def _trig_field(k, sin_part, cos_part) -> tuple:
+    """Callbacks (field, derivs) of k + sin_part sin(phi) + cos_part cos(phi),
+    phi = q[2], and of its derivative: sin_part cos(phi) - cos_part sin(phi)
+    in the phi slot, zero in the others.  Each is one dot product of
+    (1, sin(phi), cos(phi)) with a coefficient stack built here, once."""
+    parts = np.array([k, sin_part, cos_part], dtype=float)
+    slopes = np.zeros(parts.shape + (len(k),))
+    slopes[1, ..., 2], slopes[2, ..., 2] = -parts[2], parts[1]
+
+    def callback(stack):
+        flat, shape = stack.reshape(3, -1), stack.shape[1:]
+
+        def at(q):
+            phi = q[2]
+            return np.dot((1.0, math.sin(phi), math.cos(phi)), flat).reshape(shape)
+
+        return at
+
+    return callback(parts), callback(slopes)
+
+
 def sleigh_system(p: SleighParams) -> MechanicalSystem:
-    """Chart metric of the sleigh with analytic derivatives, no potential."""
-
-    def metric(q):
-        phi = q[2]
-        s, c = math.sin(phi), math.cos(phi)
-        ma = p.m * p.a
-        return np.array(
-            [
-                [p.m, 0.0, -ma * s],
-                [0.0, p.m, ma * c],
-                [-ma * s, ma * c, p.itot],
-            ]
-        )
-
-    def metric_derivs(q):
-        phi = q[2]
-        s, c = math.sin(phi), math.cos(phi)
-        ma = p.m * p.a
-        out = np.zeros((3, 3, 3))
-        out[:, :, 2] = np.array(
-            [
-                [0.0, 0.0, -ma * c],
-                [0.0, 0.0, -ma * s],
-                [-ma * c, -ma * s, 0.0],
-            ]
-        )
-        return out
-
+    """Chart metric of the sleigh with analytic derivatives, no potential:
+    m on (x, y), I + m a^2 on phi, coupled to (x, y) through m a times the
+    blade normal (-sin phi, cos phi)."""
+    ma = p.m * p.a
+    metric, metric_derivs = _trig_field(
+        [[p.m, 0.0, 0.0], [0.0, p.m, 0.0], [0.0, 0.0, p.itot]],
+        [[0.0, 0.0, -ma], [0.0, 0.0, 0.0], [-ma, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, ma], [0.0, ma, 0.0]],
+    )
     return MechanicalSystem(n=3, metric=metric, metric_derivs=metric_derivs)
 
 
-def sleigh_ortho_frame(p: SleighParams) -> MovingFrame:
-    """Adapted orthogonal frame, columns ordered (u, psi, v), k = 2.
-
-    The first two fields span the constraint distribution, the third its
-    orthogonal complement; the frame metric is diag(m, I + m a^2,
-    m I/(I + m a^2)).
-    """
-    c0 = p.coupling
-
-    def fields(q):
-        phi = q[2]
-        s, c = math.sin(phi), math.cos(phi)
-        return np.array(
-            [
-                [c, 0.0, -s],
-                [s, 0.0, c],
-                [0.0, 1.0, -c0],
-            ]
-        )
-
-    def field_derivs(q):
-        phi = q[2]
-        s, c = math.sin(phi), math.cos(phi)
-        out = np.zeros((3, 3, 3))
-        out[:, :, 2] = np.array(
-            [
-                [-s, 0.0, -c],
-                [c, 0.0, -s],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        return out
-
-    return MovingFrame(k=2, fields=fields, field_derivs=field_derivs)
+_BLADE_PARTS = (
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+)
 
 
 def sleigh_uvw_frame(p: SleighParams) -> MovingFrame:
-    """Blade-aligned frame with columns (u, v, omega): the frame of the
-    friction model's velocity columns, so the registry derives the sleigh's
-    fast model and frame-state map from it.
+    """Blade-aligned frame with columns (u, v, omega), the friction model's
+    velocity columns: (cos phi, sin phi, 0), (-sin phi, cos phi, 0) and
+    (0, 0, 1).  The registry derives the sleigh's fast model and
+    frame-state map from it; its frame metric couples v and omega, so the
+    generic slow-manifold fields use :func:`sleigh_ortho_frame`."""
+    return MovingFrame(2, *_trig_field(*_BLADE_PARTS))
 
-    It is not orthogonally adapted (the frame metric couples v and omega),
-    so the generic slow-manifold fields use :func:`sleigh_ortho_frame`.
-    """
 
-    def fields(q):
-        phi = q[2]
-        s, c = math.sin(phi), math.cos(phi)
-        return np.array(
-            [
-                [c, -s, 0.0],
-                [s, c, 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
-    def field_derivs(q):
-        phi = q[2]
-        s, c = math.sin(phi), math.cos(phi)
-        out = np.zeros((3, 3, 3))
-        out[:, :, 2] = np.array(
-            [
-                [-s, -c, 0.0],
-                [c, -s, 0.0],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        return out
-
-    return MovingFrame(k=2, fields=fields, field_derivs=field_derivs)
+def sleigh_ortho_frame(p: SleighParams) -> MovingFrame:
+    """Adapted orthogonal frame (u, psi, v), k = 2: the blade frame times
+    the constant change of frame (u, v, omega) = change @ (u, psi, v) of
+    psi = omega + coupling * v.  The first two fields span the constraint
+    distribution, the third its orthogonal complement; the frame metric is
+    diag(m, I + m a^2, m I/(I + m a^2))."""
+    change = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, -p.coupling]])
+    return MovingFrame(2, *_trig_field(*(np.array(b) @ change for b in _BLADE_PARTS)))
 
 
 def sleigh_friction_form(p: SleighParams) -> RayleighFriction:
@@ -553,7 +514,8 @@ class SystemEntry:
     it.  A realization without a Rayleigh form declares the rate of its
     stiff oscillation instead, for the same check.  An ``adapted_frame``
     adds the frame-state, reduce and lift maps; without one the friction
-    and constrained states share one layout.
+    and constrained states share one layout.  The sleigh's adapted frame is
+    its realization frame times a constant change of frame by construction.
     """
 
     param_defaults: dict
@@ -561,7 +523,6 @@ class SystemEntry:
     # (params: dict, friction-model state) -> total energy, used to flag
     # runs started outside the moderate-energy regime in the reports
     energy_of_state: Callable
-    compare_components: tuple = ()
     # (params: dict) -> (system, frame, friction): the friction model's
     # state is (q, w) with w the components of qdot in this frame
     realization: Callable = None
@@ -664,7 +625,6 @@ def _sleigh_entry() -> SystemEntry:
         param_defaults=_param_defaults(SleighParams),
         models=models,
         energy_of_state=energy_of,
-        compare_components=(3, 4),
         realization=realization,
         adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
     )

@@ -356,6 +356,9 @@ def test_spring_default_step_is_never_refused():
         # about 1e298 substeps: refused before the first step
         (["simulate", "--system", "sleigh", "--model", "nh", "--dt", "1e-300",
           "--t1", "1"], 2),
+        # 1e17 samples: refused before the sample grid is built
+        (["simulate", "--system", "sleigh", "--model", "nh", "--method", "rkf45",
+          "--t1", "1e15"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -369,6 +372,7 @@ def test_spring_default_step_is_never_refused():
         "short-horizon", "ragged-horizon", "ragged-compare-horizon",
         "unstable-spring-step", "zero-dt-friction", "dt-too-small-for-sample-dt",
         "window-start-at-t0", "window-start-before-t0", "unbounded-rk4-run",
+        "unbounded-sample-grid",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):
@@ -386,6 +390,28 @@ def test_failures_exit_with_one_line(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+         "--eps", "1e-12", "--t1", "0.05"],
+        ["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+         "--eps", "1e-12"],
+    ],
+    ids=["simulate", "manifold"],
+)
+def test_too_long_rung_refused_before_the_first_run(
+    argv, tmp_path, monkeypatch, capsys
+):
+    # the eps = 1e-12 rung takes 2e14 rk4 steps; the 1e-2 rung before it
+    # must not run or write its file either
+    monkeypatch.setenv("NONHOLIB_OUT_DIR", str(tmp_path))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "rk4 steps" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_report(tmp_path):

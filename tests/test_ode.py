@@ -18,12 +18,14 @@ from nonholib.ode import (
     _FE_B4,
     _FE_ERR,
     MAX_RK4_STEPS,
+    MAX_SAMPLES,
     IntegratorConfig,
     NonFiniteState,
     OutOfRange,
     RunTooLong,
     StepUnderflow,
     Trajectory,
+    check_run_size,
     integrate,
     transform_linear,
 )
@@ -236,6 +238,27 @@ def test_rk4_run_longer_than_the_step_bound_is_refused_before_a_step():
     # the bound is rk4's: rkf45 reads dt only as its first step
     rkf = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-12, sample_dt=0.5, method="rkf45")
     assert len(integrate(decay, [1.0], rkf)) == 3
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_sample_grid_past_the_bound_is_refused_before_it_is_built(method):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return decay(x)
+
+    # MAX_SAMPLES - 1 intervals of one step each: MAX_SAMPLES samples
+    at_bound = IntegratorConfig(
+        t_span=(0.0, MAX_SAMPLES - 1), dt=1.0, sample_dt=1.0, method=method
+    )
+    check_run_size(at_bound)
+    past = dataclasses.replace(at_bound, t_span=(0.0, MAX_SAMPLES))
+    with pytest.raises(RunTooLong, match="samples"):
+        check_run_size(past)
+    with pytest.raises(RunTooLong, match="samples"):
+        integrate(counted, [1.0], dataclasses.replace(at_bound, t_span=(0.0, 1e15)))
+    assert calls[0] == 0
 
 
 def test_rk4_takes_the_configured_substeps_on_every_interval():

@@ -30,6 +30,7 @@ from nonholib.systems import (
     sleigh_nh_field,
     sleigh_nh_rhs,
     sleigh_ortho_frame,
+    sleigh_system,
     sleigh_uvw_frame,
     sleigh_x1_rhs,
 )
@@ -612,6 +613,35 @@ def test_derived_frame_state_map(params):
         q = rng.uniform(-5.0, 5.0, 3)
         ortho, uvw = sleigh_ortho_frame(p).fields_at(q), sleigh_uvw_frame(p).fields_at(q)
         assert_allclose(np.linalg.inv(ortho) @ uvw, frame_map[3:, 3:], rtol=0.0, atol=1e-15)
+
+
+def test_sleigh_geometry_equals_its_closed_forms():
+    # the metric and both frames come from constant, sin and cos parts, and
+    # their derivatives from those parts; every value must equal the closed
+    # form (== ignores the sign of a zero entry)
+    rng = np.random.default_rng(71)
+    for i in range(240):
+        m, inertia = rng.uniform(0.1, 3.0, 2)
+        p = SleighParams(m=m, I=inertia, a=0.0 if i % 4 == 0 else rng.uniform(0.0, 2.0))
+        q = rng.uniform(-10.0, 10.0, 3)
+        q[2] = 0.0 if i % 3 == 0 else q[2]
+        s, c, k = math.sin(q[2]), math.cos(q[2]), p.coupling
+        mas, mac = p.m * p.a * s, p.m * p.a * c
+        sysm, uvw, ortho = sleigh_system(p), sleigh_uvw_frame(p), sleigh_ortho_frame(p)
+        closed = [
+            (sysm.metric, [[p.m, 0, -mas], [0, p.m, mac], [-mas, mac, p.itot]]),
+            (sysm.metric_derivs, [[0, 0, -mac], [0, 0, -mas], [-mac, -mas, 0]]),
+            (uvw.fields, [[c, -s, 0], [s, c, 0], [0, 0, 1]]),
+            (uvw.field_derivs, [[-s, -c, 0], [c, -s, 0], [0, 0, 0]]),
+            (ortho.fields, [[c, 0, -s], [s, 0, c], [0, 1, -k]]),
+            (ortho.field_derivs, [[-s, 0, -c], [c, 0, -s], [0, 0, 0]]),
+        ]
+        for fn, expected in closed:
+            value = fn(q)
+            if value.ndim == 3:  # a derivative: only the phi slot is nonzero
+                assert np.all(value[..., :2] == 0.0)
+                value = value[..., 2]
+            assert np.array_equal(value, np.array(expected, dtype=float)), (fn, p, q)
 
 
 def test_sleigh_fast_model_moves_only_slip():
