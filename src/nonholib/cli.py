@@ -20,9 +20,10 @@ byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 Exit codes: 0 ok, 2 configuration error (including a dt too small for
 sample_dt, an rk4 step past the stability bound, a run of more than
 ode.MAX_SAMPLES samples or ode.MAX_RK4_STEPS rk4 steps, refused before a
-command's first run, and a horizon that is not a whole number of sample
-intervals), 3 numerical blow-up or singular state, 4 analysis precondition
-failure.
+command's first run, a system parameter out of range or overflowing, and a
+horizon that ode.IntegratorConfig refuses: not a whole number of sample
+intervals, or a count of them that is not finite), 3 numerical blow-up or
+singular state, 4 analysis precondition failure.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[tuple]:
 
 
 def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> IntegratorConfig:
-    """One run's settings; fast is :func:`_fast_rate`, None if nonstiff."""
+    """One run's settings; fast is :func:`_fast_rate`, None if nonstiff.  Decides only
+    what needs the system, the default step and its stability; IntegratorConfig the grid."""
     dt = cfg.dt
     if dt is None:
         dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if fast else STIFF_DT_CAP
@@ -279,15 +281,6 @@ def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> Integrator
                 f"rk4 step {h:g} times fast rate at eps={eps:g} is {ratio:.4g}, "
                 f"past the stability bound {bound}; lower --dt"
             )
-    # the sample grid ends at t1 only on a whole number of intervals (with
-    # the grid's own 1e-9 slack); otherwise the run would stop short of t1
-    intervals = (cfg.t1 - cfg.t0) / cfg.sample_dt
-    whole = round(intervals)
-    if whole < 1 or abs(intervals - whole) > 1e-9:
-        raise ConfigError(
-            f"horizon t1 - t0 = {cfg.t1 - cfg.t0:g} must be a whole number "
-            f"(at least 1) of sample intervals sample_dt = {cfg.sample_dt:g}"
-        )
     return icfg
 
 
@@ -318,8 +311,9 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    with path.open("w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, columns) -> None:

@@ -127,12 +127,13 @@ class OutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration settings.
+    """Integration settings, and the one statement of a run's sample grid.
 
     Parameters
     ----------
     t_span : (float, float)
-        Start and end time, t1 > t0.
+        Start and end time, t1 > t0.  t1 - t0 must be a finite, whole number
+        (at least 1, within 1e-9) of sample intervals, so the last sample is t1.
     dt : float
         Step size for the fixed-step scheme; initial step for the adaptive
         one.  The fixed-step scheme lands exactly on every sample time: it
@@ -140,11 +141,14 @@ class IntegratorConfig:
         effective step is sample_dt / substeps.  sample_dt / dt must be
         finite.
     sample_dt : float
-        Output sampling interval.  Samples are t0 + i * sample_dt.
+        Output sampling interval.  Samples are t0 + i * sample_dt, i = 0 ... `intervals`.
     method : str
         "rk4" (fixed step) or "rkf45" (adaptive).
     abs_tol, rel_tol : float
         Error tolerances for the adaptive scheme.
+
+    `intervals` (sample intervals to t1) and `substeps` (rk4 steps in each)
+    are derived once, when the config is made; read-only, and not fields.
     """
 
     t_span: tuple[float, float]
@@ -164,15 +168,21 @@ class IntegratorConfig:
             raise ValueError(f"sample_dt must be positive, got {self.sample_dt}")
         if not math.isfinite(self.sample_dt / self.dt):
             raise ValueError(f"dt {self.dt:g} is too small for sample_dt {self.sample_dt:g}")
+        count = (t1 - t0) / self.sample_dt
+        if not math.isfinite(count):
+            raise ValueError(f"horizon {t1 - t0:g} is too long for sample_dt {self.sample_dt:g}")
+        if not (round(count) >= 1 and abs(count - round(count)) <= 1e-9):
+            raise ValueError(
+                f"horizon t1 - t0 = {t1 - t0:g} must be a whole number "
+                f"(at least 1) of sample intervals sample_dt = {self.sample_dt:g}"
+            )
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown method {self.method!r}")
-
-    @property
-    def substeps(self) -> int:
-        """The number of equal rk4 steps on every sample interval."""
-        return max(1, round(self.sample_dt / self.dt))
+        # set past the frozen guard, which keeps them read-only afterwards
+        object.__setattr__(self, "intervals", round(count))
+        object.__setattr__(self, "substeps", max(1, round(self.sample_dt / self.dt)))
 
 
 class Trajectory:
@@ -304,23 +314,18 @@ MAX_SAMPLES = 1e6
 def check_run_size(cfg: IntegratorConfig) -> None:
     """Raise RunTooLong if a run on cfg would store more than MAX_SAMPLES
     samples or, by rk4, take more than MAX_RK4_STEPS steps."""
-    intervals = (cfg.t_span[1] - cfg.t_span[0]) / cfg.sample_dt
-    if not intervals + 1 <= MAX_SAMPLES:
+    if not cfg.intervals + 1 <= MAX_SAMPLES:
         raise RunTooLong(
-            f"sample_dt {cfg.sample_dt:g} takes {intervals + 1:.3g} samples over "
+            f"sample_dt {cfg.sample_dt:g} takes {cfg.intervals + 1:.3g} samples over "
             f"{cfg.t_span}, more than {MAX_SAMPLES:.0e}"
         )
-    steps = cfg.substeps * intervals
+    # a float product, which a step count past the largest float makes inf
+    steps = cfg.substeps * float(cfg.intervals)
     if cfg.method == "rk4" and not steps <= MAX_RK4_STEPS:
         raise RunTooLong(
             f"dt {cfg.dt:g} takes {steps:.3g} rk4 steps over {cfg.t_span}, "
             f"more than {MAX_RK4_STEPS:.0e}"
         )
-
-
-def _sample_times(t0: float, t1: float, sample_dt: float) -> np.ndarray:
-    n = int(np.floor((t1 - t0) / sample_dt + 1e-9))
-    return t0 + sample_dt * np.arange(n + 1)
 
 
 def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajectory:
@@ -369,7 +374,7 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
     # keeping no row or every row is a whole run, whose stepper names no rows
     keep = keep if len(keep) < n else ()
     step = _stepper(cfg.method, n, text, *keep)
-    times = _sample_times(*cfg.t_span, cfg.sample_dt)
+    times = cfg.t_span[0] + cfg.sample_dt * np.arange(cfg.intervals + 1)
     states = np.empty((len(times), n))
     derivs = np.empty((len(times), n))
     ts = times.tolist()

@@ -79,6 +79,12 @@ class SleighParams:
             raise InvalidParameter("I must be positive")
         if self.a < 0:
             raise InvalidParameter("a must be nonnegative")
+        try:  # a float's ** raises OverflowError where * gives inf
+            derived = (self.itot, self.coupling, self.slaving)
+        except OverflowError:
+            derived = (math.inf,)
+        if not all(map(math.isfinite, derived)):
+            raise InvalidParameter(f"I + m a^2 and its ratios must be finite, got {self}")
 
     # Computed once, as the sleigh rate helpers read them on every call.
     # cached_property writes __dict__ directly, so it works on a frozen

@@ -359,6 +359,16 @@ def test_spring_default_step_is_never_refused():
         # 1e17 samples: refused before the sample grid is built
         (["simulate", "--system", "sleigh", "--model", "nh", "--method", "rkf45",
           "--t1", "1e15"], 2),
+        # (t1 - t0) / sample_dt overflows: no count of intervals to check
+        (["simulate", "--system", "sleigh", "--model", "nh", "--t1", "1e308",
+          "--sample-dt", "1e-308"], 2),
+        (["simulate", "--system", "sleigh", "--model", "nh", "--t0=-1e308",
+          "--t1", "1e308"], 2),
+        # a**2 overflows: I + m a^2 is not finite
+        (["simulate", "--system", "sleigh", "--model", "nh", "--param", "a=1e300",
+          "--t1", "0.1"], 2),
+        (["compare", "--system", "sleigh", "--eps", "8e-3", "--eps", "4e-3", "--eps",
+          "2e-3", "--param", "a=1e300"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -372,7 +382,8 @@ def test_spring_default_step_is_never_refused():
         "short-horizon", "ragged-horizon", "ragged-compare-horizon",
         "unstable-spring-step", "zero-dt-friction", "dt-too-small-for-sample-dt",
         "window-start-at-t0", "window-start-before-t0", "unbounded-rk4-run",
-        "unbounded-sample-grid",
+        "unbounded-sample-grid", "overflowing-interval-count", "overflowing-horizon",
+        "overflowing-sleigh-inertia", "overflowing-sleigh-inertia-compare",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):

@@ -70,7 +70,7 @@ def test_no_unused_module_level_import(path):
 #: test that uses it as an oracle or an independent route, its perfbench use,
 #: or the ROADMAP item that reserves it.
 KEPT_UNREAD = {
-    "energy_audit": "ROADMAP item 6 puts it in the compare report; criterion 06 "
+    "energy_audit": "ROADMAP item 15 puts it in the compare report; criterion 06 "
     "and perfbench's analysis.energy_audit_ms probe run it",
     "friction_field_chart": "perfbench's tracer rebinds dynamics.christoffel, which only "
     "this function reads; test_chart_field_matches_frame_field's independent route",

@@ -206,6 +206,15 @@ def test_config_validation():
     # sample_dt / dt overflows: no whole number of steps fits an interval
     with pytest.raises(ValueError, match="too small for sample_dt"):
         IntegratorConfig(t_span=(0.0, 1.0), dt=1e-320)
+    # the last sample must land on t1: a whole number of intervals, within 1e-9
+    for t_span, sample_dt in (((0.0, 1.005), 0.01), ((0.0, 0.05), 1.0), ((0.0, 1.0), 0.3)):
+        with pytest.raises(ValueError, match="whole number"):
+            IntegratorConfig(t_span=t_span, sample_dt=sample_dt)
+    assert IntegratorConfig(t_span=(0.0, 1.0 + 1e-12), sample_dt=0.01).intervals == 100
+    # (t1 - t0) / sample_dt overflows: no count of intervals to check
+    for t_span, sample_dt in (((0.0, 1e308), 1e-308), ((-1e308, 1e308), 1e-2)):
+        with pytest.raises(ValueError, match="too long for sample_dt"):
+            IntegratorConfig(t_span=t_span, sample_dt=sample_dt)
 
 
 def test_substeps_are_derived_from_dt_and_sample_dt():
@@ -217,6 +226,28 @@ def test_substeps_are_derived_from_dt_and_sample_dt():
         cfg.substeps = 2
     with pytest.raises(TypeError):
         IntegratorConfig(t_span=(0.0, 1.0), substeps=2)
+
+
+def test_intervals_and_substeps_are_computed_once_per_config():
+    cfg = IntegratorConfig(t_span=(1.0, 3.0), dt=1e-3, sample_dt=1e-2)
+    assert (cfg.intervals, cfg.substeps) == (200, 10)
+    # fields changed past the frozen guard move neither: both were computed
+    # when the config was made, not on a read
+    object.__setattr__(cfg, "t_span", (0.0, 1.0))
+    object.__setattr__(cfg, "dt", 1e-4)
+    assert (cfg.intervals, cfg.substeps) == (200, 10)
+    # they are not fields: a dataclass derives nothing from them
+    fresh = IntegratorConfig(t_span=(1.0, 3.0), dt=1e-3, sample_dt=1e-2)
+    assert "intervals" not in {f.name for f in dataclasses.fields(fresh)}
+    assert "substeps" not in repr(fresh)
+    assert fresh == IntegratorConfig(t_span=(1.0, 3.0), dt=1e-3, sample_dt=1e-2)
+    assert dataclasses.replace(fresh, t_span=(0.0, 1.0)).intervals == 100
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh.intervals = 3
+    with pytest.raises(TypeError):
+        IntegratorConfig(t_span=(0.0, 1.0), intervals=100)
+    times = integrate(decay, [1.0], fresh).times
+    assert len(times) == fresh.intervals + 1 and times[-1] == 1.0 + 200 * 1e-2
 
 
 def test_rk4_run_longer_than_the_step_bound_is_refused_before_a_step():
@@ -232,8 +263,10 @@ def test_rk4_run_longer_than_the_step_bound_is_refused_before_a_step():
     past = dataclasses.replace(at_bound, dt=0.99e-8)
     with pytest.raises(RunTooLong, match="rk4 steps"):
         integrate(counted, [1.0], past)
-    with pytest.raises(RunTooLong):
-        integrate(counted, [1.0], IntegratorConfig(t_span=(0.0, 1.0), dt=1e-300))
+    # about 1e300 and 1e310 steps; the latter is past the largest float
+    for dt in (1e-300, 1e-310):
+        with pytest.raises(RunTooLong):
+            integrate(counted, [1.0], IntegratorConfig(t_span=(0.0, 1.0), dt=dt))
     assert calls[0] == 0
     # the bound is rk4's: rkf45 reads dt only as its first step
     rkf = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-12, sample_dt=0.5, method="rkf45")
