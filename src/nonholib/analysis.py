@@ -22,7 +22,7 @@ from .dynamics import (
     energy,
     rayleigh_power,
 )
-from .geometry import MechanicalSystem, MovingFrame, in_blocks
+from .geometry import MechanicalSystem, MovingFrame, SingularFrame, SingularMetric, in_blocks
 from .ode import Trajectory
 
 DEFAULT_T1 = 0.5
@@ -58,7 +58,7 @@ def _finite(values: np.ndarray, what: str) -> None:
 class ManifoldFit:
     """Post-transient samples against the first-order slow-manifold graph."""
 
-    qs: np.ndarray  # (m, n) chart points
+    qs: np.ndarray  # (m, n) chart points; a row left out of the run is NaN
     xis: np.ndarray  # (m, k)
     etas: np.ndarray  # (m, n - k)
     predicted: np.ndarray  # (m, n - k), eps * h1 per sample
@@ -224,6 +224,9 @@ def manifold_fit(
     The trajectory must hold frame states (q, xi, eta) of length 2n.  The
     cutoff should cover several fast time constants; samples before it are
     discarded.  The sup residual shrinks like eps^2 along an eps ladder.
+    A chart row left out of the run (NaN) must be one that h1 never reads;
+    a graph that reads one raises NonFiniteValue, whether a checked
+    callback refuses it or the graph comes out non-finite.
     """
     if traj.dim != 2 * n:
         raise ValueError(f"expected frame-state dimension {2 * n}, got {traj.dim}")
@@ -237,7 +240,13 @@ def manifold_fit(
     qs = states[:, :n]
     xis = states[:, n : n + k]
     etas = states[:, n + k :]
-    predicted = eps * expansion.h1(qs, xis)
+    try:
+        predicted = eps * expansion.h1(qs, xis)
+    except (SingularFrame, SingularMetric) as exc:
+        if np.isfinite(qs).all():
+            raise
+        raise NonFiniteValue(f"h1 reads a chart row left out of the run: {exc}") from None
+    _finite(predicted, "the first-order graph eps * h1")
     return ManifoldFit(qs=qs, xis=xis, etas=etas, predicted=predicted)
 
 

@@ -321,15 +321,20 @@ def write_trajectory_csv(path: Path, traj: Trajectory, columns) -> None:
 
 
 def write_trajectory_json(path: Path, traj: Trajectory, columns) -> None:
+    """The bytes of _write_json's doc {"columns": ["t", *columns], "rows":
+    [[t, *state], ...]}, written a row at a time so that neither the text
+    nor a list of every row is held."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "columns": ["t"] + list(columns),
-        "rows": [
-            [float(t)] + [float(v) for v in row]
-            for t, row in zip(traj.times, traj.states)
-        ],
-    }
-    _write_json(path, doc)
+    head = json.dumps({"columns": ["t", *columns]}, indent=2)
+    with path.open("w", newline="\n") as f:
+        f.write(head[: -len("\n}")] + ',\n  "rows": [')
+        sep = "\n"
+        for row in np.column_stack((traj.times, traj.states)):
+            # compact JSON joins a list's numbers with ", ", which no number holds
+            items = json.dumps(row.tolist())[1:-1].replace(", ", ",\n      ")
+            f.write(f"{sep}    [\n      {items}\n    ]")
+            sep = ",\n"
+        f.write("\n  ]\n}\n")
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -475,10 +480,14 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     expansion = dynamics.compute_h1(sysm, frame, fric)
     n, k = sysm.n, frame.k
     to_frame = entry.frame_state_matrix(cfg.params)
+    # the fit reads every frame-state row but the cyclic ones, which no
+    # callback of h1 reads; a run keeps the friction rows those map from
+    rows = [r for r in range(len(to_frame)) if r not in entry.cyclic]
+    fric_read = np.flatnonzero(to_frame[rows].any(axis=0)).tolist()
 
     residuals, slopes, expected_slopes = [], [], []
     for eps, icfg in zip(cfg.eps, icfgs):
-        traj = integrate(fric_spec.build(cfg.params, eps), state, icfg)
+        traj = integrate(fric_spec.build(cfg.params, eps), state, icfg, read=fric_read)
         frame_traj = transform_linear(traj, to_frame)
         fit = analysis.manifold_fit(
             frame_traj, expansion, eps, cfg.transient_cutoff, n, k

@@ -522,6 +522,11 @@ class SystemEntry:
     adds the frame-state, reduce and lift maps; without one the friction
     and constrained states share one layout.  The sleigh's adapted frame is
     its realization frame times a constant change of frame by construction.
+    ``cyclic`` names the chart rows of q that no callback of the realization
+    or the adapted frame reads (the sleigh's x and y: it is invariant under
+    translations of the plane); ``manifold`` leaves them out of its runs, so
+    they are NaN in its chart samples.  The default () declares that every
+    row is read.
     """
 
     param_defaults: dict
@@ -538,6 +543,7 @@ class SystemEntry:
     # eps -> angular frequency of the friction model's stiff oscillation,
     # for a realization without a Rayleigh form
     oscillation_rate: Callable = None
+    cyclic: tuple = ()
 
     def __post_init__(self):
         if self.realization is not None:  # fast time at eps = 0, same columns
@@ -633,6 +639,7 @@ def _sleigh_entry() -> SystemEntry:
         energy_of_state=energy_of,
         realization=realization,
         adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
+        cyclic=(0, 1),
     )
 
 

@@ -658,3 +658,76 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     rc = run(["simulate", "--system", "sleigh", "--model", "nh", "--t1", "1"])
     assert rc == 0
     assert (tmp_path / "sleigh_nh.csv").exists()
+
+
+def test_trajectory_json_is_written_row_by_row_as_one_dump(tmp_path):
+    from nonholib.cli import write_trajectory_json
+    from nonholib.ode import Trajectory
+
+    states = np.array([[0.1, -0.0, 1e300], [2.5e-308, np.nan, -7.0], [1 / 3, 4e16, -np.inf]])
+    traj = Trajectory([0.0, 0.01, 0.02], states, np.zeros_like(states))
+    path = tmp_path / "t.json"
+    write_trajectory_json(path, traj, ("x", "y", "phi"))
+    rows = [[t, *row] for t, row in zip(traj.times.tolist(), states.tolist())]
+    doc = {"columns": ["t", "x", "y", "phi"], "rows": rows}
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+_SHORT_MANIFOLD = [
+    "manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2,5e-3",
+    "--t1", "1.5",
+]
+
+
+@pytest.mark.parametrize(
+    "state", [[], ["--state", "0,0,2.1,-0.93,0,0.41"]], ids=["readme", "perfbench-box"]
+)
+def test_manifold_outputs_equal_whole_runs(state, tmp_path, monkeypatch):
+    # oracle: the same report and scatter files with every row integrated
+    from nonholib import cli, ode
+
+    left_out = []
+
+    def recorded(field, x0, cfg, read=None):
+        traj = ode.integrate(field, x0, cfg, read=read)
+        left_out.append(np.isnan(traj.states).all(axis=0).nonzero()[0].tolist())
+        return traj
+
+    argv = _SHORT_MANIFOLD + state
+    monkeypatch.setattr(cli, "integrate", recorded)
+    assert run(argv + ["--out", str(tmp_path / "part" / "m")]) == 0
+    assert left_out == [[0, 1], [0, 1]]  # x and y, in both rungs
+    monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
+    assert run(argv + ["--out", str(tmp_path / "whole" / "m")]) == 0
+    names = sorted(p.name for p in (tmp_path / "part").iterdir())
+    assert names == ["m_manifold.json", "m_manifold_eps0.005.csv", "m_manifold_eps0.01.csv"]
+    for name in names:
+        part = (tmp_path / "part" / name).read_bytes()
+        assert part == (tmp_path / "whole" / name).read_bytes(), name
+
+
+def test_wrongly_declared_cyclic_row_exits_4(tmp_path, monkeypatch, capsys):
+    # a sleigh whose metric reads x but which still declares x and y cyclic
+    import dataclasses
+
+    from nonholib import cli, ode, systems
+
+    sleigh = get_system("sleigh")
+
+    def realization(params):
+        sysm, frame, fric = sleigh.realization(params)
+        metric = lambda q: sysm.metric(q) * (1.0 + 0.0 * q[0])  # noqa: E731
+        return dataclasses.replace(sysm, metric=metric), frame, fric
+
+    bad = dataclasses.replace(sleigh, models=dict(sleigh.models), realization=realization)
+    assert bad.cyclic == (0, 1)
+    monkeypatch.setitem(systems.REGISTRY, "x-metric-sleigh", bad)
+    argv = _SHORT_MANIFOLD + ["--system", "x-metric-sleigh"]
+    assert run(argv + ["--out", str(tmp_path / "bad" / "m")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
+    assert "metric has non-finite entries" in err
+    assert not (tmp_path / "bad").exists()
+    # whole runs give the metric a finite x, so only the declaration is wrong
+    monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
+    assert run(argv + ["--out", str(tmp_path / "whole" / "m")]) == 0

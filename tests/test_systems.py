@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import random_sleigh_q
 from nonholib import ode
-from nonholib.dynamics import relaxation_rate
+from nonholib.dynamics import compute_h1, relaxation_rate
 from nonholib.ode import IntegratorConfig, integrate
 from nonholib.systems import (
     InvalidParameter,
@@ -672,6 +673,28 @@ def test_sleigh_geometry_equals_its_closed_forms():
                 assert np.all(value[..., :2] == 0.0)
                 value = value[..., 2]
             assert np.array_equal(value, np.array(expected, dtype=float)), (fn, p, q)
+
+
+@pytest.mark.parametrize("params", SLEIGH_PARAMS)
+def test_sleigh_cyclic_rows_are_read_by_no_callback(params):
+    # manifold's runs leave x and y out (NaN); every callback h1 reads, and
+    # h1 itself, must then return the very bits it returns at the whole q
+    entry = get_system("sleigh")
+    assert entry.cyclic == (0, 1)
+    sysm, uvw, fric = entry.realization(params)
+    ortho = entry.adapted_frame(params)
+    h1 = compute_h1(sysm, ortho, fric).h1
+    rng = np.random.default_rng(29)
+    qs = random_sleigh_q(rng, 20)
+    xis = rng.uniform(-1.0, 1.0, (20, 2))
+    left_out = qs.copy()
+    left_out[:, list(entry.cyclic)] = np.nan
+    callbacks = [sysm.metric, sysm.metric_derivs, fric.nu]
+    callbacks += [fr.fields for fr in (uvw, ortho)] + [fr.field_derivs for fr in (uvw, ortho)]
+    for q, q_nan in zip(qs, left_out):
+        for fn in callbacks:
+            assert np.asarray(fn(q_nan)).tobytes() == np.asarray(fn(q)).tobytes(), fn
+    assert h1(left_out, xis).tobytes() == h1(qs, xis).tobytes()
 
 
 def test_sleigh_fast_model_moves_only_slip():
