@@ -23,12 +23,14 @@ ode.MAX_SAMPLES samples or ode.MAX_RK4_STEPS rk4 steps, refused before a
 command's first run, a system parameter out of range or overflowing, and a
 horizon that ode.IntegratorConfig refuses: not a whole number of sample
 intervals, or a count of them that is not finite), 3 numerical blow-up or
-singular state, 4 analysis precondition failure.
+singular state, 4 analysis precondition failure (including frame data
+declared invariant that depend on q).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,8 +243,9 @@ def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[tuple]:
     """For a stiff friction run, (rate, rk4's stability bound for its mode),
     rate(eps) being the fast rate at eps: a friction realization's
     relaxation rate from its start state, or a declared oscillation rate.
-    None for other runs.  The rate is computed only where needed (not by
-    rkf45): an eigensolver costs ~1 MB RSS."""
+    None for other runs.  The eps-free relaxation rate is computed once, on
+    the first call, and only where needed (not by rkf45): an eigensolver
+    costs ~1 MB RSS."""
     if cfg.model != "friction":
         return None
     if entry.oscillation_rate is not None:
@@ -250,10 +253,8 @@ def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[tuple]:
     if entry.realization is None:
         return None
     sysm, _, fric = entry.realization(cfg.params)
-    return (
-        lambda eps: dynamics.relaxation_rate(sysm, fric, state[: sysm.n]) / eps,
-        RK4_STABILITY_BOUND,
-    )
+    rate = functools.cache(lambda: dynamics.relaxation_rate(sysm, fric, state[: sysm.n]))
+    return (lambda eps: rate() / eps, RK4_STABILITY_BOUND)
 
 
 def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> IntegratorConfig:
@@ -478,6 +479,8 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         check_run_size(icfg)
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
+    # an invariant frame's data are read once per rung, and checked once
+    graph = analysis.one_point_graph(expansion) if entry.invariant_frame else expansion
     n, k = sysm.n, frame.k
     to_frame = entry.frame_state_matrix(cfg.params)
     # the fit reads every frame-state row but the cyclic ones, which no
@@ -489,9 +492,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     for eps, icfg in zip(cfg.eps, icfgs):
         traj = integrate(fric_spec.build(cfg.params, eps), state, icfg, read=fric_read)
         frame_traj = transform_linear(traj, to_frame)
-        fit = analysis.manifold_fit(
-            frame_traj, expansion, eps, cfg.transient_cutoff, n, k
-        )
+        fit = analysis.manifold_fit(frame_traj, graph, eps, cfg.transient_cutoff, n, k)
         residuals.append(fit.residual_sup)
         # scatter of slip velocity against the drive term u*psi; the graph
         # coefficient is bilinear, so its value at xi = (1, 1) is exactly
@@ -599,6 +600,7 @@ def main(argv=None) -> int:
         analysis.WindowMismatch,
         analysis.DegenerateFit,
         analysis.NonFiniteValue,
+        analysis.FrameNotInvariant,
     ) as exc:
         print(f"analysis precondition failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS

@@ -30,7 +30,8 @@ leading sample axis, and a single state is a stack of one.  h1 takes one
 point (q, xi) or stacks (qs, xis) of shapes (m, n) and (m, k); a stack goes
 through geometry.in_blocks in blocks of at most geometry.BLOCK_ROWS rows,
 each block read with one call per point accessor and checked row by row as
-in geometry.
+in geometry.  One point q with a stack of xi is read once and broadcast
+against every xi, with no blocks: only its w-sized arrays have m rows.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ class _Point:
     """What the frame-based fields need at a stack of states (q, w) of shape
     (m, n) each: the frames f, their inverses lam, the metrics kappa, the
     connections omega, and acc, the connection and potential contributions
-    to all quasi-velocity rates.  Every array has the leading axis m."""
+    to all quasi-velocity rates.  Every array has the leading axis m.  A
+    stack of one q may serve a stack of m w: the frame data then keep the
+    leading axis 1 and broadcast against w."""
 
     def __init__(self, sys, fr, q, w):
         self.q, self.w, self.k = q, w, fr.k
@@ -137,14 +140,17 @@ class _Point:
         # only rows with a potential force are touched, so a row without one
         # keeps the signed zeros of its connection term
         pushed = dV.any(axis=-1)
-        if pushed.any():
+        if pushed.all():  # every row, also of w under a single point q
+            self.acc = self.acc - _matvec(self.lam, _solve(self.kappa, dV))
+        elif pushed.any():
             force = _matvec(self.lam[pushed], _solve(self.kappa[pushed], dV[pushed]))
             self.acc[pushed] = self.acc[pushed] - force
 
     @classmethod
     def reduced(cls, sys, fr, q, xi):
-        """At reduced states (q, xi), with w = (xi, 0)."""
-        w = np.zeros((len(q), sys.n))
+        """At reduced states (q, xi), with w = (xi, 0); q may also be a
+        single point (a stack of one) shared by every row of xi."""
+        w = np.zeros((len(xi), sys.n))
         w[:, : fr.k] = xi
         return cls(sys, fr, q, w)
 
@@ -259,7 +265,9 @@ class ExpansionData:
     h1(q, xi) is the leading graph coefficient: the invariant manifold of
     the friction dynamics is eta = eps * h1 + O(eps^2).  It takes one point
     (q of shape (n,), xi of shape (k,)) or stacks of m points ((m, n) and
-    (m, k)) and returns shape (n - k,) or (m, n - k).
+    (m, k)) and returns shape (n - k,) or (m, n - k).  One q of shape (n,)
+    with a stack of xi of shape (m, k) reads the callbacks at q once and
+    returns shape (m, n - k).
     """
 
     h1: Callable
@@ -278,9 +286,10 @@ def compute_h1(sys, fr, fric: RayleighFriction) -> ExpansionData:
 
     def h1(q, xi):
         q, xi = np.asarray(q, dtype=float), np.asarray(xi, dtype=float)
-        if q.ndim == 1:
-            return in_blocks(h1_rows, q[None], xi[None])[0]
-        return in_blocks(h1_rows, q, xi)
+        if q.ndim == 2:
+            return in_blocks(h1_rows, q, xi)
+        rows = h1_rows(q[None], np.atleast_2d(xi))  # one read of q for every xi
+        return rows if xi.ndim == 2 else rows[0]
 
     return ExpansionData(h1=h1)
 

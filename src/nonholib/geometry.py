@@ -52,9 +52,10 @@ COND_LIMIT = 1e12
 #: Central finite-difference step for the derivative fallbacks.
 FD_STEP = 1e-6
 
-#: Rows per block in in_blocks.  Unblocked, the 951 samples of one rung of
-#: the sleigh manifold report raised its peak RSS from 32.6 to 34.3 MB and
-#: ran no faster.
+#: Rows per block in in_blocks.  Unblocked, energy_audit on a 20,001-sample
+#: sleigh trajectory raised peak RSS by 8.0 MB (0.25 MB in blocks) and the
+#: per-row h1 on 951 sleigh samples by 2.9 MB (1.7 MB), neither running
+#: faster (numpy 2.4, 2-vCPU Xeon VM).
 BLOCK_ROWS = 256
 
 

@@ -526,7 +526,12 @@ class SystemEntry:
     or the adapted frame reads (the sleigh's x and y: it is invariant under
     translations of the plane); ``manifold`` leaves them out of its runs, so
     they are NaN in its chart samples.  The default () declares that every
-    row is read.
+    row is read.  ``invariant_frame`` declares that the adapted frame's
+    metric, connection coefficients and friction eta-block are the same at
+    every q (the sleigh's, by its invariance under rigid motions of the
+    plane); ``manifold`` then reads them for h1 once per rung, at its first
+    post-cutoff sample, and checks the declaration against the per-row h1 at
+    its last.  The default False reads them at every sample.
     """
 
     param_defaults: dict
@@ -544,6 +549,7 @@ class SystemEntry:
     # for a realization without a Rayleigh form
     oscillation_rate: Callable = None
     cyclic: tuple = ()
+    invariant_frame: bool = False
 
     def __post_init__(self):
         if self.realization is not None:  # fast time at eps = 0, same columns
@@ -640,6 +646,7 @@ def _sleigh_entry() -> SystemEntry:
         realization=realization,
         adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
         cyclic=(0, 1),
+        invariant_frame=True,
     )
 
 

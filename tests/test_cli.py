@@ -731,3 +731,94 @@ def test_wrongly_declared_cyclic_row_exits_4(tmp_path, monkeypatch, capsys):
     # whole runs give the metric a finite x, so only the declaration is wrong
     monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
     assert run(argv + ["--out", str(tmp_path / "whole" / "m")]) == 0
+
+
+def _sleigh_variant(monkeypatch, name, **changes):
+    """The sleigh registered under name with some of its entry's fields replaced."""
+    import dataclasses
+
+    from nonholib import systems
+
+    sleigh = get_system("sleigh")
+    entry = dataclasses.replace(sleigh, models=dict(sleigh.models), **changes)
+    monkeypatch.setitem(systems.REGISTRY, name, entry)
+    return entry
+
+
+def test_wrongly_declared_invariant_frame_exits_4(tmp_path, monkeypatch, capsys):
+    # a sleigh whose metric carries a phi-dependent factor but which still
+    # declares its adapted frame invariant: the one-point h1 must be refused
+    import dataclasses
+
+    sleigh = get_system("sleigh")
+
+    def realization(params):
+        sysm, frame, fric = sleigh.realization(params)
+        metric = lambda q: sysm.metric(q) * (1.0 + 0.1 * math.sin(q[2]))  # noqa: E731
+        return dataclasses.replace(sysm, metric=metric), frame, fric
+
+    bad = _sleigh_variant(monkeypatch, "phi-metric-sleigh", realization=realization)
+    assert bad.invariant_frame
+    argv = _SHORT_MANIFOLD + ["--system", "phi-metric-sleigh"]
+    assert run(argv + ["--out", str(tmp_path / "bad" / "m")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
+    assert "the frame data declared invariant depend on q" in err
+    assert not (tmp_path / "bad").exists()
+    # without the declaration h1 is read at every sample, and the run passes
+    _sleigh_variant(monkeypatch, "phi-metric-sleigh", realization=realization, invariant_frame=False)
+    assert run(argv + ["--out", str(tmp_path / "per-row" / "m")]) == 0
+
+
+def test_manifold_frame_reads_do_not_grow_with_the_samples(tmp_path, monkeypatch):
+    # an invariant frame is read a fixed number of times per rung, so a run
+    # of 951 samples per rung reads the adapted frame as often as one of 151
+    import dataclasses
+
+    sleigh = get_system("sleigh")
+    calls = []
+
+    def adapted_frame(params):
+        frame = sleigh.adapted_frame(params)
+
+        def fields(q):
+            calls.append(q)
+            return frame.fields(q)
+
+        return dataclasses.replace(frame, fields=fields)
+
+    _sleigh_variant(monkeypatch, "counted-sleigh", adapted_frame=adapted_frame)
+    reads = []
+    for t1 in ("2", "10"):
+        calls.clear()
+        argv = _SHORT_MANIFOLD + ["--system", "counted-sleigh", "--t1", t1]
+        assert run(argv + ["--out", str(tmp_path / t1 / "m")]) == 0
+        reads.append(len(calls))
+    assert reads[0] == reads[1]
+
+
+def test_relaxation_rate_is_computed_once_per_command(tmp_path, monkeypatch):
+    # the eps-free rate is shared by every rung's step check, and an rkf45
+    # run, which checks no step, never computes it
+    from nonholib import dynamics
+
+    calls = []
+    rate = dynamics.relaxation_rate
+
+    def counted(*args):
+        calls.append(args)
+        return rate(*args)
+
+    monkeypatch.setattr(dynamics, "relaxation_rate", counted)
+    for argv, expected in (
+        (_SHORT_MANIFOLD, 1),
+        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"], 1),
+        (
+            ["compare", "--system", "pendulum-friction", "--eps", "8e-3,4e-3,2e-3"]
+            + ["--method", "rkf45", "--t1", "1"],
+            0,
+        ),
+    ):
+        calls.clear()
+        assert run(argv + ["--out", str(tmp_path / argv[0] / "m")]) == 0
+        assert len(calls) == expected, argv

@@ -388,6 +388,10 @@ def test_stacked_h1_and_connection_equal_per_row_bitwise(name, sleigh, sleigh_se
     assert stacked.shape == (len(qs), sysm.n - frame.k)
     # byte equality also tells -0.0 from 0.0
     assert stacked.tobytes() == rows.tobytes()
+    # one q for every xi, read once: row 0 has no potential force in
+    # "sleigh-spring", row 1 has one
+    for q in qs[:2]:
+        assert h1(q, xis).tobytes() == np.array([h1(q, xi) for xi in xis]).tobytes()
     omega = connection_coefficients(sysm, frame, qs)
     per_row = np.array([connection_coefficients(sysm, frame, q) for q in qs])
     assert omega.tobytes() == per_row.tobytes()

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from conftest import random_sleigh_q
 from nonholib import ode
-from nonholib.dynamics import compute_h1, relaxation_rate
+from nonholib.analysis import INVARIANCE_RTOL
+from nonholib.dynamics import compute_h1, friction_matrix, relaxation_rate
+from nonholib.geometry import connection_coefficients, frame_metric
 from nonholib.ode import IntegratorConfig, integrate
 from nonholib.systems import (
     InvalidParameter,
@@ -695,6 +697,39 @@ def test_sleigh_cyclic_rows_are_read_by_no_callback(params):
         for fn in callbacks:
             assert np.asarray(fn(q_nan)).tobytes() == np.asarray(fn(q)).tobytes(), fn
     assert h1(left_out, xis).tobytes() == h1(qs, xis).tobytes()
+
+
+@pytest.mark.parametrize("params", SLEIGH_PARAMS)
+def test_sleigh_invariant_frame_is_the_same_at_every_q(params):
+    # manifold reads h1's frame data once per rung on this declaration: at
+    # random q the frame metric, connection and friction eta-block must equal
+    # their q = 0 values to 1e-14 of their largest entry, and the one-point h1
+    # the per-row h1 within the bound of manifold's check
+    assert get_system("sleigh").invariant_frame
+    assert not any(e.invariant_frame for name, e in REGISTRY.items() if name != "sleigh")
+    sysm, ortho, fric = get_system("sleigh").generic_builders(params)
+    k = ortho.k
+
+    def frame_data(q):
+        return (
+            frame_metric(sysm, ortho, q),
+            connection_coefficients(sysm, ortho, q),
+            friction_matrix(sysm, ortho, fric, q)[..., k:, k:],
+        )
+
+    rng = np.random.default_rng(41)
+    qs = random_sleigh_q(rng, 200)
+    for got, want in zip(frame_data(qs), frame_data(np.zeros(3))):
+        scale = max(1.0, np.max(np.abs(want)))
+        assert_allclose(got, np.broadcast_to(want, got.shape), rtol=0.0, atol=1e-14 * scale)
+    xis = rng.uniform(-1.2, 1.2, (200, 2))
+    h1 = compute_h1(sysm, ortho, fric).h1
+    rows = h1(qs, xis)
+    for q in qs[:5]:
+        one = h1(q, xis)
+        assert one.shape == rows.shape
+        bound = INVARIANCE_RTOL * max(1.0, np.max(np.abs(rows)))
+        assert np.max(np.abs(one - rows)) <= bound
 
 
 def test_sleigh_fast_model_moves_only_slip():
