@@ -23,8 +23,8 @@ ode.MAX_SAMPLES samples or ode.MAX_RK4_STEPS rk4 steps, refused before a
 command's first run, a system parameter out of range or overflowing, and a
 horizon that ode.IntegratorConfig refuses: not a whole number of sample
 intervals, or a count of them that is not finite), 3 numerical blow-up or
-singular state, 4 analysis precondition failure (including frame data
-declared invariant that depend on q).
+singular state, 4 analysis precondition failure (including an adapted
+frame whose data for h1 depend on q).
 """
 
 from __future__ import annotations
@@ -479,8 +479,8 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         check_run_size(icfg)
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
-    # an invariant frame's data are read once per rung, and checked once
-    graph = analysis.one_point_graph(expansion) if entry.invariant_frame else expansion
+    # h1's frame data are read once per rung and checked at a few of its samples
+    graph = analysis.one_point_graph(expansion)
     n, k = sysm.n, frame.k
     to_frame = entry.frame_state_matrix(cfg.params)
     # the fit reads every frame-state row but the cyclic ones, which no

@@ -526,12 +526,11 @@ class SystemEntry:
     or the adapted frame reads (the sleigh's x and y: it is invariant under
     translations of the plane); ``manifold`` leaves them out of its runs, so
     they are NaN in its chart samples.  The default () declares that every
-    row is read.  ``invariant_frame`` declares that the adapted frame's
-    metric, connection coefficients and friction eta-block are the same at
-    every q (the sleigh's, by its invariance under rigid motions of the
-    plane); ``manifold`` then reads them for h1 once per rung, at its first
-    post-cutoff sample, and checks the declaration against the per-row h1 at
-    its last.  The default False reads them at every sample.
+    row is read.  ``manifold`` reads what h1 needs (the adapted frame's
+    metric, connection and friction eta-block, and the potential force) once
+    per rung, so these must be the same at every q, as the sleigh's are by
+    its invariance under rigid motions of the plane; a few per-row checks
+    refuse a frame whose h1 varies with q.
     """
 
     param_defaults: dict
@@ -549,7 +548,6 @@ class SystemEntry:
     # for a realization without a Rayleigh form
     oscillation_rate: Callable = None
     cyclic: tuple = ()
-    invariant_frame: bool = False
 
     def __post_init__(self):
         if self.realization is not None:  # fast time at eps = 0, same columns
@@ -646,7 +644,6 @@ def _sleigh_entry() -> SystemEntry:
         realization=realization,
         adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
         cyclic=(0, 1),
-        invariant_frame=True,
     )
 
 

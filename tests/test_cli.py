@@ -745,9 +745,9 @@ def _sleigh_variant(monkeypatch, name, **changes):
     return entry
 
 
-def test_wrongly_declared_invariant_frame_exits_4(tmp_path, monkeypatch, capsys):
-    # a sleigh whose metric carries a phi-dependent factor but which still
-    # declares its adapted frame invariant: the one-point h1 must be refused
+def test_q_dependent_adapted_frame_exits_4(tmp_path, monkeypatch, capsys):
+    # a sleigh whose metric carries a phi-dependent factor: manifold's
+    # one-point h1 must be refused, and no residual printed
     import dataclasses
 
     sleigh = get_system("sleigh")
@@ -757,22 +757,18 @@ def test_wrongly_declared_invariant_frame_exits_4(tmp_path, monkeypatch, capsys)
         metric = lambda q: sysm.metric(q) * (1.0 + 0.1 * math.sin(q[2]))  # noqa: E731
         return dataclasses.replace(sysm, metric=metric), frame, fric
 
-    bad = _sleigh_variant(monkeypatch, "phi-metric-sleigh", realization=realization)
-    assert bad.invariant_frame
+    _sleigh_variant(monkeypatch, "phi-metric-sleigh", realization=realization)
     argv = _SHORT_MANIFOLD + ["--system", "phi-metric-sleigh"]
     assert run(argv + ["--out", str(tmp_path / "bad" / "m")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
-    assert "the frame data declared invariant depend on q" in err
+    assert "the frame data depend on q" in err
     assert not (tmp_path / "bad").exists()
-    # without the declaration h1 is read at every sample, and the run passes
-    _sleigh_variant(monkeypatch, "phi-metric-sleigh", realization=realization, invariant_frame=False)
-    assert run(argv + ["--out", str(tmp_path / "per-row" / "m")]) == 0
 
 
 def test_manifold_frame_reads_do_not_grow_with_the_samples(tmp_path, monkeypatch):
-    # an invariant frame is read a fixed number of times per rung, so a run
-    # of 951 samples per rung reads the adapted frame as often as one of 151
+    # h1's frame data are read a fixed number of times per rung, so a run of
+    # 951 samples per rung reads the adapted frame as often as one of 151
     import dataclasses
 
     sleigh = get_system("sleigh")
