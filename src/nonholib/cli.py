@@ -17,14 +17,15 @@ Outputs are deterministic: repeated runs of the same configuration produce
 byte-identical files.  The default output directory is $NONHOLIB_OUT_DIR
 (falling back to the working directory).
 
-Exit codes: 0 ok, 2 configuration error (including a dt too small for
-sample_dt, an rk4 step past the stability bound, a run of more than
-ode.MAX_SAMPLES samples or ode.MAX_RK4_STEPS rk4 steps, refused before a
-command's first run, a system parameter out of range or overflowing, and a
-horizon that ode.IntegratorConfig refuses: not a whole number of sample
-intervals, or a count of them that is not finite), 3 numerical blow-up or
-singular state, 4 analysis precondition failure (including an adapted
-frame whose data for h1 depend on q).
+Exit codes: 0 ok, 2 configuration error (including an rk4 step past the
+stability bound, a system parameter out of range or overflowing, and a run
+that ode.IntegratorConfig refuses: a dt too small for sample_dt, a horizon
+that is not a whole number of sample intervals or holds a count of them
+that is not finite, or more than ode.MAX_SAMPLES samples or
+ode.MAX_RK4_STEPS rk4 steps; each refused before a command's
+first run), 3 numerical blow-up or singular state, 4 analysis
+precondition failure (including an adapted frame whose data for h1
+depend on q, and a left-out row that a report reads).
 """
 
 from __future__ import annotations
@@ -46,13 +47,10 @@ from .geometry import SingularFrame, SingularMetric
 from .ode import (
     IntegratorConfig,
     NonFiniteState,
-    RunTooLong,
     StepUnderflow,
     Trajectory,
-    check_run_size,
     integrate,
     restrict_window,
-    rows_read,
     transform_linear,
 )
 from .systems import (
@@ -258,8 +256,8 @@ def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[tuple]:
 
 
 def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> IntegratorConfig:
-    """One run's settings; fast is :func:`_fast_rate`, None if nonstiff.  Decides only
-    what needs the system, the default step and its stability; IntegratorConfig the grid."""
+    """One run's settings; fast is :func:`_fast_rate`, None if nonstiff.  Decides only what
+    needs the system, the default step and its stability; IntegratorConfig the grid and size."""
     dt = cfg.dt
     if dt is None:
         dt = min(STIFF_DT_CAP, eps / STIFF_DT_FRACTION) if fast else STIFF_DT_CAP
@@ -360,8 +358,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     # every run's step and size are checked before the first file is written
     fast = _fast_rate(cfg, entry, state)
     icfgs = [_integrator_config(cfg, eps, fast) for eps in eps_list]
-    for icfg in icfgs:
-        check_run_size(icfg)
     for eps, icfg in zip(eps_list, icfgs):
         field_fn = spec.build(cfg.params, eps)
         traj = integrate(field_fn, state, icfg)
@@ -376,6 +372,15 @@ def _require_decreasing(eps_ladder) -> None:
     """Ratios along a ladder read as convergence orders only when eps falls."""
     if not all(b < a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ConfigError("eps ladder must be strictly decreasing")
+
+
+def _friction_rows(matrix: np.ndarray, rows) -> list:
+    """The friction-model rows that matrix maps onto the given rows of a
+    report's state.  A friction run keeps these, and `integrate` adds every
+    row a rate of the field reads.  The limit models read no configuration
+    that the friction field ignores, so such a row (the sleigh's x, y) is
+    left out, NaN; a report that reads one exits 4 on a non-finite value."""
+    return np.flatnonzero(matrix[list(rows)].any(axis=0)).tolist()
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -400,8 +405,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     fast = _fast_rate(cfg, entry, fric_state)
     fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     nh_icfg = _integrator_config(cfg)
-    for icfg in (nh_icfg, *fric_icfgs):
-        check_run_size(icfg)
     # with an adapted frame the compared rows are the reduced velocities xi,
     # rows n to n + k - 1 of the reduced state (q, xi); without one, every row
     adapted = entry.adapted_frame is not None
@@ -410,12 +413,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     nh_field = nh_spec.build(cfg.params, None)
     nh_traj = integrate(nh_field, nh_state, nh_icfg, read=comps)
     t1, t_end = cfg.window_start, cfg.t1
-    # a friction run is read through the compared components and, by the
-    # defect, through the rows the nh field reads; None reads every row
-    fric_read, nh_reads = None, rows_read(nh_field)
-    if adapted and nh_reads is not None:
-        rows = sorted(nh_reads.union(comps))
-        fric_read = np.flatnonzero(to_reduced[rows].any(axis=0)).tolist()
+    fric_read = _friction_rows(to_reduced, comps) if adapted else None
 
     errors, defects, corr_errors = [], [], []
     for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
@@ -475,18 +473,13 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
             f" fast time constants after t0={cfg.t0:g} at eps={max(cfg.eps):g}; needs 10"
         )
     icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
-    for icfg in icfgs:
-        check_run_size(icfg)
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
     # h1's frame data are read once per rung and checked at a few of its samples
     graph = analysis.one_point_graph(expansion)
     n, k = sysm.n, frame.k
     to_frame = entry.frame_state_matrix(cfg.params)
-    # the fit reads every frame-state row but the cyclic ones, which no
-    # callback of h1 reads; a run keeps the friction rows those map from
-    rows = [r for r in range(len(to_frame)) if r not in entry.cyclic]
-    fric_read = np.flatnonzero(to_frame[rows].any(axis=0)).tolist()
+    fric_read = _friction_rows(to_frame, range(n, 2 * n))
 
     residuals, slopes, expected_slopes = [], [], []
     for eps, icfg in zip(cfg.eps, icfgs):
@@ -580,7 +573,7 @@ def main(argv=None) -> int:
             if args.command == "compare":
                 return cmd_compare(cfg)
             return cmd_manifold(cfg)
-    except (ConfigError, InvalidParameter, RunTooLong) as exc:
+    except (ConfigError, InvalidParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

@@ -121,6 +121,20 @@ class RunTooLong(ValueError):
     MAX_RK4_STEPS rk4 steps."""
 
 
+#: Most steps a config lets one rk4 run take (substeps times sample
+#: intervals).  The generated sleigh friction stepper takes about 3 us a
+#: step on a 2-vCPU Xeon VM, so this is most of an hour of it, and 80 times
+#: the 1.2e7 steps of a sleigh rung at eps = 1e-4 on [0, 61] at the default
+#: step eps / 20.
+MAX_RK4_STEPS = 1e9
+
+#: Most samples a config lets one run store.  A sample holds a state and
+#: its derivative, 16 n bytes for n components, so this is 96 MB at the
+#: sleigh friction model's n = 6, and 164 times the 6,101 samples of a
+#: sleigh rung on [0, 61] at sample_dt = 1e-2.
+MAX_SAMPLES = 1e6
+
+
 class OutOfRange(ValueError):
     """Interpolation time outside the stored trajectory span."""
 
@@ -149,6 +163,8 @@ class IntegratorConfig:
 
     `intervals` (sample intervals to t1) and `substeps` (rk4 steps in each)
     are derived once, when the config is made; read-only, and not fields.
+    A config of more than MAX_SAMPLES samples, or of more than MAX_RK4_STEPS
+    steps by rk4, raises RunTooLong, a ValueError.
     """
 
     t_span: tuple[float, float]
@@ -180,9 +196,22 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown method {self.method!r}")
+        intervals, substeps = round(count), max(1, round(self.sample_dt / self.dt))
+        if not intervals + 1 <= MAX_SAMPLES:
+            raise RunTooLong(
+                f"sample_dt {self.sample_dt:g} takes {intervals + 1:.3g} samples over "
+                f"{self.t_span}, more than {MAX_SAMPLES:.0e}"
+            )
+        # a float product, which a step count past the largest float makes inf
+        steps = substeps * float(intervals)
+        if self.method == "rk4" and not steps <= MAX_RK4_STEPS:
+            raise RunTooLong(
+                f"dt {self.dt:g} takes {steps:.3g} rk4 steps over {self.t_span}, "
+                f"more than {MAX_RK4_STEPS:.0e}"
+            )
         # set past the frozen guard, which keeps them read-only afterwards
-        object.__setattr__(self, "intervals", round(count))
-        object.__setattr__(self, "substeps", max(1, round(self.sample_dt / self.dt)))
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "substeps", substeps)
 
 
 class Trajectory:
@@ -297,37 +326,6 @@ def restrict_window(traj: Trajectory, t_lo: float, t_hi: float) -> Trajectory:
     return Trajectory(traj.times[keep], traj.states[keep], traj.derivs[keep])
 
 
-#: Most steps `integrate` lets one rk4 run take (substeps times sample
-#: intervals).  The generated sleigh friction stepper takes about 3 us a
-#: step on a 2-vCPU Xeon VM, so this is most of an hour of it, and 80 times
-#: the 1.2e7 steps of a sleigh rung at eps = 1e-4 on [0, 61] at the default
-#: step eps / 20.
-MAX_RK4_STEPS = 1e9
-
-#: Most samples `integrate` stores for one run.  A sample holds a state and
-#: its derivative, 16 n bytes for n components, so this is 96 MB at the
-#: sleigh friction model's n = 6, and 164 times the 6,101 samples of a
-#: sleigh rung on [0, 61] at sample_dt = 1e-2.
-MAX_SAMPLES = 1e6
-
-
-def check_run_size(cfg: IntegratorConfig) -> None:
-    """Raise RunTooLong if a run on cfg would store more than MAX_SAMPLES
-    samples or, by rk4, take more than MAX_RK4_STEPS steps."""
-    if not cfg.intervals + 1 <= MAX_SAMPLES:
-        raise RunTooLong(
-            f"sample_dt {cfg.sample_dt:g} takes {cfg.intervals + 1:.3g} samples over "
-            f"{cfg.t_span}, more than {MAX_SAMPLES:.0e}"
-        )
-    # a float product, which a step count past the largest float makes inf
-    steps = cfg.substeps * float(cfg.intervals)
-    if cfg.method == "rk4" and not steps <= MAX_RK4_STEPS:
-        raise RunTooLong(
-            f"dt {cfg.dt:g} takes {steps:.3g} rk4 steps over {cfg.t_span}, "
-            f"more than {MAX_RK4_STEPS:.0e}"
-        )
-
-
 def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajectory:
     """Integrate ``x' = field(x)`` over cfg.t_span, sampling every sample_dt.
 
@@ -355,15 +353,14 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
         If any state component becomes NaN/Inf.
     StepUnderflow
         If the adaptive step falls below 1e-14 * (t1 - t0).
-    RunTooLong
-        Before the sample grid is built, from :func:`check_run_size`.
+
+    A run too long to take is refused earlier, by IntegratorConfig.
     """
     x0 = np.array(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("x0 must be a non-empty flat vector")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    check_run_size(cfg)
     n = x0.size
     if read is not None and not set(read) <= set(range(n)):
         raise ValueError(f"read rows {sorted(read)} outside a state of {n}")

@@ -36,7 +36,7 @@ The friction force is -v/eps times the unit covector normal to the blade
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -350,14 +350,11 @@ def sleigh_friction_form(p: SleighParams) -> RayleighFriction:
 @dataclass(frozen=True)
 class PendulumParams:
     g: float = 9.81
-    eps: float = 1e-2
 
     def __post_init__(self):
         _require_finite(self)
         if not self.g > 0:
             raise InvalidParameter("g must be positive")
-        if not self.eps > 0:
-            raise InvalidParameter("eps must be positive")
 
 
 PENDULUM_VARIANTS = ("potential", "friction", "inertial")
@@ -412,7 +409,7 @@ def pendulum_nh(st):
 _RADIUS = {"hypot": math.hypot, "_origin": _origin, "r_min": _R_MIN}
 
 
-def make_pendulum(variant: str, p: PendulumParams) -> Callable:
+def make_pendulum(variant: str, p: PendulumParams, eps: float) -> Callable:
     """Unit-mass planar pendulum realizations on states (x, y, xdot, ydot).
 
     variant "potential": stiff radial spring (r - 1)^2 / (2 eps) keeps the
@@ -420,11 +417,13 @@ def make_pendulum(variant: str, p: PendulumParams) -> Callable:
     friction rdot^2/(2 eps) damps motion off concentric circles.  variant
     "inertial": a heavy radial mass term rdot^2/(2 eps) slows radial
     motion; the modified mass matrix is assembled in Cartesian coordinates
-    and inverted pointwise.
+    and inverted pointwise.  eps must be positive and finite.
     """
     if variant not in PENDULUM_VARIANTS:
         raise ValueError(f"unknown pendulum variant {variant!r}")
-    g, eps = p.g, p.eps
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    g = p.g
     if variant != "inertial":
         text = _PENDULUM_POTENTIAL if variant == "potential" else _PENDULUM_FRICTION
         return straight_line(text, g=g, eps=eps, **_RADIUS)
@@ -522,15 +521,15 @@ class SystemEntry:
     adds the frame-state, reduce and lift maps; without one the friction
     and constrained states share one layout.  The sleigh's adapted frame is
     its realization frame times a constant change of frame by construction.
-    ``cyclic`` names the chart rows of q that no callback of the realization
-    or the adapted frame reads (the sleigh's x and y: it is invariant under
-    translations of the plane); ``manifold`` leaves them out of its runs, so
-    they are NaN in its chart samples.  The default () declares that every
-    row is read.  ``manifold`` reads what h1 needs (the adapted frame's
-    metric, connection and friction eta-block, and the potential force) once
-    per rung, so these must be the same at every q, as the sleigh's are by
-    its invariance under rigid motions of the plane; a few per-row checks
-    refuse a frame whose h1 varies with q.
+    A chart row that no rate of the friction field reads (the sleigh's x
+    and y: it is invariant under translations of the plane) is left out of
+    ``compare`` and ``manifold`` runs, NaN in their samples, so the
+    realization, the adapted frame and the nh model must not read it
+    either; a report that reads one exits 4.  ``manifold`` reads what h1
+    needs (the adapted frame's metric, connection and friction eta-block,
+    and the potential force) once per rung, so these must be the same at
+    every q, as the sleigh's are by its invariance under rigid motions of
+    the plane; a few per-row checks refuse a frame whose h1 varies with q.
     """
 
     param_defaults: dict
@@ -547,7 +546,6 @@ class SystemEntry:
     # eps -> angular frequency of the friction model's stiff oscillation,
     # for a realization without a Rayleigh form
     oscillation_rate: Callable = None
-    cyclic: tuple = ()
 
     def __post_init__(self):
         if self.realization is not None:  # fast time at eps = 0, same columns
@@ -595,12 +593,6 @@ class SystemEntry:
         return np.linalg.solve(m, frame_state)
 
 
-def _param_defaults(params_cls) -> dict:
-    """The --param names of a system and their defaults: the fields of its
-    params dataclass, except eps, which comes from the eps ladder."""
-    return {f.name: f.default for f in fields(params_cls) if f.name != "eps"}
-
-
 def _sleigh_entry() -> SystemEntry:
     nh_state = (0.0, 0.0, 0.0, -1.0, 0.5)
 
@@ -638,12 +630,11 @@ def _sleigh_entry() -> SystemEntry:
         return sleigh_energy(p, state[3], state[4], state[5])
 
     return SystemEntry(
-        param_defaults=_param_defaults(SleighParams),
+        param_defaults=asdict(SleighParams()),
         models=models,
         energy_of_state=energy_of,
         realization=realization,
         adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
-        cyclic=(0, 1),
     )
 
 
@@ -655,9 +646,7 @@ def _pendulum_entry(variant: str) -> SystemEntry:
         "nh": ModelSpec(
             columns=columns,
             needs_eps=False,
-            build=lambda params, eps: pendulum_nh_field(
-                PendulumParams(**params, eps=1.0)
-            ),
+            build=lambda params, eps: pendulum_nh_field(PendulumParams(**params)),
             default_state=state,
         ),
         # "friction" selects the eps-scaled realization field of this
@@ -665,24 +654,22 @@ def _pendulum_entry(variant: str) -> SystemEntry:
         "friction": ModelSpec(
             columns=columns,
             needs_eps=True,
-            build=lambda params, eps: make_pendulum(
-                variant, PendulumParams(**params, eps=eps)
-            ),
+            build=lambda params, eps: make_pendulum(variant, PendulumParams(**params), eps),
             default_state=state,
         ),
     }
 
     def realization(params):  # (x, y, vx, vy): the identity (chart) frame
-        p = PendulumParams(**params, eps=1.0)
+        p = PendulumParams(**params)
         chart = MovingFrame(1, lambda q: np.eye(2), lambda q: np.zeros((2, 2, 2)))
         return pendulum_system(p), chart, pendulum_friction_form(p)
 
     def energy_of(params, state):
-        g = PendulumParams(**params, eps=1.0).g
+        g = PendulumParams(**params).g
         return 0.5 * float(state[2] ** 2 + state[3] ** 2) + g * float(state[1])
 
     return SystemEntry(
-        param_defaults=_param_defaults(PendulumParams),
+        param_defaults=asdict(PendulumParams()),
         models=models,
         energy_of_state=energy_of,
         realization=realization if variant == "friction" else None,

@@ -216,12 +216,12 @@ def test_criterion_06_dissipation_identity():
         frame=frame,
     )
 
-    pp = PendulumParams(g=G, eps=1e-2)
+    pp, peps = PendulumParams(g=G), 1e-2
     pcfg = IntegratorConfig(t_span=(0.0, T_END), dt=5e-4, sample_dt=5e-4)
-    ptraj = integrate(make_pendulum("friction", pp), pendulum_default_state(), pcfg)
+    ptraj = integrate(make_pendulum("friction", pp, peps), pendulum_default_state(), pcfg)
     from nonholib.systems import pendulum_friction_form, pendulum_system
 
-    viol_pend = energy_audit(ptraj, pendulum_system(pp), pendulum_friction_form(pp), pp.eps)
+    viol_pend = energy_audit(ptraj, pendulum_system(pp), pendulum_friction_form(pp), peps)
     e_pend = 0.5 * np.sum(ptraj.states[:, 2:] ** 2, axis=1) + G * ptraj.states[:, 1]
     mono_pend = float(np.max(np.diff(e_pend)))
 
@@ -245,9 +245,9 @@ def test_criterion_06_dissipation_identity():
 
 def test_criterion_07_pendulum_friction_terminal_speed():
     eps = 1e-3
-    p = PendulumParams(g=G, eps=eps)
+    p = PendulumParams(g=G)
     cfg = IntegratorConfig(t_span=(0.0, T_END), dt=eps / 20, sample_dt=1e-2)
-    traj = integrate(make_pendulum("friction", p), [0.0, -1.0, 0.0, 0.0], cfg)
+    traj = integrate(make_pendulum("friction", p, eps), [0.0, -1.0, 0.0, 0.0], cfg)
     mask = traj.times >= 1.0
     dev = float(np.max(np.abs(traj.states[mask, 3] + eps * G)) / (eps * G))
     report(7, dev <= 0.05, f"max |ydot + eps g|/(eps g) on [1, 10] = {dev:.2e} <= 0.05")
@@ -258,9 +258,9 @@ def test_criterion_07_pendulum_friction_terminal_speed():
 
 def test_criterion_08_pendulum_inertial_quadratic():
     eps = 1e-3
-    p = PendulumParams(g=G, eps=eps)
+    p = PendulumParams(g=G)
     cfg = IntegratorConfig(t_span=(0.0, 5.0), dt=1e-3, sample_dt=1e-2)
-    traj = integrate(make_pendulum("inertial", p), [0.0, -1.0, 0.0, 0.0], cfg)
+    traj = integrate(make_pendulum("inertial", p, eps), [0.0, -1.0, 0.0, 0.0], cfg)
     ref = -1.0 - 0.5 * (G / (1.0 + 1.0 / eps)) * traj.times**2
     dev = float(np.max(np.abs(traj.states[:, 1] - ref)))
     report(8, dev <= 1e-6, f"max |y - slowed free fall| on [0, 5] = {dev:.2e} <= 1e-6")
@@ -273,9 +273,9 @@ def test_criterion_09_pendulum_potential_barrier():
     state0 = pendulum_default_state()
     devs, bounds = {}, {}
     for eps in (1e-2, 1e-3):
-        p = PendulumParams(g=G, eps=eps)
+        p = PendulumParams(g=G)
         cfg = IntegratorConfig(t_span=(0.0, T_END), dt=1e-3, sample_dt=1e-3)
-        traj = integrate(make_pendulum("potential", p), state0, cfg)
+        traj = integrate(make_pendulum("potential", p, eps), state0, cfg)
         r = np.linalg.norm(traj.states[:, :2], axis=1)
         devs[eps] = float(np.max(np.abs(r - 1.0)))
         # initial energy above the global minimum -g - eps g^2 / 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -225,7 +226,10 @@ def test_spring_default_step_is_never_refused():
     fast = _fast_rate(cfg, entry, None)
     assert fast[1] == 2.83
     for eps in (10.0, 1.0, 1e-2, 1e-6, 1e-12):
-        icfg = _integrator_config(cfg, eps, fast)
+        # the rule reads no horizon: at eps = 1e-12 one sample interval of
+        # 1e-9 keeps the run within the rk4 step bound
+        grid = {"t1": 1e-9, "sample_dt": 1e-9} if eps == 1e-12 else {}
+        icfg = _integrator_config(dataclasses.replace(cfg, **grid), eps, fast)
         assert icfg.dt * fast[0](eps) <= (1 + 1e-12) * math.sqrt(eps) / 20
 
 
@@ -491,13 +495,14 @@ def test_compare_report_equals_whole_runs(tmp_path, monkeypatch):
 
     def recorded(field, x0, cfg, read=None):
         traj = ode.integrate(field, x0, cfg, read=read)
-        runs.append((read, np.isnan(traj.states).all(axis=0).nonzero()[0].tolist()))
+        runs.append((~np.isnan(traj.states).all(axis=0)).nonzero()[0].tolist())
         return traj
 
     monkeypatch.setattr(cli, "integrate", recorded)
     assert run(_SHORT_COMPARE + ["--out", str(tmp_path / "part")]) == 0
-    # the nh run, then per rung a friction run and a corrected run
-    assert runs == [((3, 4), [0, 1])] + [([2, 3, 4, 5], [0, 1]), ((3, 4), [0, 1])] * 3
+    # kept rows: the nh run's, then per rung the friction run's and the
+    # corrected run's; every row but x and y
+    assert runs == [[2, 3, 4]] + [[2, 3, 4, 5], [2, 3, 4]] * 3
     monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
     assert run(_SHORT_COMPARE + ["--out", str(tmp_path / "whole")]) == 0
     part = (tmp_path / "part_compare.json").read_bytes()
@@ -706,10 +711,8 @@ def test_manifold_outputs_equal_whole_runs(state, tmp_path, monkeypatch):
         assert part == (tmp_path / "whole" / name).read_bytes(), name
 
 
-def test_wrongly_declared_cyclic_row_exits_4(tmp_path, monkeypatch, capsys):
-    # a sleigh whose metric reads x but which still declares x and y cyclic
-    import dataclasses
-
+def test_realization_reading_a_left_out_row_exits_4(tmp_path, monkeypatch, capsys):
+    # a sleigh whose metric reads x, which its friction text does not read
     from nonholib import cli, ode, systems
 
     sleigh = get_system("sleigh")
@@ -720,7 +723,6 @@ def test_wrongly_declared_cyclic_row_exits_4(tmp_path, monkeypatch, capsys):
         return dataclasses.replace(sysm, metric=metric), frame, fric
 
     bad = dataclasses.replace(sleigh, models=dict(sleigh.models), realization=realization)
-    assert bad.cyclic == (0, 1)
     monkeypatch.setitem(systems.REGISTRY, "x-metric-sleigh", bad)
     argv = _SHORT_MANIFOLD + ["--system", "x-metric-sleigh"]
     assert run(argv + ["--out", str(tmp_path / "bad" / "m")]) == 4
@@ -728,15 +730,44 @@ def test_wrongly_declared_cyclic_row_exits_4(tmp_path, monkeypatch, capsys):
     assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
     assert "metric has non-finite entries" in err
     assert not (tmp_path / "bad").exists()
-    # whole runs give the metric a finite x, so only the declaration is wrong
+    # whole runs give the metric a finite x, so only the left-out row is wrong
     monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
     assert run(argv + ["--out", str(tmp_path / "whole" / "m")]) == 0
 
 
+_X_READING_NH = """
+def x_reading_sleigh_nh(st):
+    x, y, phi, u, om = st
+    return (u * math.cos(phi), u * math.sin(phi), om + 0.0 * x, a * om * om, nc * u * om)
+"""
+
+
+def test_nh_model_reading_a_left_out_row_exits_4(tmp_path, monkeypatch, capsys):
+    # a sleigh whose nh model reads x, which its friction text does not
+    # read: compare's friction runs leave x out, so the defect is NaN
+    from nonholib import cli, ode
+    from nonholib.systems import SleighParams
+
+    def build(params, eps):
+        p = SleighParams(**params)
+        return ode.straight_line(_X_READING_NH, a=p.a, nc=-p.coupling, math=math)
+
+    entry = _sleigh_variant(monkeypatch, "x-nh-sleigh")
+    entry.models["nh"] = dataclasses.replace(entry.models["nh"], build=build)
+    assert 0 in ode.rows_read(build({}, None))
+    assert 0 not in ode.rows_read(entry.models["friction"].build({}, 1e-2))
+    argv = _SHORT_COMPARE + ["--system", "x-nh-sleigh"]
+    assert run(argv + ["--out", str(tmp_path / "bad" / "cmp")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "bad").exists()
+    # whole runs give the nh model a finite x
+    monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
+    assert run(argv + ["--out", str(tmp_path / "whole" / "cmp")]) == 0
+
+
 def _sleigh_variant(monkeypatch, name, **changes):
     """The sleigh registered under name with some of its entry's fields replaced."""
-    import dataclasses
-
     from nonholib import systems
 
     sleigh = get_system("sleigh")
@@ -748,8 +779,6 @@ def _sleigh_variant(monkeypatch, name, **changes):
 def test_q_dependent_adapted_frame_exits_4(tmp_path, monkeypatch, capsys):
     # a sleigh whose metric carries a phi-dependent factor: manifold's
     # one-point h1 must be refused, and no residual printed
-    import dataclasses
-
     sleigh = get_system("sleigh")
 
     def realization(params):
@@ -769,8 +798,6 @@ def test_q_dependent_adapted_frame_exits_4(tmp_path, monkeypatch, capsys):
 def test_manifold_frame_reads_do_not_grow_with_the_samples(tmp_path, monkeypatch):
     # h1's frame data are read a fixed number of times per rung, so a run of
     # 951 samples per rung reads the adapted frame as often as one of 151
-    import dataclasses
-
     sleigh = get_system("sleigh")
     calls = []
 

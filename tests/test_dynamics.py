@@ -192,8 +192,8 @@ def test_power_balance_pointwise(sleigh, sleigh_setup):
 
 
 def test_chart_field_pendulum_rest():
-    p = PendulumParams(g=9.81, eps=1e-2)
-    ff = friction_field_chart(pendulum_system(p), pendulum_friction_form(p), p.eps)
+    p = PendulumParams(g=9.81)
+    ff = friction_field_chart(pendulum_system(p), pendulum_friction_form(p), 1e-2)
     out = ff(np.array([0.0, -1.0, 0.0, 0.0]))
     assert_allclose(out, [0.0, 0.0, 0.0, -9.81], atol=1e-12)
 
@@ -231,9 +231,9 @@ def test_chart_field_matches_frame_field(sleigh, sleigh_setup):
 
 
 def test_chart_field_matches_hand_coded_pendulum():
-    p = PendulumParams(g=9.81, eps=3e-3)
-    generic = friction_field_chart(pendulum_system(p), pendulum_friction_form(p), p.eps)
-    hand = make_pendulum("friction", p)
+    p, eps = PendulumParams(g=9.81), 3e-3
+    generic = friction_field_chart(pendulum_system(p), pendulum_friction_form(p), eps)
+    hand = make_pendulum("friction", p, eps)
     rng = np.random.default_rng(16)
     for _ in range(20):
         st = rng.uniform(-1, 1, 4)
@@ -705,7 +705,7 @@ def test_rayleigh_power_nonnegative(sleigh_setup):
 
 
 def test_nh_pendulum_generic_matches_hand_coded():
-    p = PendulumParams(g=9.81, eps=1e-2)
+    p = PendulumParams(g=9.81)
     sysm, fr = pendulum_system(p), pendulum_frame(p)
     nh = nonholonomic_field(sysm, fr)
     hand = pendulum_nh_field(p)

@@ -13,6 +13,7 @@ from nonholib.dynamics import compute_h1, friction_matrix, relaxation_rate
 from nonholib.geometry import connection_coefficients, frame_metric
 from nonholib.ode import IntegratorConfig, integrate
 from nonholib.systems import (
+    PENDULUM_VARIANTS,
     InvalidParameter,
     OriginSingularity,
     PendulumParams,
@@ -88,12 +89,14 @@ def test_sleigh_params_cached_constants(params):
 
 def test_pendulum_params_validation():
     with pytest.raises(ValueError):
-        PendulumParams(g=0.0, eps=1e-3)
-    with pytest.raises(ValueError):
-        PendulumParams(g=9.81, eps=0.0)
-    for bad in ({"g": float("inf")}, {"g": float("nan")}, {"eps": float("inf")}):
+        PendulumParams(g=0.0)
+    for bad in ({"g": float("inf")}, {"g": float("nan")}):
         with pytest.raises(ValueError):
             PendulumParams(**bad)
+    for variant in PENDULUM_VARIANTS:
+        for eps in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                make_pendulum(variant, PendulumParams(g=9.81), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +391,19 @@ def test_friction_rung_matches_radau(sleigh):
 
 
 def test_pendulum_friction_terminal_speed():
-    p = PendulumParams(g=9.81, eps=1e-2)
-    f = make_pendulum("friction", p)
-    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=p.eps / 20, sample_dt=1e-2)
+    p, eps = PendulumParams(g=9.81), 1e-2
+    f = make_pendulum("friction", p, eps)
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=eps / 20, sample_dt=1e-2)
     traj = integrate(f, [0.0, -1.0, 0.0, 0.0], cfg)
-    assert_allclose(traj.states[-1, 3], -p.eps * p.g, rtol=1e-6)
+    assert_allclose(traj.states[-1, 3], -eps * p.g, rtol=1e-6)
     assert_allclose(traj.states[:, 0], 0.0, atol=1e-14)  # stays on the axis
 
 
 def test_pendulum_inertial_axis_acceleration():
-    p = PendulumParams(g=9.81, eps=1e-3)
-    f = make_pendulum("inertial", p)
+    p, eps = PendulumParams(g=9.81), 1e-3
+    f = make_pendulum("inertial", p, eps)
     out = f(np.array([0.0, -1.0, 0.0, 0.0]))
-    assert_allclose(out[3], -p.g / (1.0 + 1.0 / p.eps), atol=1e-14)
+    assert_allclose(out[3], -p.g / (1.0 + 1.0 / eps), atol=1e-14)
 
 
 def test_pendulum_inertial_friction_model_has_no_fast_mode():
@@ -423,30 +426,30 @@ def test_pendulum_inertial_friction_model_has_no_fast_mode():
         )
 
     for eps in (1e-2, 1e-3, 1e-4):
-        p = PendulumParams(eps=eps)
-        assert largest_rate(make_pendulum("inertial", p)) < 10.0
-        assert_allclose(largest_rate(make_pendulum("friction", p)), 1.0 / eps, rtol=1e-3)
+        p = PendulumParams()
+        assert largest_rate(make_pendulum("inertial", p, eps)) < 10.0
+        assert_allclose(largest_rate(make_pendulum("friction", p, eps)), 1.0 / eps, rtol=1e-3)
 
 
 def test_pendulum_potential_equilibrium():
     # the stretched hanging point r = 1 + eps g is a genuine equilibrium
-    p = PendulumParams(g=9.81, eps=1e-2)
-    f = make_pendulum("potential", p)
-    out = f(np.array([0.0, -(1.0 + p.eps * p.g), 0.0, 0.0]))
+    p, eps = PendulumParams(g=9.81), 1e-2
+    f = make_pendulum("potential", p, eps)
+    out = f(np.array([0.0, -(1.0 + eps * p.g), 0.0, 0.0]))
     assert_allclose(out, 0.0, atol=1e-12)
     # starting at rest on the circle, motion stays within the spring scale
     cfg = IntegratorConfig(t_span=(0.0, 2.0), dt=1e-3, sample_dt=1e-3)
     traj = integrate(f, [0.0, -1.0, 0.0, 0.0], cfg)
     r = np.abs(traj.states[:, 1])
-    assert np.max(np.abs(r - 1.0)) < 2.5 * p.eps * p.g
+    assert np.max(np.abs(r - 1.0)) < 2.5 * eps * p.g
 
 
 def test_pendulum_friction_radius_grows():
     # swinging below the pivot, the slaved radial drift is outward: the mass
     # sinks, so the radius increases after the initial relaxation
-    p = PendulumParams(g=9.81, eps=1e-2)
-    f = make_pendulum("friction", p)
-    cfg = IntegratorConfig(t_span=(0.0, 10.0), dt=p.eps / 20, sample_dt=1e-2)
+    p, eps = PendulumParams(g=9.81), 1e-2
+    f = make_pendulum("friction", p, eps)
+    cfg = IntegratorConfig(t_span=(0.0, 10.0), dt=eps / 20, sample_dt=1e-2)
     traj = integrate(f, pendulum_default_state(), cfg)
     r = np.linalg.norm(traj.states[:, :2], axis=1)
     keep = traj.times >= 1.0
@@ -454,18 +457,18 @@ def test_pendulum_friction_radius_grows():
 
 
 def test_pendulum_origin_singularity():
-    p = PendulumParams(g=9.81, eps=1e-2)
+    p = PendulumParams(g=9.81)
     for variant in ("potential", "friction", "inertial"):
-        f = make_pendulum(variant, p)
+        f = make_pendulum(variant, p, 1e-2)
         with pytest.raises(OriginSingularity):
             f(np.array([0.0, 0.0, 0.1, 0.1]))
 
 
-def _radial_rates(variant, p, st):
+def _radial_rates(variant, p, eps, st):
     """The potential and friction rates as composed from _radial."""
     x, y, vx, vy = st
     r, ex, ey = _radial(x, y)
-    k = (r - 1.0) / p.eps if variant == "potential" else (ex * vx + ey * vy) / p.eps
+    k = (r - 1.0) / eps if variant == "potential" else (ex * vx + ey * vy) / eps
     return (vx, vy, -k * ex, -p.g - k * ey)
 
 
@@ -484,12 +487,12 @@ def test_pendulum_texts_equal_their_radial_composition(variant):
     # the composition's, for list rows (the integrator's) and ndarray rows
     rng = np.random.default_rng(35)
     for eps in (1e-2, 2e-3):
-        p = PendulumParams(g=9.81, eps=eps)
-        field = make_pendulum(variant, p)
+        p = PendulumParams(g=9.81)
+        field = make_pendulum(variant, p, eps)
         for row in _pendulum_states(rng, 5000):
             for st in (row, row.tolist()):
                 try:
-                    want = _radial_rates(variant, p, st)
+                    want = _radial_rates(variant, p, eps, st)
                 except OriginSingularity:
                     with pytest.raises(OriginSingularity):
                         field(st)
@@ -513,7 +516,7 @@ def test_pendulum_nh_text_within_four_ulps_of_the_numpy_rates():
     # of 1 (2**-52) times the scale g + |v|^2 / r of the accelerations
     rng = np.random.default_rng(36)
     for g in (9.81, 1.0):
-        p = PendulumParams(g=g, eps=1.0)
+        p = PendulumParams(g=g)
         field = pendulum_nh_field(p)
         for row in rng.uniform(-3.0, 3.0, (5000, 4)):
             want = _nh_numpy_rates(p, row)
@@ -527,8 +530,8 @@ def test_pendulum_nh_text_within_four_ulps_of_the_numpy_rates():
 
 @pytest.mark.parametrize("model", ("potential", "friction", "nh"))
 def test_pendulum_texts_refuse_the_origin_called_and_inlined(model):
-    p = PendulumParams(g=9.81, eps=1e-2)
-    field = pendulum_nh_field(p) if model == "nh" else make_pendulum(model, p)
+    p = PendulumParams(g=9.81)
+    field = pendulum_nh_field(p) if model == "nh" else make_pendulum(model, p, 1e-2)
     state = [5e-9, 0.0, 0.0, 0.0]  # 0 < r < 1e-8
     with pytest.raises(OriginSingularity):
         field(state)
@@ -545,7 +548,7 @@ def test_pendulum_texts_refuse_the_origin_called_and_inlined(model):
 
 def test_make_pendulum_unknown_variant():
     with pytest.raises(ValueError):
-        make_pendulum("magnetic", PendulumParams())
+        make_pendulum("magnetic", PendulumParams(), 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -679,18 +682,21 @@ def test_sleigh_geometry_equals_its_closed_forms():
 
 @pytest.mark.parametrize("params", SLEIGH_PARAMS)
 def test_sleigh_cyclic_rows_are_read_by_no_callback(params):
-    # manifold's runs leave x and y out (NaN); every callback h1 reads, and
-    # h1 itself, must then return the very bits it returns at the whole q
+    # compare's and manifold's runs leave out the rows that no rate of the
+    # friction text reads, x and y (NaN); every callback h1 reads, and h1
+    # itself, must then return the very bits it returns at the whole q
     entry = get_system("sleigh")
-    assert entry.cyclic == (0, 1)
     sysm, uvw, fric = entry.realization(params)
+    rates_read = ode.rows_read(entry.models["friction"].build(params, 1e-2))
+    left_out_rows = sorted(set(range(sysm.n)) - rates_read)
+    assert left_out_rows == [0, 1]
     ortho = entry.adapted_frame(params)
     h1 = compute_h1(sysm, ortho, fric).h1
     rng = np.random.default_rng(29)
     qs = random_sleigh_q(rng, 20)
     xis = rng.uniform(-1.0, 1.0, (20, 2))
     left_out = qs.copy()
-    left_out[:, list(entry.cyclic)] = np.nan
+    left_out[:, left_out_rows] = np.nan
     callbacks = [sysm.metric, sysm.metric_derivs, fric.nu]
     callbacks += [fr.fields for fr in (uvw, ortho)] + [fr.field_derivs for fr in (uvw, ortho)]
     for q, q_nan in zip(qs, left_out):
