@@ -162,13 +162,16 @@ def pseudo_solution_defect(traj: Trajectory, field_fn: Callable) -> float:
     Measures how far a curve is from solving the given field; a trajectory
     produced by integrating the same field has zero defect by construction,
     while a projected large-friction trajectory tested against the
-    constrained field has a defect proportional to eps.  The field may be
+    constrained field has a defect proportional to eps.  The field gets
+    each state as a list of floats, as `integrate`'s fields do, and may be
     handed states with non-finite columns it does not read; a difference
     that is not finite raises NonFiniteValue.
     """
     diffs = np.empty_like(traj.states)
-    for i in range(len(traj)):
-        diffs[i] = traj.derivs[i] - field_fn(traj.states[i])
+    for i, row in enumerate(traj.states.tolist()):
+        diffs[i] = field_fn(row)
+    # elementwise, so bitwise the per-row difference
+    np.subtract(traj.derivs, diffs, out=diffs)
     _finite(diffs, "the defect xdot - X(x)")
     return float(np.max(np.linalg.norm(diffs, axis=1)))
 

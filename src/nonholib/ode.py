@@ -2,24 +2,26 @@
 
 Two schemes are provided: classic fixed-step RK4 (the default for all
 reproducible experiments) and the adaptive Fehlberg 4(5) embedded pair for
-exploration of very stiff parameter regimes.  `integrate` owns the one
-sample loop; a scheme is a stepper ``(field, x, t, target, h, cfg) -> (x, h)``
-that advances one sample interval and hands on the step size to start the
-next.  Integration is deterministic: identical inputs produce bit-identical
+exploration of very stiff parameter regimes.  `integrate` makes one call
+per run, to a generated run function ``(field, x, ts, cfg) -> (states,
+derivs)`` that owns the loop over the sample times ts: it integrates from x
+at ts[0] and appends each sample's state and derivative to two flat
+``array('d')`` buffers, which `integrate` wraps without a copy.  The
+Fehlberg step size carries over from one sample interval to the next.
+Integration is deterministic: identical inputs produce bit-identical
 trajectories.
 
 A field gets the state as a list of Python floats and may return any
-sequence of floats (a tuple, a list or an ndarray).  The steppers work on
+sequence of floats (a tuple, a list or an ndarray).  The runs work on
 Python floats because numpy's per-operation overhead dominates arithmetic
 on vectors of a few components.  For each pair of scheme and state length n
-the stepper is generated as straight-line source: it keeps the state in
-locals ``a0 ... a{n-1}`` for the whole sample interval and builds a list
-only when it returns.  The Fehlberg stepper is generated from the tableau
-``_FE_A``/``_FE_B4``/``_FE_ERR``, so the tableau stays the one statement of
-the method.
+the run is generated as straight-line source: it keeps the state in locals
+``a0 ... a{n-1}`` for the whole run.  The Fehlberg run is generated from
+the tableau ``_FE_A``/``_FE_B4``/``_FE_ERR``, so the tableau stays the one
+statement of the method.
 
-A field declared as text with `straight_line` is not called by the
-stepper; its text is written into every stage.  The text is one function
+A field declared as text with `straight_line` is not called by the run;
+its text is written into every stage.  The text is one function
 ``def name(st): <n names> = st; <assignments>; return (<n expressions>)``
 that reads st nowhere else, assigns no argument and reads no local before
 assigning it.  Every other name it reads is a constant passed when the
@@ -29,65 +31,82 @@ sleigh's nh, friction and corrected fields and the pendulum's friction,
 potential and nh fields are declared this way.  In a stage the text's
 arguments become the stage locals ``s0 ...`` and every other name gets the
 prefix ``f_``; an rk4 stage stores only the arguments that its lines load.
-The constants are read from the field's closure at the start of each
-stepper call, so one stepper, cached on the text, serves every field built
-from it (every eps).  The stages and the callable come from one text,
-so they cannot disagree.  Every other field is called with each stage state
-as a list and its result unpacked into locals: fields that return an
+The constants are read from the field's closure at the start of each run,
+so one run function, cached on the text, serves every field built from it
+(every eps).  The stages and the callable come from one text, so they
+cannot disagree.
+
+A run of a text evaluates the whole text once at each sample: that is the
+stored derivative, and, the same expressions on the same floats, the first
+stage of the step that starts there (first same as last, after Dormand &
+Prince, J. Comput. Appl. Math. 6 (1980) 19-26).  rk4 takes it as the first
+stage of each interval's first step; Fehlberg takes the first stage once
+per accepted state, and every attempt from that state, rejected or not,
+reuses it.  So a field error at an accepted state surfaces before the next
+attempt's step-size check.  Every other field is called with each stage
+state as a list and its result unpacked into locals: fields that return an
 ndarray, the generic `dynamics` fields, lambdas and wrappers, such as the
 tracing wrapper of perfbench's ``--trace 1``, whose per-layer times
-therefore describe the called path (its evaluation counts stay exact).
-Both paths give bitwise-equal results.
+therefore describe the called path.  A called field is evaluated once per
+sample and 4 times per rk4 step or 6 times per Fehlberg attempt, so such a
+wrapper counts the evaluations that a whole-array loop makes.  Both paths
+give bitwise-equal results.
 
 Which rows are integrated: every row, unless the caller names the rows
 it reads (`integrate`'s ``read``) and the field is declared as text.  A
 text's rates read the rows that their expressions read, directly or
 through the statements they need (`rows_read`).  An rk4 run then leaves
 out each row that the caller does not read and that no rate reads: its
-stepper, keyed on the text and the kept rows, writes into each stage only
-the kept rows' results, the statements these need and the constants they
-read (so the sleigh's ``s, c = math.sin(phi), math.cos(phi)`` goes with
-its x and y rates).  No second text is declared; one stepper serves every
-eps, and its file name names the kept rows.  The stepper takes and
-returns the whole state, NaN in each left-out place, so a left-out row's
-state column is NaN from the first sample on.  Its derivative column is
-exact, the whole field's value at each sample, since that value reads
-only kept rows.  The kept rows are bitwise those of the whole run.  An
-rkf45 run, a called field, ``read=None`` and a run that keeps no row or
-every row integrate every row: the Fehlberg error norm reads every row,
-and a called field may read any.
+run function, keyed on the text and the kept rows, writes into each stage
+only the kept rows' results, the statements these need and the constants
+they read (so the sleigh's ``s, c = math.sin(phi), math.cos(phi)`` goes
+with its x and y rates).  No second text is declared; one run function
+serves every eps, and its file name names the kept rows.  It stores NaN in
+each left-out place, so a left-out row's state column is NaN from the
+first sample on.  Its derivative column is exact: at each sample the run
+writes the whole text, whose rates read only kept rows.  The kept rows are
+bitwise those of the whole run.  An rkf45 run, a called field,
+``read=None`` and a run that keeps no row or every row integrate every
+row: the Fehlberg error norm reads every row, and a called field may read
+any.
 
-A stepper is compiled on first use and cached.  Its source, like each
+A run function is compiled on first use and cached.  Its source, like each
 field text's maker, is registered in `linecache` under a file name: a
-stepper's is such as ``nonholib.ode rk4 n=6``, to which an inlined stepper
-adds the field's name (``... sleigh_friction``) and a restricted one its
-kept rows (``... sleigh_friction rows 2,3,4,5``), and a maker's is the
-field's name (``nonholib.ode sleigh_friction``).  One name declares one
-text, so tracebacks and profiles tell the steppers and fields apart and
-show their lines, after `linecache.clearcache` too.  `inspect.getsource`
-does not: after a clearcache it finds no module for such a file name and
-raises OSError until a traceback has read the lines again.
+run's is such as ``nonholib.ode rk4 n=6``, to which an inlined run adds
+the field's name (``... sleigh_friction``) and a restricted one its kept
+rows (``... sleigh_friction rows 2,3,4,5``), and a maker's is the field's
+name (``nonholib.ode sleigh_friction``).  One name declares one text, so
+tracebacks and profiles tell the runs and fields apart and show their
+lines, after `linecache.clearcache` too.  `inspect.getsource` does not:
+after a clearcache it finds no module for such a file name and raises
+OSError until a traceback has read the lines again.
 
-The steppers keep the operation order of whole-array code, so their results
-are bitwise equal to it: each Fehlberg sum runs left to right from int 0 and
-keeps its zero-coefficient terms.  The adaptive scheme's error norm is the
-root of a left-to-right sum of the squared scaled errors divided by the
-number of components n.  Below 8 components that sum is bitwise numpy's mean
-(a plain loop there); from 8 on numpy adds in pairwise blocks, which differs
-at rounding level and can change the step-size sequence.  The error norm and
-the step control call no builtin: their min, max and abs are conditional
-expressions with the same values (with a# and b# finite only the sign of a
-zero can differ, and atol + rtol * -0.0 is atol).
+The runs keep the operation order of whole-array code, so their results
+are bitwise equal to it, up to the sign of an exact zero: each Fehlberg
+sum runs left to right over its nonzero terms, where whole-array code
+starts from 0 and adds the zero-coefficient terms too.  For finite k that
+can change a sum only in the sign of an exact zero.  A non-finite k5, whose
+coefficient in the propagated fourth-order sum is 0, still halves the step,
+through the error norm, which reads it; a non-finite k1, 0 in both sums,
+is caught at the second stage, whose state reads it.  The adaptive
+scheme's error norm is the root of a left-to-right sum of the squared
+scaled errors divided by the number of components n.  Below 8 components
+that sum is bitwise numpy's mean (a plain loop there); from 8 on numpy adds
+in pairwise blocks, which differs at rounding level and can change the
+step-size sequence.  The error norm and the step control call no builtin:
+their min, max and abs are conditional expressions with the same values
+(with a# and b# finite only the sign of a zero can differ, and
+atol + rtol * -0.0 is atol).
 
 Trajectories store the state *and* the right-hand side at every sample so
 that dense output is available through cubic Hermite interpolation, which is
 exact at the sample points and reproduces cubic polynomials in between.
 
 All functions here are pure; a `Trajectory` is immutable after construction,
-so concurrent use from several threads is safe.  The caches of steppers
-and field texts are the shared state: threads that miss one at once may
-each compile the same stepper or text, and every copy computes the same
-values.
+so concurrent use from several threads is safe.  The caches of run
+functions and field texts are the shared state: threads that miss one at
+once may each compile the same run function or text, and every copy
+computes the same values.
 """
 
 from __future__ import annotations
@@ -98,6 +117,7 @@ import linecache
 import math
 import textwrap
 import types
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,7 +142,7 @@ class RunTooLong(ValueError):
 
 
 #: Most steps a config lets one rk4 run take (substeps times sample
-#: intervals).  The generated sleigh friction stepper takes about 3 us a
+#: intervals).  The generated sleigh friction run takes about 3 us a
 #: step on a 2-vCPU Xeon VM, so this is most of an hour of it, and 80 times
 #: the 1.2e7 steps of a sleigh rung at eps = 1e-4 on [0, 61] at the default
 #: step eps / 20.
@@ -368,22 +388,12 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
     # rkf45's error norm reads every row, and a called field may read any
     reads = None if read is None or cfg.method != "rk4" else rows_read(field)
     keep = () if reads is None else tuple(sorted(reads.union(read)))
-    # keeping no row or every row is a whole run, whose stepper names no rows
+    # keeping no row or every row is a whole run, whose file names no rows
     keep = keep if len(keep) < n else ()
-    step = _stepper(cfg.method, n, text, *keep)
+    run = _stepper(cfg.method, n, text, *keep)
     times = cfg.t_span[0] + cfg.sample_dt * np.arange(cfg.intervals + 1)
-    states = np.empty((len(times), n))
-    derivs = np.empty((len(times), n))
-    ts = times.tolist()
-    x = [v if j in (keep or range(n)) else math.nan for j, v in enumerate(x0.tolist())]
-    h = cfg.dt
-    for i in range(len(ts)):
-        if i:
-            x, h = step(field, x, ts[i - 1], ts[i], h, cfg)
-        states[i] = x
-        # exact on a left-out row too, since no rate reads it
-        derivs[i] = field(x)
-    return Trajectory(times, states, derivs)
+    buffers = run(field, x0.tolist(), times.tolist(), cfg)
+    return Trajectory(times, *(np.frombuffer(b).reshape(-1, n) for b in buffers))
 
 
 def rows_read(field: Callable):
@@ -513,26 +523,29 @@ _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 @functools.cache
 def _stepper(method: str, n: int, text=None, *keep) -> Callable:
-    """The stepper of `method` for states of n components, compiled on first
-    use.  Given a field text (`straight_line`) it writes the text into every
-    stage; otherwise it calls the field.  Given the rows to keep (an rk4
-    stepper of a text), it integrates only those and returns NaN in every
-    other place; without them it integrates every row."""
+    """The run function of `method` for states of n components, compiled on
+    first use: ``(field, x, ts, cfg) -> (states, derivs)`` integrates from
+    the state x at ts[0] and returns the state and derivative at every time
+    of ts, row after row, in two flat array('d') buffers.  Given a field
+    text (`straight_line`) it writes the text into every stage; otherwise
+    it calls the field.  Given the rows to keep (an rk4 run of a text), its
+    stages integrate only those, and every other place of a state is NaN."""
     rows = keep or range(n)
     filename = f"nonholib.ode {method} n={n}"
     if text is not None:
         filename += " " + _declared(text)[1].co_name
     if keep:
         filename += f" rows {','.join(map(str, keep))}"
-    bind, finite, stage = _field_snippets(rows, text)
+    bind, finite, stage, whole = _field_snippets(n, rows, text)
     if method == "rk4":
-        lines = _rk4_lines(n, rows, bind, finite, stage)
+        lines = _rk4_lines(n, rows, bind, finite, stage, whole, text is not None)
     else:
-        lines = _rkf45_lines(n, bind, stage)
+        lines = _rkf45_lines(n, bind, stage, text is not None)
     return _compile(
         "\n".join(lines) + "\n",
         filename,
         f"{method}_n{n}",
+        array=array,
         isfinite=math.isfinite,
         sqrt=math.sqrt,
         nan=math.nan,
@@ -557,33 +570,46 @@ def _compile(source: str, filename: str, name: str, **names) -> Callable:
     return namespace[name]
 
 
-def _field_snippets(rows, text) -> tuple:
-    """(lines binding the field's constants at the start of a stepper call,
-    a test that the stage state last taken is finite, stage(k, state, pad):
-    the lines, indented by pad, that set k{k}_# for each # in rows to the
-    field's value at the stage state whose component # is the expression
-    state).  Without a text the stage calls the field with the state as the
+def _field_snippets(n: int, rows, text) -> tuple:
+    """(lines binding the field's constants at the start of a run, a test
+    that the stage state last taken is finite, stage(out, state, pad): the
+    lines, indented by pad, that set out (# replaced by the row) for each #
+    in rows to the field's value at the stage state whose component # is
+    the expression state, and whole(out, pad): the same for every row at the
+    state a#).  Without a text a stage calls the field with the state as the
     list xs; with one it writes only the results of rows, the statements
     they need and the constants these read, and holds in the locals s# only
     the state components that these load (a stage at a# or s# reads them,
     and the finite test reads only them)."""
     if text is None:
 
-        def call(k, state, pad):
-            return [f"{pad}xs = [{_row(state, rows)}]", f"{pad}{_row(f'k{k}_#', rows)}, = field(xs)"]
+        def call(out, state, pad):
+            return [f"{pad}xs = [{_row(state, rows)}]", f"{pad}{_row(out, rows)}, = field(xs)"]
 
-        return [], "all(map(isfinite, xs))", call
-    _, _, args, stmts, results, _ = _parse(text)
-    results = [results[i] for i in rows]
-    stmts = _live(stmts, results)
-    nodes = stmts + results
-    loads = _names(nodes, ast.Load)
-    # read at every call, so one stepper serves every field of the text
+        return [], "all(map(isfinite, xs))", call, lambda out, pad: call(out, "a#", pad)
+    stage, loads, loaded = _text_stage(text, rows)
+    # the whole text loads every name that a stage loads, and no state
+    # component outside rows: integrate keeps every row that a rate reads
+    whole, loads, _ = (stage, loads, loaded) if len(rows) == n else _text_stage(text, range(n))
+    # read at every call, so one run function serves every field of the text
     bind = [
         f"    f_{const} = field.__closure__[{i}].cell_contents"
         for i, const in enumerate(_declared(text)[1].co_freevars)
         if const in loads
     ]
+    # a stage that loads no state component can raise only the field's own errors
+    finite = _all_finite("s", loaded) if loaded else "True"
+    return bind, finite, stage, lambda out, pad: whole(out, "a#", pad)
+
+
+def _text_stage(text: str, rows) -> tuple:
+    """(stage, the names that it loads, the rows of the state that it loads)
+    for the results of rows of a field text, stage as in _field_snippets."""
+    _, _, args, stmts, results, _ = _parse(text)
+    results = [results[i] for i in rows]
+    stmts = _live(stmts, results)
+    nodes = stmts + results
+    loads = _names(nodes, ast.Load)
     loaded = [i for i in rows if args[i] in loads]
     names = [(m, m.id) for node in nodes for m in ast.walk(node) if isinstance(m, ast.Name)]
 
@@ -596,17 +622,16 @@ def _field_snippets(rows, text) -> tuple:
 
     rendered = {v: render(v) for v in "as"}
 
-    def stage(k, state, pad):
+    def stage(out, state, pad):
         in_locals = state in ("a#", "s#")
         lines, values = rendered[state[0] if in_locals else "s"]
         return (
             ([] if in_locals else [_row(f"{pad}s# = {state}", [i]) for i in loaded])
             + [pad + line for line in lines]
-            + [f"{pad}k{k}_{i} = {value}" for i, value in zip(rows, values)]
+            + [f"{pad}{_row(out, [i])} = {value}" for i, value in zip(rows, values)]
         )
 
-    # a stage that loads no state component can raise only the field's own errors
-    return bind, _all_finite("s", loaded) if loaded else "True", stage
+    return stage, loads, loaded
 
 
 def _row(template: str, rows, sep: str = ", ") -> str:
@@ -621,104 +646,137 @@ def _all_finite(v: str, rows) -> str:
     return terms if len(rows) == 1 else f"isfinite({_row(v + '#', rows, ' + ')}) or {terms}"
 
 
-def _rk4_lines(n: int, rows, bind: list, finite: str, stage: Callable) -> list:
-    """Advance the rows of x from t to target in cfg.substeps equal steps;
-    h is kept.  Every other place of x is skipped and returned as NaN."""
-    pad = " " * 12
+def _store_sample(n: int, rows, k: str, pad: str) -> list:
+    """Append the state a# (NaN outside rows) and the derivative k# to the
+    run's buffers."""
+    state = ", ".join(f"a{i}" if i in rows else "nan" for i in range(n))
+    return [f"{pad}states.fromlist([{state}])", f"{pad}derivs.fromlist([{_row(k, range(n))}])"]
+
+
+def _rk4_lines(n: int, rows, bind: list, finite: str, stage, whole, fsal: bool) -> list:
+    """Integrate the rows of x over ts in cfg.substeps equal steps per sample
+    interval.  The derivative at a sample is the whole field there, so with
+    fsal (a text) it is also the first stage of the interval's first step."""
+    pad = " " * 16
+    # a# is finite here (x is, and so is every step), so an error at the
+    # first stage is the field's own and needs no handler
+    first = ["            if j:", *stage("k1_#", "a#", pad)] if fsal else stage("k1_#", "a#", pad[4:])
     return [
-        f"def rk4_n{n}(field, x, t, target, h, cfg):",
+        f"def rk4_n{n}(field, x, ts, cfg):",
         *bind,
         f"    {', '.join(f'a{i}' if i in rows else '_' for i in range(n))}, = x",
         "    nsub = cfg.substeps",
-        "    dt = (target - t) / nsub",
-        "    half, sixth = 0.5 * dt, dt / 6.0",
-        "    for j in range(nsub):",
-        # a# is finite here (x is, and so is every step), so an error at the
-        # first stage is the field's own and needs no handler
-        *stage(1, "a#", pad[4:]),
-        "        try:",
-        *stage(2, "a# + half * k1_#", pad),
-        *stage(3, "a# + half * k2_#", pad),
-        *stage(4, "a# + dt * k3_#", pad),
-        "        except (ValueError, OverflowError):",
-        "            # a math call on a non-finite stage state (math.cos(inf))",
-        "            # is a blow-up; any other error is the field's own",
-        f"            if {finite}:",
-        "                raise",
-        "            raise NonFiniteState(t + (j + 1) * dt) from None",
-        _row("        a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n"),
-        f"        if not ({_all_finite('a', rows)}):",
-        "            raise NonFiniteState(t + (j + 1) * dt)",
-        f"    return [{', '.join(f'a{i}' if i in rows else 'nan' for i in range(n))}], h",
+        '    states, derivs = array("d"), array("d")',
+        *whole("k1_#", "    "),
+        *_store_sample(n, rows, "k1_#", "    "),
+        "    t = ts[0]",
+        "    for target in ts[1:]:",
+        "        dt = (target - t) / nsub",
+        "        half, sixth = 0.5 * dt, dt / 6.0",
+        "        for j in range(nsub):",
+        *first,
+        "            try:",
+        *stage("k2_#", "a# + half * k1_#", pad),
+        *stage("k3_#", "a# + half * k2_#", pad),
+        *stage("k4_#", "a# + dt * k3_#", pad),
+        "            except (ValueError, OverflowError):",
+        "                # a math call on a non-finite stage state (math.cos(inf))",
+        "                # is a blow-up; any other error is the field's own",
+        f"                if {finite}:",
+        "                    raise",
+        "                raise NonFiniteState(t + (j + 1) * dt) from None",
+        _row("            a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n"),
+        f"            if not ({_all_finite('a', rows)}):",
+        "                raise NonFiniteState(t + (j + 1) * dt)",
+        *whole("k1_#", "        "),
+        *_store_sample(n, rows, "k1_#", "        "),
+        "        t = target",
+        "    return states, derivs",
     ]
 
 
-def _rkf45_lines(n: int, bind: list, stage: Callable) -> list:
-    """Advance x from t to target in accepted adaptive steps; the stepper
-    returns the step size to try first on the next interval.  An attempt
-    whose stage state, x4 or error is non-finite halves the step."""
+def _rkf45_lines(n: int, bind: list, stage, fsal: bool) -> list:
+    """Integrate x over ts in accepted adaptive steps; the step size carries
+    over from one sample interval to the next.  An attempt whose stage
+    state, x4 or error is non-finite halves the step.  The first stage is
+    the field at the accepted state: with fsal (a text) it is taken once
+    per accepted state, reused by every attempt from it and stored as the
+    sample's derivative; a called field is called afresh each time."""
 
     def combine(coeffs) -> str:
-        # left to right from int 0, zero terms kept: whole-array code's order
-        return "0" + "".join(f" + {c!r} * k{j}_#" for j, c in enumerate(coeffs))
+        # left to right, zero terms skipped (see the module docstring)
+        return " + ".join(f"{c!r} * k{j}_#" for j, c in enumerate(coeffs) if c)
 
-    rows, pad = range(n), " " * 8
-    halve = ["            h *= 0.5", "            continue"]
+    def first(pad: str) -> list:
+        return stage("k0_#", "a#", pad)
+
+    rows, pad = range(n), " " * 12
+    halve = ["                h *= 0.5", "                continue"]
     lines = [
-        f"def rkf45_n{n}(field, x, t, target, h, cfg):",
+        f"def rkf45_n{n}(field, x, ts, cfg):",
         *bind,
         f"    {_row('a#', rows)}, = x",
+        "    h = cfg.dt",
         "    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])",
         "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
+        '    states, derivs = array("d"), array("d")',
+        *first("    "),
+        *_store_sample(n, rows, "k0_#", "    "),
+        "    t = ts[0]",
+        "    for target in ts[1:]:",
         # max(1.0, abs(target)) and min(h, target - t), written out
-        "    stop = target - 1e-14 * ("
+        "        stop = target - 1e-14 * ("
         "target if target > 1.0 else -target if target < -1.0 else 1.0)",
-        "    while t < stop:",
-        "        rest = target - t",
-        "        h = rest if rest < h else h",
-        "        if h < h_min:",
-        '            raise StepUnderflow(f"step size underflow at t={t:.6g}")',
-        *stage(0, "a#", pad),
+        "        while t < stop:",
+        "            rest = target - t",
+        "            h = rest if rest < h else h",
+        "            if h < h_min:",
+        '                raise StepUnderflow(f"step size underflow at t={t:.6g}")',
+        *([] if fsal else first(pad)),
     ]
     for s in range(1, 6):
         lines += [
-            _row(f"        s# = a# + h * ({combine(_FE_A[s])})", rows, "\n"),
-            f"        if not ({_all_finite('s', rows)}):",
+            _row(f"            s# = a# + h * ({combine(_FE_A[s])})", rows, "\n"),
+            f"            if not ({_all_finite('s', rows)}):",
             *halve,
-            *stage(s, "s#", pad),
+            *stage(f"k{s}_#", "s#", pad),
         ]
     lines += [
-        _row(f"        b# = a# + h * ({combine(_FE_B4)})", rows, "\n"),
-        f"        if not ({_all_finite('b', rows)}):",
+        _row(f"            b# = a# + h * ({combine(_FE_B4)})", rows, "\n"),
+        f"            if not ({_all_finite('b', rows)}):",
         *halve,
         # max(abs(a#), abs(b#)) written out: a and b are finite here, so only
         # the sign of a zero can differ, and atol + rtol * -0.0 is atol
-        _row("        p# = a# if a# >= 0.0 else -a#", rows, "\n"),
-        _row("        q# = b# if b# >= 0.0 else -b#", rows, "\n"),
+        _row("            p# = a# if a# >= 0.0 else -a#", rows, "\n"),
+        _row("            q# = b# if b# >= 0.0 else -b#", rows, "\n"),
         # RMS of the scaled error: a left-to-right sum divided by n (not the
         # builtin sum, which is compensated from Python 3.12 on); np.mean
         # bitwise below 8 components, see the module docstring
         _row(
-            f"        r# = h * ({combine(_FE_ERR)}) / (atol + rtol * (q# if q# > p# else p#))",
+            f"            r# = h * ({combine(_FE_ERR)}) / (atol + rtol * (q# if q# > p# else p#))",
             rows,
             "\n",
         ),
-        f"        err = sqrt((0.0 + {_row('r# * r#', rows, ' + ')}) / {n})",
-        "        if not isfinite(err):",
+        f"            err = sqrt(({_row('r# * r#', rows, ' + ')}) / {n})",
+        "            if not isfinite(err):",
         *halve,
-        "        if err <= 1.0:",
-        "            t += h",
-        _row("            a# = b#", rows, "\n"),
+        "            if err <= 1.0:",
+        "                t += h",
+        _row("                a# = b#", rows, "\n"),
+        *(first(pad + "    ") if fsal else []),
         # min(5.0, max(0.2, grow)) and max(0.2, grow), written out; an
         # accepted err is at most 1, so its grow is at least 0.9
-        "            if err == 0.0:",
-        "                h *= 5.0",
+        "                if err == 0.0:",
+        "                    h *= 5.0",
+        "                else:",
+        "                    grow = 0.9 * err ** -0.2",
+        "                    h *= 5.0 if grow >= 5.0 else grow",
         "            else:",
         "                grow = 0.9 * err ** -0.2",
-        "                h *= 5.0 if grow >= 5.0 else grow",
-        "        else:",
-        "            grow = 0.9 * err ** -0.2",
-        "            h *= grow if grow > 0.2 else 0.2",
-        f"    return [{_row('a#', rows)}], h",
+        "                h *= grow if grow > 0.2 else 0.2",
+        *([] if fsal else first("        ")),
+        *_store_sample(n, rows, "k0_#", "        "),
+        "        t = target",
+        "    return states, derivs",
     ]
     return lines

@@ -382,17 +382,21 @@ _PENDULUM_PROLOGUE = """\
     ex, ey = x / r, y / r
 """
 
+# The texts read ng = -g and neps = -eps, bound when a field is built, so no
+# stage negates a constant.  The bits are those of -k * ex and -g - k * ey
+# with k = rdot / eps: IEEE negation and division are sign-exact, so nk is
+# -k and nk * ey is -(k * ey), and x - y is x + (-y).
 _PENDULUM_POTENTIAL = f"""
 def pendulum_potential(st):
-{_PENDULUM_PROLOGUE}    k = (r - 1.0) / eps
-    return (vx, vy, -k * ex, -g - k * ey)
+{_PENDULUM_PROLOGUE}    nk = (r - 1.0) / neps
+    return (vx, vy, nk * ex, ng + nk * ey)
 """
 
 _PENDULUM_FRICTION = f"""
 def pendulum_friction(st):
 {_PENDULUM_PROLOGUE}    rdot = ex * vx + ey * vy
-    k = rdot / eps
-    return (vx, vy, -k * ex, -g - k * ey)
+    nk = rdot / neps
+    return (vx, vy, nk * ex, ng + nk * ey)
 """
 
 # numpy's grav - (grav @ e_r) * e_r - (v @ v) / r * e_r on floats; its
@@ -400,12 +404,12 @@ def pendulum_friction(st):
 # with the numpy formula to a few ulps of g + |v|^2 / r, not bitwise
 _PENDULUM_NH = f"""
 def pendulum_nh(st):
-{_PENDULUM_PROLOGUE}    gr = 0.0 * ex + -g * ey
+{_PENDULUM_PROLOGUE}    gr = 0.0 * ex + ng * ey
     c = (vx * vx + vy * vy) / r
-    return (vx, vy, (0.0 - gr * ex) - c * ex, (-g - gr * ey) - c * ey)
+    return (vx, vy, (0.0 - gr * ex) - c * ex, (ng - gr * ey) - c * ey)
 """
 
-# the names the pendulum texts read besides g and eps
+# the names the pendulum texts read besides ng and neps
 _RADIUS = {"hypot": math.hypot, "_origin": _origin, "r_min": _R_MIN}
 
 
@@ -426,7 +430,7 @@ def make_pendulum(variant: str, p: PendulumParams, eps: float) -> Callable:
     g = p.g
     if variant != "inertial":
         text = _PENDULUM_POTENTIAL if variant == "potential" else _PENDULUM_FRICTION
-        return straight_line(text, g=g, eps=eps, **_RADIUS)
+        return straight_line(text, ng=-g, neps=-eps, **_RADIUS)
 
     def rhs(st):
         x, y, vx, vy = st
@@ -445,7 +449,7 @@ def make_pendulum(variant: str, p: PendulumParams, eps: float) -> Callable:
 def pendulum_nh_field(p: PendulumParams) -> Callable:
     """Limit dynamics on concentric circles: tangential gravity only plus
     the centripetal acceleration that keeps r constant."""
-    return straight_line(_PENDULUM_NH, g=p.g, **_RADIUS)
+    return straight_line(_PENDULUM_NH, ng=-p.g, **_RADIUS)
 
 
 def pendulum_system(p: PendulumParams) -> MechanicalSystem:

@@ -217,12 +217,37 @@ def test_defect_of_exact_solution():
     times = np.linspace(0.0, 1.0, 51)
     states = np.exp(-times)[:, None]
     traj = Trajectory(times, states, -states)
-    assert pseudo_solution_defect(traj, lambda x: -x) < 1e-15
+    assert pseudo_solution_defect(traj, lambda x: [-a for a in x]) < 1e-15
 
 
 def test_defect_of_offset_curve():
     traj = constant_traj([2.0], dim=1)
-    assert_allclose(pseudo_solution_defect(traj, lambda x: -x), 2.0)
+    assert_allclose(pseudo_solution_defect(traj, lambda x: [-a for a in x]), 2.0)
+
+
+def _defect_on_numpy_rows(traj, field):
+    """pseudo_solution_defect as it was written on numpy rows."""
+    diffs = np.empty_like(traj.states)
+    for i in range(len(traj)):
+        diffs[i] = traj.derivs[i] - field(traj.states[i])
+    return float(np.max(np.linalg.norm(diffs, axis=1)))
+
+
+def test_defect_on_list_rows_is_bitwise_the_numpy_row_form(sleigh):
+    from nonholib.systems import PendulumParams, make_pendulum, pendulum_nh_field
+
+    proj = REGISTRY["sleigh"].reduce_matrix(asdict(sleigh))
+    cfg = IntegratorConfig(t_span=(0.0, 2.0), dt=2e-4, sample_dt=1e-2)
+    sleigh_traj = integrate(sleigh_friction_field(sleigh, 4e-3), [0, 0, 0, -1.0, 0.0, 0.5], cfg)
+    p = PendulumParams()
+    rkf = IntegratorConfig(t_span=(0.0, 2.0), dt=1e-3, sample_dt=1e-2, method="rkf45")
+    pendulum_traj = integrate(make_pendulum("friction", p, 4e-3), [0.6, -0.8, 0.0, 0.0], rkf)
+    for traj, nh in (
+        (transform_linear(sleigh_traj, proj), sleigh_nh_field(sleigh)),
+        (pendulum_traj, pendulum_nh_field(p)),
+    ):
+        got = pseudo_solution_defect(traj, nh)
+        assert got > 0.0 and got.hex() == _defect_on_numpy_rows(traj, nh).hex()
 
 
 def test_defect_eps_scaling(sleigh):

@@ -177,6 +177,34 @@ def test_simulate_blowup_exit_3(tmp_path, capsys):
     assert "t=" in captured.err
 
 
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_pendulum_run_into_the_origin_exits_3_with_its_line(tmp_path, capsys, method):
+    # free fall down the y axis, with g and the friction negligible, reaches
+    # the origin at t = 0.3125, where a stage of the step that ends there
+    # lands.  The Fehlberg run takes a text's first stage once per accepted
+    # state, so a field error at an accepted state now comes before the next
+    # attempt's step-size check; the exit code and the line stay
+    out = tmp_path / "x.csv"
+    rc = run(
+        [
+            "simulate",
+            "--system", "pendulum-friction",
+            "--model", "friction",
+            "--eps", "1e300",
+            "--param", "g=1e-300",
+            "--state", "0,0.3125,0,-1",
+            "--dt", "0.015625",
+            "--sample-dt", "0.0625",
+            "--t1", "1",
+            "--method", method,
+            "--out", str(out),
+        ]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: pendulum state too close to the origin\n"
+    assert not out.exists()
+
+
 def test_simulate_unstable_step_refused_exit_2(tmp_path, capsys):
     for system, dt, ratio in (
         # h * fast_rate = 0.5 * 104 = 52, far past rk4's real-axis bound 2.785

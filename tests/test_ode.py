@@ -493,6 +493,104 @@ def test_rkf45_matches_numpy_reference_bitwise(name):
     assert {b for b, n in counts.items() if n} == RKF45_BRANCHES[name]
 
 
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_counting_wrapper_sees_one_evaluation_per_sample_and_each_stage(method):
+    # perfbench's --trace 1 counts a run's evaluations through such a
+    # wrapper, and pins its rk4 counts; a called field is evaluated once per
+    # sample, four times per rk4 step and six times per Fehlberg attempt
+    from nonholib.systems import PendulumParams, make_pendulum, pendulum_default_state
+
+    field = make_pendulum("friction", PendulumParams(), 4e-3)
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return field(x)
+
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=2e-4, sample_dt=1e-2, method=method)
+    integrate(counted, pendulum_default_state(), cfg)
+    if method == "rk4":
+        assert calls[0] == cfg.intervals + 1 + 4 * cfg.substeps * cfg.intervals
+    else:
+        assert calls[0] == 4277  # 101 samples and 696 attempts
+
+
+_TICKED_DECAY = """
+def ticked_decay(st):
+    (x,) = st
+    y = tick(x)
+    return (-y,)
+"""
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_text_runs_take_the_first_stage_from_the_sample(method):
+    calls = [0]
+
+    def tick(x):
+        calls[0] += 1
+        return x
+
+    field = ode.straight_line(_TICKED_DECAY, tick=tick)
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=2e-2, sample_dt=0.1, method=method)
+    called = integrate(lambda x: field(x), [1.0], cfg)
+    through_calls, calls[0] = calls[0], 0
+    inlined = integrate(field, [1.0], cfg)
+    assert inlined.states.tobytes() == called.states.tobytes()
+    assert inlined.derivs.tobytes() == called.derivs.tobytes()
+    samples = cfg.intervals + 1
+    if method == "rk4":
+        # the sample's evaluation is the first stage of the next step
+        steps = cfg.substeps * cfg.intervals
+        assert (through_calls, calls[0]) == (samples + 4 * steps, samples + 4 * steps - cfg.intervals)
+    else:
+        # one evaluation per accepted state, which every attempt from it
+        # reuses, and five more per attempt
+        attempts, rest = divmod(through_calls - samples, 6)
+        accepted = calls[0] - 1 - 5 * attempts
+        assert rest == 0 and cfg.intervals <= accepted <= attempts
+
+
+_CUBIC_DECAY = """
+def cubic_decay(st):
+    x, y = st
+    return (-x * x * x, -y * y * y)
+"""
+
+
+@pytest.mark.parametrize("name", ["pendulum-friction", "blow-up"])
+def test_fehlberg_text_runs_match_the_called_path_bitwise(name):
+    if name == "blow-up":
+        # _cubic_decay as a text: halvings for non-finite stage states
+        field, x0 = ode.straight_line(_CUBIC_DECAY), [1e4, -3.0]
+    else:
+        field, x0, _ = _field_cases(4e-3)[name]
+    assert _text_of(field) is not None
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2, method="rkf45")
+    with np.errstate(over="ignore", invalid="ignore"):
+        inlined = integrate(field, x0, cfg)
+        called = integrate(lambda x: field(x), x0, cfg)
+        _, _, counts = _numpy_rkf45(field, x0, inlined.times, cfg)
+    assert inlined.states.tobytes() == called.states.tobytes()
+    assert inlined.derivs.tobytes() == called.derivs.tobytes()
+    assert {b for b, n in counts.items() if n} == RKF45_BRANCHES[name]
+    # no zero-coefficient term and no 0 to start a sum or the error norm
+    for text in (_text_of(field), None):
+        source = inspect.getsource(ode._stepper("rkf45", len(x0), text))
+        assert not [term for term in ("0.0 * k", "(0 + ", "(0.0 + ") if term in source]
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_trajectory_arrays_from_the_run_buffers_are_read_only_float64(method):
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-2, sample_dt=0.1, method=method)
+    traj = integrate(decay, [1.0, 2.0, 3.0], cfg)
+    for arr in (traj.states, traj.derivs):
+        assert arr.dtype == np.float64 and arr.shape == (11, 3)
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 99.0
+
+
 def _coupled_field(n):
     """k_i = sin(x_{i+1}) - c_i x_i, indices mod n: every component feeds the
     next.  Returns a tuple for odd n and an ndarray for even n."""
@@ -575,7 +673,7 @@ def test_generated_stepper_source_in_tracebacks(method):
     ]
     assert "= field(" in frame.line
     source = inspect.getsource(ode._stepper(method, 3))
-    assert source.startswith(f"def {method}_n3(field, x, t, target, h, cfg):\n")
+    assert source.startswith(f"def {method}_n3(field, x, ts, cfg):\n")
     assert source.splitlines()[frame.lineno - 1].strip() == frame.line
 
 
@@ -618,7 +716,9 @@ def _first_stage_failing_field():
 
     def second_call_fails(x):
         calls[0] += 1
-        if calls[0] == 2:  # the first stage of the first step
+        # the first step's first stage, or for a text (whose first stage
+        # is the sample's derivative) its second
+        if calls[0] == 2:
             raise ValueError("not a blow-up")
         return x
 
@@ -651,9 +751,11 @@ def test_field_error_after_an_overflowed_stage_propagates(inlined):
     # two steps of dt = 4 in one sample interval: the first step's third
     # stage, 8e307, sends its fourth stage state to inf while the step
     # stays finite (4/6 * 1.6e308); the second step's first stage fails on
-    # that finite state
-    values = [0.0, 0.0, 0.0, 8e307, 0.0, ValueError("not a blow-up")]
-    inner = _kicked_field(values)
+    # that finite state.  A called field is evaluated once more, at the
+    # sample, before the first step's first stage; a text's first stage is
+    # that evaluation
+    values = [0.0, 0.0, 8e307, 0.0, ValueError("not a blow-up")]
+    inner = _kicked_field([0.0] * (not inlined) + values)
     field = inner if inlined else (lambda x: inner(x))
     assert (_text_of(field) is not None) == inlined
     cfg = IntegratorConfig(t_span=(0.0, 8.0), dt=4.0, sample_dt=8.0)
@@ -867,6 +969,15 @@ def _tracebacks(tb):
         tb = tb.tb_next
 
 
+def _step_source(source):
+    """The lines of a generated rk4 run that take one step, from its first
+    stage to its finite test, without the sample's whole-text lines."""
+    lines = source.splitlines(True)
+    start = lines.index("        for j in range(nsub):\n")
+    end = lines.index("                raise NonFiniteState(t + (j + 1) * dt)\n")
+    return "".join(lines[start : end + 1])
+
+
 _LOOKUP = """
 def lookup(st):
     (x,) = st
@@ -942,13 +1053,25 @@ def test_a_field_name_declares_one_text():
 
 
 def test_called_declared_field_traceback_shows_its_line():
-    # integrate's per-sample field(x) calls the declared field itself
+    # a wrapper calls the declared field itself, which runs its maker's lines
+    field = _kicked_field([KeyError("lookup failed mid-run")])
+    linecache.clearcache()
+    with pytest.raises(KeyError, match="mid-run") as err:
+        integrate(lambda x: field(x), [1.0], IntegratorConfig(t_span=(0.0, 1.0)))
+    [run, frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
+    assert (run.filename, run.name, run.line) == ("nonholib.ode rk4 n=1", "rk4_n1", "k1_0, = field(xs)")
+    assert (frame.filename, frame.name, frame.line) == ("nonholib.ode kicked", "kicked", "y = kick(x)")
+    # the run of the text writes the line into its first sample
     field = _kicked_field([KeyError("lookup failed mid-run")])
     linecache.clearcache()
     with pytest.raises(KeyError, match="mid-run") as err:
         integrate(field, [1.0], IntegratorConfig(t_span=(0.0, 1.0)))
     [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
-    assert (frame.filename, frame.name, frame.line) == ("nonholib.ode kicked", "kicked", "y = kick(x)")
+    assert (frame.filename, frame.name, frame.line) == (
+        "nonholib.ode rk4 n=1 kicked",
+        "rk4_n1",
+        "f_y = f_kick(a0)",
+    )
 
 
 # The rows some rate of each text reads, from the texts: the sleigh's x and
@@ -1019,9 +1142,11 @@ def test_restricted_stepper_serves_every_eps():
     step = ode._stepper("rk4", 6, _SLEIGH_FRICTION, 2, 3, 4, 5)
     assert ode._stepper.cache_info().hits == after.hits + 1
     assert step.__code__.co_filename == "nonholib.ode rk4 n=6 sleigh_friction rows 2,3,4,5"
-    # the sin and cos of phi went with the x and y rates
+    # the sin and cos of phi went with the x and y rates: only the whole
+    # text at each sample computes them, for the derivative columns
     source = inspect.getsource(step)
-    assert "field(" not in source and "f_math" not in source
+    assert "field(" not in source and "f_math" not in _step_source(source)
+    assert source.count("f_math.sin(a2)") == 2
 
 
 def test_rk4_stages_store_only_the_state_their_lines_load():
@@ -1045,10 +1170,13 @@ def test_rk4_stages_store_only_the_state_their_lines_load():
 def test_restricted_stepper_keeps_what_its_results_need():
     source = inspect.getsource(ode._stepper("rk4", 5, _SLEIGH_CORRECTED, 2, 3, 4))
     assert "    _, _, a2, a3, a4, = x\n" in source
-    assert "        f_h1 = f_nsl * a3 * a4\n" in source
-    assert "k1_2 = " in source and "k1_0" not in source and "k1_1" not in source
-    assert "f_math" not in source
-    assert "    return [nan, nan, a2, a3, a4], h\n" in source
+    step = _step_source(source)
+    assert "                f_h1 = f_nsl * a3 * a4\n" in step
+    assert "k1_2 = " in step and "k1_0" not in step and "k1_1" not in step
+    assert "f_math" not in step
+    # each sample stores NaN in the left-out places and the whole derivative
+    assert source.count("states.fromlist([nan, nan, a2, a3, a4])\n") == 2
+    assert source.count("derivs.fromlist([k1_0, k1_1, k1_2, k1_3, k1_4])\n") == 2
 
 
 def test_restricted_blow_up_traceback_shows_the_restricted_stepper():

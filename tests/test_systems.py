@@ -536,11 +536,11 @@ def test_pendulum_texts_refuse_the_origin_called_and_inlined(model):
     with pytest.raises(OriginSingularity):
         field(state)
     for method in ("rk4", "rkf45"):
-        step = ode._stepper(method, 4, ode._TEXTS[field.__code__])
+        run = ode._stepper(method, 4, ode._TEXTS[field.__code__])
         cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
         with pytest.raises(OriginSingularity) as err:
-            step(field, state, 0.0, 1e-2, 1e-3, cfg)
-        # raised by the guard written into the stage, not by a call
+            run(field, state, [0.0, 1e-2], cfg)
+        # raised by the guard written into the first sample, not by a call
         last = traceback.extract_tb(err.tb)[-2]
         assert last.filename == f"nonholib.ode {method} n=4 pendulum_{model}"
         assert "f__origin()" in last.line
