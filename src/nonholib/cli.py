@@ -355,11 +355,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     state = _initial_state(cfg, spec)
     eps_list = list(cfg.eps) if spec.needs_eps else [None]
     multi = len(eps_list) > 1
-    # every run's step and size are checked before the first file is written
+    # every run's step, size and field are checked before the first file is
+    # written
     fast = _fast_rate(cfg, entry, state)
     icfgs = [_integrator_config(cfg, eps, fast) for eps in eps_list]
-    for eps, icfg in zip(eps_list, icfgs):
-        field_fn = spec.build(cfg.params, eps)
+    fields = [spec.build(cfg.params, eps) for eps in eps_list]
+    for eps, icfg, field_fn in zip(eps_list, icfgs, fields):
         traj = integrate(field_fn, state, icfg)
         tag = f"_eps{eps:g}" if (multi and eps is not None) else ""
         path = _out_path(cfg, f".{cfg.fmt}", tag)
@@ -404,6 +405,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     fric_state = entry.lift_state(cfg.params, nh_state)
     fast = _fast_rate(cfg, entry, fric_state)
     fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
+    fric_fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
     nh_icfg = _integrator_config(cfg)
     # with an adapted frame the compared rows are the reduced velocities xi,
     # rows n to n + k - 1 of the reduced state (q, xi); without one, every row
@@ -416,10 +418,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     fric_read = _friction_rows(to_reduced, comps) if adapted else None
 
     errors, defects, corr_errors = [], [], []
-    for eps, fric_icfg in zip(cfg.eps, fric_icfgs):
-        fric_traj = integrate(
-            fric_spec.build(cfg.params, eps), fric_state, fric_icfg, read=fric_read
-        )
+    for eps, fric_icfg, fric_field in zip(cfg.eps, fric_icfgs, fric_fields):
+        fric_traj = integrate(fric_field, fric_state, fric_icfg, read=fric_read)
         reduced = transform_linear(fric_traj, to_reduced) if adapted else fric_traj
         errors.append(analysis.sup_distance(reduced, nh_traj, t1, t_end, comps))
         # defect over the post-transient window, matching the report window
@@ -473,6 +473,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
             f" fast time constants after t0={cfg.t0:g} at eps={max(cfg.eps):g}; needs 10"
         )
     icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
+    fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
     # h1's frame data are read once per rung and checked at a few of its samples
@@ -482,8 +483,8 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     fric_read = _friction_rows(to_frame, range(n, 2 * n))
 
     residuals, slopes, expected_slopes = [], [], []
-    for eps, icfg in zip(cfg.eps, icfgs):
-        traj = integrate(fric_spec.build(cfg.params, eps), state, icfg, read=fric_read)
+    for eps, icfg, field in zip(cfg.eps, icfgs, fields):
+        traj = integrate(field, state, icfg, read=fric_read)
         frame_traj = transform_linear(traj, to_frame)
         fit = analysis.manifold_fit(frame_traj, graph, eps, cfg.transient_cutoff, n, k)
         residuals.append(fit.residual_sup)

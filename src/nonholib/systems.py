@@ -122,12 +122,15 @@ def sleigh_constraint_force(p: SleighParams, u, omega, omegadot) -> float:
 
 
 def sleigh_friction_rhs(p: SleighParams, eps: float, u, v, omega):
-    """Slip-friction sleigh rates in the (u, v, omega) frame."""
+    """Slip-friction sleigh rates in the (u, v, omega) frame: udot =
+    omega (v + a omega), vdot = -u omega - fast_rate(eps) v (the slip
+    relaxes at the fast rate) and omegadot = a v/(I eps), in the operation
+    order of :func:`sleigh_friction_field`'s text."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    udot = v * omega + p.a * omega * omega
-    omegadot = p.a * v / (p.I * eps)
-    vdot = -u * omega - p.itot * v / (p.m * p.I * eps)
+    udot = omega * (v + p.a * omega)
+    vdot = -p.fast_rate(eps) * v - u * omega
+    omegadot = p.a / (p.I * eps) * v
     return udot, vdot, omegadot
 
 
@@ -209,9 +212,9 @@ def sleigh_friction(st):
         u * c - v * s,
         u * s + v * c,
         om,
-        v * om + a * om * om,
-        -u * om - itot * v / mie,
-        a * v / ie,
+        om * (v + a * om),
+        nrate * v - u * om,
+        lever * v,
     )
 """
 
@@ -219,17 +222,23 @@ def sleigh_friction(st):
 def sleigh_friction_field(p: SleighParams, eps: float) -> Callable:
     """State (x, y, phi, u, v, omega); the rates of
     :func:`sleigh_friction_rhs`, its oracle, with the constants bound at
-    build time."""
+    build time.  Its eps constants are folded then, so a stage divides
+    nowhere: vdot = -u omega - fast_rate(eps) v reads nrate =
+    -fast_rate(eps), and omegadot = a v/(I eps) reads lever = a/(I eps).
+    Raises InvalidParameter when either is not finite (m I eps underflowing
+    to 0, say)."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return straight_line(
-        _SLEIGH_FRICTION,
-        a=p.a,
-        itot=p.itot,
-        ie=p.I * eps,
-        mie=p.m * p.I * eps,
-        math=math,
-    )
+    try:
+        nrate, lever = -p.fast_rate(eps), p.a / (p.I * eps)
+    except ZeroDivisionError:
+        nrate = lever = math.nan
+    if not (math.isfinite(nrate) and math.isfinite(lever)):
+        raise InvalidParameter(
+            "the friction rates (I + m a^2)/(m I eps) and a/(I eps) must be finite,"
+            f" got m={p.m:g}, I={p.I:g}, eps={eps:g}"
+        )
+    return straight_line(_SLEIGH_FRICTION, a=p.a, nrate=nrate, lever=lever, math=math)
 
 
 _SLEIGH_CORRECTED = """

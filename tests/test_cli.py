@@ -401,6 +401,11 @@ def test_spring_default_step_is_never_refused():
           "--t1", "0.1"], 2),
         (["compare", "--system", "sleigh", "--eps", "8e-3", "--eps", "4e-3", "--eps",
           "2e-3", "--param", "a=1e300"], 2),
+        # m I eps underflows to 0: the friction field's fast rate is refused
+        # when built, not divided by in an rkf45 stage
+        (["simulate", "--system", "sleigh", "--model", "friction", "--method", "rkf45",
+          "--eps", "1e-300", "--param", "I=1e-20", "--param", "m=1e-20", "--t1",
+          "0.01"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -416,6 +421,7 @@ def test_spring_default_step_is_never_refused():
         "window-start-at-t0", "window-start-before-t0", "unbounded-rk4-run",
         "unbounded-sample-grid", "overflowing-interval-count", "overflowing-horizon",
         "overflowing-sleigh-inertia", "overflowing-sleigh-inertia-compare",
+        "underflowing-friction-rate",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):
@@ -436,24 +442,28 @@ def test_failures_exit_with_one_line(tmp_path, argv, code):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ["simulate", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
-         "--eps", "1e-12", "--t1", "0.05"],
-        ["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
-         "--eps", "1e-12"],
+        (["simulate", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+          "--eps", "1e-12", "--t1", "0.05"], "rk4 steps"),
+        (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+          "--eps", "1e-12"], "rk4 steps"),
+        (["simulate", "--system", "sleigh", "--model", "friction", "--method", "rkf45",
+          "--param", "I=1e-20", "--param", "m=1e-20", "--eps", "1e20", "--eps",
+          "1e-300", "--t1", "0.05"], "must be finite"),
     ],
-    ids=["simulate", "manifold"],
+    ids=["simulate", "manifold", "simulate-unbuildable-rung"],
 )
 def test_too_long_rung_refused_before_the_first_run(
-    argv, tmp_path, monkeypatch, capsys
+    argv, reason, tmp_path, monkeypatch, capsys
 ):
-    # the eps = 1e-12 rung takes 2e14 rk4 steps; the 1e-2 rung before it
-    # must not run or write its file either
+    # the eps = 1e-12 rung takes 2e14 rk4 steps, and the eps = 1e-300 rung's
+    # fast rate divides by m I eps = 0; the rung before it must not run or
+    # write its file either
     monkeypatch.setenv("NONHOLIB_OUT_DIR", str(tmp_path))
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "rk4 steps" in err
+    assert len(err.splitlines()) == 1 and reason in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import traceback
@@ -19,6 +20,7 @@ from nonholib.systems import (
     PendulumParams,
     REGISTRY,
     SleighParams,
+    _SLEIGH_FRICTION,
     get_system,
     _radial,
     make_pendulum,
@@ -284,10 +286,14 @@ def _corrected_oracle(p, eps, st):
     return tuple(a + eps * b for a, b in zip(nh, sleigh_x1_rhs(p, *st)))
 
 
-@pytest.mark.parametrize(
+run_path_params = pytest.mark.parametrize(
     "params", ({}, {"m": 2.5}, {"I": 0.3}, {"a": 0.0}, {"a": 0.7})
 )
-@pytest.mark.parametrize("eps", (8e-3, 2e-3))
+run_path_eps = pytest.mark.parametrize("eps", (8e-3, 2e-3))
+
+
+@run_path_params
+@run_path_eps
 def test_run_path_fields_equal_their_rate_helpers(params, eps):
     # the run-path fields bind their constants once; every value must stay
     # bitwise that of the per-call helper composition, for list rows (the
@@ -305,12 +311,56 @@ def test_run_path_fields_equal_their_rate_helpers(params, eps):
             assert corr0(st5) == nh(st5)
 
 
+@run_path_params
+@run_path_eps
+def test_folded_friction_rates_differ_from_closed_forms_by_rounding(params, eps):
+    # The field folds its eps constants when built.  Against the unfolded
+    # closed forms, each side rounds at most 8 times along any term's path,
+    # so a rate differs by at most about 16 u = 8 ulps(1.0) of its scale, the
+    # sum of its terms' magnitudes; the bound allows 10.
+    p = SleighParams(**params)
+    fric = sleigh_friction_field(p, eps)
+    m, inertia, a = p.m, p.I, p.a
+    ulp = np.finfo(float).eps
+    rng = np.random.default_rng(34)
+    for st in rng.uniform(-3.0, 3.0, (1000, 6)).tolist():
+        x, y, phi, u, v, om = st
+        closed_forms = (
+            (v * om, a * om * om),
+            (-u * om, -(inertia + m * a * a) * v / (m * inertia * eps)),
+            (a * v / (inertia * eps),),
+        )
+        for rate, terms in zip(fric(st)[3:], closed_forms):
+            assert abs(rate - sum(terms)) <= 10 * ulp * sum(map(abs, terms))
+
+
+def test_friction_text_stage_operation_count():
+    # A stage of the friction text costs 7 float operations on the velocity
+    # rates and no division, because the eps constants are folded when the
+    # field is built (11, two of them divisions, when each stage rebuilt the
+    # fast rate).  ROADMAP item 10's text derived from the description has to
+    # keep this count.
+    (fn,) = ast.parse(_SLEIGH_FRICTION).body
+    u_v_omega_rates = fn.body[-1].value.elts[3:]
+    ops = [
+        node
+        for rate in u_v_omega_rates
+        for node in ast.walk(rate)
+        if isinstance(node, (ast.BinOp, ast.UnaryOp))
+    ]
+    assert len(ops) <= 7
+    assert not any(isinstance(getattr(node, "op", None), ast.Div) for node in ops)
+
+
 def test_run_path_fields_refuse_eps_when_built(sleigh):
     for eps in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError):
             sleigh_friction_field(sleigh, eps)
     with pytest.raises(ValueError):
         sleigh_corrected_field(sleigh, -1e-3)
+    # m I eps underflows to 0, so the fast rate cannot be folded
+    with pytest.raises(InvalidParameter, match="m=1e-20, I=1e-20, eps=1e-300"):
+        sleigh_friction_field(SleighParams(m=1e-20, I=1e-20), 1e-300)
 
 
 # the models whose fields the steppers call; every other model's field is a
