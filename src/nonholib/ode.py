@@ -20,6 +20,12 @@ the run is generated as straight-line source: it keeps the state in locals
 the tableau ``_FE_A``/``_FE_B4``/``_FE_ERR``, so the tableau stays the one
 statement of the method.
 
+`_stepper` writes the skeleton that both methods' runs share: the constant
+binds and state unpack, the two buffers, the first sample and the loop over
+ts[1:] that stores each sample.  A ``_<method>_steps`` writer supplies the
+rest: the stored derivative's name (``k1_#`` or ``k0_#``), the setup lines,
+one sample interval's lines and those that take the derivative at its end.
+
 A field declared as text with `straight_line` is not called by the run;
 its text is written into every stage.  The text is one function
 ``def name(st): <n names> = st; <assignments>; return (<n expressions>)``
@@ -154,6 +160,9 @@ MAX_RK4_STEPS = 1e9
 #: sleigh rung on [0, 61] at sample_dt = 1e-2.
 MAX_SAMPLES = 1e6
 
+#: Absolute and relative error tolerance of the adaptive Fehlberg scheme.
+RKF45_TOL = 1e-9
+
 
 class OutOfRange(ValueError):
     """Interpolation time outside the stored trajectory span."""
@@ -177,9 +186,7 @@ class IntegratorConfig:
     sample_dt : float
         Output sampling interval.  Samples are t0 + i * sample_dt, i = 0 ... `intervals`.
     method : str
-        "rk4" (fixed step) or "rkf45" (adaptive).
-    abs_tol, rel_tol : float
-        Error tolerances for the adaptive scheme.
+        "rk4" (fixed step) or "rkf45" (adaptive, to the tolerance RKF45_TOL).
 
     `intervals` (sample intervals to t1) and `substeps` (rk4 steps in each)
     are derived once, when the config is made; read-only, and not fields.
@@ -191,8 +198,6 @@ class IntegratorConfig:
     dt: float = 1e-3
     sample_dt: float = 1e-2
     method: str = "rk4"
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         t0, t1 = self.t_span
@@ -212,8 +217,6 @@ class IntegratorConfig:
                 f"horizon t1 - t0 = {t1 - t0:g} must be a whole number "
                 f"(at least 1) of sample intervals sample_dt = {self.sample_dt:g}"
             )
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown method {self.method!r}")
         intervals, substeps = round(count), max(1, round(self.sample_dt / self.dt))
@@ -386,7 +389,7 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
         raise ValueError(f"read rows {sorted(read)} outside a state of {n}")
     text = _TEXTS.get(getattr(field, "__code__", None))
     # rkf45's error norm reads every row, and a called field may read any
-    reads = None if read is None or cfg.method != "rk4" else rows_read(field)
+    reads = None if read is None or text is None or cfg.method != "rk4" else _rows_read(text)
     keep = () if reads is None else tuple(sorted(reads.union(read)))
     # keeping no row or every row is a whole run, whose file names no rows
     keep = keep if len(keep) < n else ()
@@ -423,7 +426,7 @@ _NAMES = {}
 def _declared(source: str) -> tuple:
     """(maker, code) of a field text: maker(**consts) builds a field whose
     code is code."""
-    name, _, _, _, _, free = _parse(source)
+    name, _, _, _, free = _parse(source)
     if _NAMES.setdefault(name, source) != source:
         raise ValueError(f"another field text is already named {name!r}")
     text = textwrap.indent(textwrap.dedent(source).strip("\n"), "    ")
@@ -435,9 +438,9 @@ def _declared(source: str) -> tuple:
 
 
 def _parse(source: str) -> tuple:
-    """(name, parameter, argument names, statements, results, free names) of
-    a field text, from a fresh syntax tree; ValueError unless the text has
-    the shape that straight_line asks for."""
+    """(name, argument names, statements, results, free names) of a field
+    text, from a fresh syntax tree; ValueError unless the text has the
+    shape that straight_line asks for."""
     refused = ValueError(f"not a straight-line field text:\n{source}")
     body = ast.parse(textwrap.dedent(source)).body
     if not (
@@ -475,7 +478,7 @@ def _parse(source: str) -> tuple:
         if _names([stmt], ast.Load) & (local - assigned):
             raise refused
         assigned |= _names([stmt], ast.Store)
-    return fn.name, param, args, stmts, last.value.elts, free
+    return fn.name, args, stmts, last.value.elts, free
 
 
 def _names(nodes, ctx) -> set:
@@ -490,7 +493,7 @@ def _names(nodes, ctx) -> set:
 
 @functools.cache
 def _rows_read(text: str) -> frozenset:
-    _, _, args, stmts, results, _ = _parse(text)
+    _, args, stmts, results, _ = _parse(text)
     loads = _names(_live(stmts, results) + results, ast.Load)
     return frozenset(i for i, arg in enumerate(args) if arg in loads)
 
@@ -538,9 +541,27 @@ def _stepper(method: str, n: int, text=None, *keep) -> Callable:
         filename += f" rows {','.join(map(str, keep))}"
     bind, finite, stage, whole = _field_snippets(n, rows, text)
     if method == "rk4":
-        lines = _rk4_lines(n, rows, bind, finite, stage, whole, text is not None)
+        k, setup, interval, end = _rk4_steps(rows, finite, stage, whole, text is not None)
     else:
-        lines = _rkf45_lines(n, bind, stage, text is not None)
+        k, setup, interval, end = _rkf45_steps(n, stage, text is not None)
+    state = ", ".join(f"a{i}" if i in rows else "nan" for i in range(n))
+    store = [f"states.fromlist([{state}])", f"derivs.fromlist([{_row(k, range(n))}])"]
+    lines = [
+        f"def {method}_n{n}(field, x, ts, cfg):",
+        *bind,
+        f"    {', '.join(f'a{i}' if i in rows else '_' for i in range(n))}, = x",
+        *setup,
+        '    states, derivs = array("d"), array("d")',
+        *whole(k, "    "),
+        *("    " + line for line in store),
+        "    t = ts[0]",
+        "    for target in ts[1:]:",
+        *interval,
+        *end,
+        *("        " + line for line in store),
+        "        t = target",
+        "    return states, derivs",
+    ]
     return _compile(
         "\n".join(lines) + "\n",
         filename,
@@ -605,7 +626,7 @@ def _field_snippets(n: int, rows, text) -> tuple:
 def _text_stage(text: str, rows) -> tuple:
     """(stage, the names that it loads, the rows of the state that it loads)
     for the results of rows of a field text, stage as in _field_snippets."""
-    _, _, args, stmts, results, _ = _parse(text)
+    _, args, stmts, results, _ = _parse(text)
     results = [results[i] for i in rows]
     stmts = _live(stmts, results)
     nodes = stmts + results
@@ -646,31 +667,15 @@ def _all_finite(v: str, rows) -> str:
     return terms if len(rows) == 1 else f"isfinite({_row(v + '#', rows, ' + ')}) or {terms}"
 
 
-def _store_sample(n: int, rows, k: str, pad: str) -> list:
-    """Append the state a# (NaN outside rows) and the derivative k# to the
-    run's buffers."""
-    state = ", ".join(f"a{i}" if i in rows else "nan" for i in range(n))
-    return [f"{pad}states.fromlist([{state}])", f"{pad}derivs.fromlist([{_row(k, range(n))}])"]
-
-
-def _rk4_lines(n: int, rows, bind: list, finite: str, stage, whole, fsal: bool) -> list:
-    """Integrate the rows of x over ts in cfg.substeps equal steps per sample
-    interval.  The derivative at a sample is the whole field there, so with
-    fsal (a text) it is also the first stage of the interval's first step."""
+def _rk4_steps(rows, finite: str, stage, whole, fsal: bool) -> tuple:
+    """rk4's parts of a run: cfg.substeps equal steps per sample interval on
+    the rows of x.  The derivative at a sample is the whole field there, so
+    with fsal (a text) it is also the first stage of the interval's first step."""
     pad = " " * 16
     # a# is finite here (x is, and so is every step), so an error at the
     # first stage is the field's own and needs no handler
     first = ["            if j:", *stage("k1_#", "a#", pad)] if fsal else stage("k1_#", "a#", pad[4:])
-    return [
-        f"def rk4_n{n}(field, x, ts, cfg):",
-        *bind,
-        f"    {', '.join(f'a{i}' if i in rows else '_' for i in range(n))}, = x",
-        "    nsub = cfg.substeps",
-        '    states, derivs = array("d"), array("d")',
-        *whole("k1_#", "    "),
-        *_store_sample(n, rows, "k1_#", "    "),
-        "    t = ts[0]",
-        "    for target in ts[1:]:",
+    interval = [
         "        dt = (target - t) / nsub",
         "        half, sixth = 0.5 * dt, dt / 6.0",
         "        for j in range(nsub):",
@@ -688,20 +693,17 @@ def _rk4_lines(n: int, rows, bind: list, finite: str, stage, whole, fsal: bool) 
         _row("            a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n"),
         f"            if not ({_all_finite('a', rows)}):",
         "                raise NonFiniteState(t + (j + 1) * dt)",
-        *whole("k1_#", "        "),
-        *_store_sample(n, rows, "k1_#", "        "),
-        "        t = target",
-        "    return states, derivs",
     ]
+    return "k1_#", ["    nsub = cfg.substeps"], interval, whole("k1_#", "        ")
 
 
-def _rkf45_lines(n: int, bind: list, stage, fsal: bool) -> list:
-    """Integrate x over ts in accepted adaptive steps; the step size carries
-    over from one sample interval to the next.  An attempt whose stage
-    state, x4 or error is non-finite halves the step.  The first stage is
-    the field at the accepted state: with fsal (a text) it is taken once
-    per accepted state, reused by every attempt from it and stored as the
-    sample's derivative; a called field is called afresh each time."""
+def _rkf45_steps(n: int, stage, fsal: bool) -> tuple:
+    """Fehlberg's parts of a run: accepted adaptive steps on every row of x;
+    the step size carries over from one sample interval to the next.  An
+    attempt whose stage state, x4 or error is non-finite halves the step.
+    The first stage is the field at the accepted state: with fsal (a text) it
+    is taken once per accepted state, reused by every attempt from it and
+    stored as the sample's derivative; a called field is called afresh each time."""
 
     def combine(coeffs) -> str:
         # left to right, zero terms skipped (see the module docstring)
@@ -712,18 +714,12 @@ def _rkf45_lines(n: int, bind: list, stage, fsal: bool) -> list:
 
     rows, pad = range(n), " " * 12
     halve = ["                h *= 0.5", "                continue"]
-    lines = [
-        f"def rkf45_n{n}(field, x, ts, cfg):",
-        *bind,
-        f"    {_row('a#', rows)}, = x",
+    setup = [
         "    h = cfg.dt",
         "    h_min = 1e-14 * (cfg.t_span[1] - cfg.t_span[0])",
-        "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
-        '    states, derivs = array("d"), array("d")',
-        *first("    "),
-        *_store_sample(n, rows, "k0_#", "    "),
-        "    t = ts[0]",
-        "    for target in ts[1:]:",
+        f"    atol = rtol = {RKF45_TOL!r}",
+    ]
+    interval = [
         # max(1.0, abs(target)) and min(h, target - t), written out
         "        stop = target - 1e-14 * ("
         "target if target > 1.0 else -target if target < -1.0 else 1.0)",
@@ -735,13 +731,13 @@ def _rkf45_lines(n: int, bind: list, stage, fsal: bool) -> list:
         *([] if fsal else first(pad)),
     ]
     for s in range(1, 6):
-        lines += [
+        interval += [
             _row(f"            s# = a# + h * ({combine(_FE_A[s])})", rows, "\n"),
             f"            if not ({_all_finite('s', rows)}):",
             *halve,
             *stage(f"k{s}_#", "s#", pad),
         ]
-    lines += [
+    interval += [
         _row(f"            b# = a# + h * ({combine(_FE_B4)})", rows, "\n"),
         f"            if not ({_all_finite('b', rows)}):",
         *halve,
@@ -774,9 +770,5 @@ def _rkf45_lines(n: int, bind: list, stage, fsal: bool) -> list:
         "            else:",
         "                grow = 0.9 * err ** -0.2",
         "                h *= grow if grow > 0.2 else 0.2",
-        *([] if fsal else first("        ")),
-        *_store_sample(n, rows, "k0_#", "        "),
-        "        t = target",
-        "    return states, derivs",
     ]
-    return lines
+    return "k0_#", setup, interval, [] if fsal else first("        ")

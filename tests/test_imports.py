@@ -95,6 +95,8 @@ KEPT_UNREAD = {
     "sleigh_energy_ortho": "test_energies' independent route to the sleigh's energy",
     "pendulum_frame": "ROADMAP item 6 builds the pendulum's corrected field on it; "
     "test_nh_pendulum_generic_matches_hand_coded",
+    "rows_read": "the rows a field's rates read, which test_ode, test_systems and "
+    "test_cli check per field; integrate reads _rows_read of the text it looked up",
 }
 
 

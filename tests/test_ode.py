@@ -19,6 +19,7 @@ from nonholib.ode import (
     _FE_ERR,
     MAX_RK4_STEPS,
     MAX_SAMPLES,
+    RKF45_TOL,
     IntegratorConfig,
     NonFiniteState,
     OutOfRange,
@@ -134,14 +135,7 @@ def test_non_finite_state_reports_time():
 
 
 def test_rkf45_accuracy():
-    cfg = IntegratorConfig(
-        t_span=(0.0, 1.0),
-        dt=1e-2,
-        sample_dt=0.1,
-        method="rkf45",
-        abs_tol=1e-11,
-        rel_tol=1e-11,
-    )
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-2, sample_dt=0.1, method="rkf45")
     traj = integrate(decay, [1.0], cfg)
     assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-8
 
@@ -154,16 +148,7 @@ def test_rkf45_matches_rk4_on_stiff_system(sleigh):
     st = [0.0, 0.0, 0.0, -1.0, 0.0, 0.5]
     a = integrate(fld, st, IntegratorConfig(t_span=(0.0, 1.0), dt=eps / 20, sample_dt=0.05))
     b = integrate(
-        fld,
-        st,
-        IntegratorConfig(
-            t_span=(0.0, 1.0),
-            dt=1e-3,
-            sample_dt=0.05,
-            method="rkf45",
-            abs_tol=1e-10,
-            rel_tol=1e-10,
-        ),
+        fld, st, IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=0.05, method="rkf45")
     )
     assert np.max(np.abs(a.states - b.states)) < 1e-8
 
@@ -199,9 +184,6 @@ def test_config_validation():
         IntegratorConfig(t_span=(0.0, 1.0), sample_dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_span=(0.0, 1.0), method="euler")
-    for tols in ({"abs_tol": 0.0}, {"rel_tol": -1e-9}):
-        with pytest.raises(ValueError, match="tolerances must be positive"):
-            IntegratorConfig(t_span=(0.0, 1.0), **tols)
     # sample_dt / dt overflows: no whole number of steps fits an interval
     with pytest.raises(ValueError, match="too small for sample_dt"):
         IntegratorConfig(t_span=(0.0, 1.0), dt=1e-320)
@@ -393,7 +375,7 @@ def _numpy_rkf45(field, x0, times, cfg):
             if ok:
                 x4 = x + h * sum(b * k[j] for j, b in enumerate(_FE_B4))
                 err_vec = h * sum(e * k[j] for j, e in enumerate(_FE_ERR))
-                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x4))
+                scale = RKF45_TOL + RKF45_TOL * np.maximum(np.abs(x), np.abs(x4))
                 with np.errstate(invalid="ignore"):
                     err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
                 ok = np.isfinite(err) and np.all(np.isfinite(x4))
