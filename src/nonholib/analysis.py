@@ -276,10 +276,12 @@ def one_point_graph(expansion: ExpansionData) -> ExpansionData:
     adapted frame's metric, connection and friction eta-block and the
     potential force are the same at every q.  h1 of a stack (qs, xis) reads
     them once, at qs[0], for every xi.  The per-row h1 at INVARIANCE_ROWS
-    samples spread over the stack checks it: a gap past INVARIANCE_RTOL
-    raises FrameNotInvariant, and a non-finite per-row value NonFiniteValue.
-    A dependence on q that agrees at every checked sample goes unseen.  A
-    non-finite one-point graph is returned for manifold_fit to refuse."""
+    samples spread over the stack, taken in one call on the stack of those
+    samples, checks it: a gap past INVARIANCE_RTOL raises
+    FrameNotInvariant, and a non-finite per-row value NonFiniteValue, for
+    the first such sample.  A dependence on q that agrees at every checked
+    sample goes unseen.  A non-finite one-point graph is returned for
+    manifold_fit to refuse."""
     h1 = expansion.h1
 
     def graph(qs, xis):
@@ -287,8 +289,8 @@ def one_point_graph(expansion: ExpansionData) -> ExpansionData:
         if not np.isfinite(one).all():
             return one
         last = len(qs) - 1
-        for i in (last * j // INVARIANCE_ROWS for j in range(1, INVARIANCE_ROWS + 1)):
-            row = h1(qs[i], xis[i])
+        checked = [last * j // INVARIANCE_ROWS for j in range(1, INVARIANCE_ROWS + 1)]
+        for i, row in zip(checked, h1(qs[checked], xis[checked])):
             _finite(row, "the per-row h1 at a checked sample")
             gap = float(np.max(np.abs(one[i] - row)))
             bound = INVARIANCE_RTOL * max(1.0, float(np.max(np.abs(row))))

@@ -5,9 +5,10 @@ reproducible experiments) and the adaptive Fehlberg 4(5) embedded pair for
 exploration of very stiff parameter regimes.  `integrate` makes one call
 per run, to a generated run function ``(field, x, ts, cfg) -> (states,
 derivs)`` that owns the loop over the sample times ts: it integrates from x
-at ts[0] and appends each sample's state and derivative to two flat
-``array('d')`` buffers, which `integrate` wraps without a copy.  The
-Fehlberg step size carries over from one sample interval to the next.
+at ts[0] and packs each sample's state and derivative into two flat float64
+arrays, allocated for every sample at the start, which `integrate` reshapes
+without a copy.  The Fehlberg step size carries over from one sample
+interval to the next.
 Integration is deterministic: identical inputs produce bit-identical
 trajectories.
 
@@ -25,6 +26,21 @@ binds and state unpack, the two buffers, the first sample and the loop over
 ts[1:] that stores each sample.  A ``_<method>_steps`` writer supplies the
 rest: the stored derivative's name (``k1_#`` or ``k0_#``), the setup lines,
 one sample interval's lines and those that take the derivative at its end.
+
+Where the state is tested for NaN/Inf: a Fehlberg run tests every stage
+state, x4 and the error, since a failed test halves the step.  An rk4 run
+tests its state once per sample interval, after the interval's last step.
+That is exact, because a non-finite a# stays non-finite under the update
+a# + sixth * (...).  A stage error (ValueError or OverflowError) in a step
+that started finite is handled as it always was: a non-finite stage state
+makes it a NonFiniteState at the step's end time, any other error is the
+field's own and propagates.  A failed interval test, or any error in a step
+that started non-finite, replays that one interval from its stored first
+sample in the checked run of the same key (``_stepper(..., checked=True)``,
+generated on the first failure and cached), which tests after every step.
+The run raises the replay's NonFiniteState afresh, from None, so a
+traceback shows one run frame and the reported time is that of the step
+where the state went non-finite, as in a checked run.
 
 A field declared as text with `straight_line` is not called by the run;
 its text is written into every stage.  The text is one function
@@ -79,13 +95,14 @@ any.
 A run function is compiled on first use and cached.  Its source, like each
 field text's maker, is registered in `linecache` under a file name: a
 run's is such as ``nonholib.ode rk4 n=6``, to which an inlined run adds
-the field's name (``... sleigh_friction``) and a restricted one its kept
-rows (``... sleigh_friction rows 2,3,4,5``), and a maker's is the field's
-name (``nonholib.ode sleigh_friction``).  One name declares one text, so
-tracebacks and profiles tell the runs and fields apart and show their
-lines, after `linecache.clearcache` too.  `inspect.getsource` does not:
-after a clearcache it finds no module for such a file name and raises
-OSError until a traceback has read the lines again.
+the field's name (``... sleigh_friction``), a restricted one its kept
+rows (``... sleigh_friction rows 2,3,4,5``) and a checked one ``checked``,
+and a maker's is the field's name (``nonholib.ode sleigh_friction``).  One
+name declares one text, so tracebacks and profiles tell the runs and fields
+apart and show their lines, after `linecache.clearcache` too.
+`inspect.getsource` does not: after a clearcache it finds no module for
+such a file name and raises OSError until a traceback has read the lines
+again.
 
 The runs keep the operation order of whole-array code, so their results
 are bitwise equal to it, up to the sign of an exact zero: each Fehlberg
@@ -121,9 +138,9 @@ import ast
 import functools
 import linecache
 import math
+import struct
 import textwrap
 import types
-from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -396,7 +413,7 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
     run = _stepper(cfg.method, n, text, *keep)
     times = cfg.t_span[0] + cfg.sample_dt * np.arange(cfg.intervals + 1)
     buffers = run(field, x0.tolist(), times.tolist(), cfg)
-    return Trajectory(times, *(np.frombuffer(b).reshape(-1, n) for b in buffers))
+    return Trajectory(times, *(b.reshape(-1, n) for b in buffers))
 
 
 def rows_read(field: Callable):
@@ -525,48 +542,63 @@ _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 @functools.cache
-def _stepper(method: str, n: int, text=None, *keep) -> Callable:
+def _stepper(method: str, n: int, text=None, *keep, checked: bool = False) -> Callable:
     """The run function of `method` for states of n components, compiled on
     first use: ``(field, x, ts, cfg) -> (states, derivs)`` integrates from
     the state x at ts[0] and returns the state and derivative at every time
-    of ts, row after row, in two flat array('d') buffers.  Given a field
-    text (`straight_line`) it writes the text into every stage; otherwise
-    it calls the field.  Given the rows to keep (an rk4 run of a text), its
-    stages integrate only those, and every other place of a state is NaN."""
+    of ts, row after row, in two flat float64 arrays.  Given a field text
+    (`straight_line`) it writes the text into every stage; otherwise it
+    calls the field.  Given the rows to keep (an rk4 run of a text), its
+    stages integrate only those, and every other place of a state is NaN.
+    An rk4 run tests its state once per sample interval; with `checked` it
+    tests it after every step, as the replay of a failed interval does."""
     rows = keep or range(n)
     filename = f"nonholib.ode {method} n={n}"
     if text is not None:
         filename += " " + _declared(text)[1].co_name
     if keep:
         filename += f" rows {','.join(map(str, keep))}"
+    if checked:
+        filename += " checked"
     bind, finite, stage, whole = _field_snippets(n, rows, text)
     if method == "rk4":
-        k, setup, interval, end = _rk4_steps(rows, finite, stage, whole, text is not None)
+        k, setup, interval, end = _rk4_steps(rows, finite, stage, whole, text is not None, checked)
     else:
         k, setup, interval, end = _rkf45_steps(n, stage, text is not None)
+    # one sample row of n float64s, packed at and read from a byte offset o
+    sample = struct.Struct(f"{n}d")
     state = ", ".join(f"a{i}" if i in rows else "nan" for i in range(n))
-    store = [f"states.fromlist([{state}])", f"derivs.fromlist([{_row(k, range(n))}])"]
+    store = [f"pack(states, o, {state})", f"pack(derivs, o, {_row(k, range(n))})"]
     lines = [
         f"def {method}_n{n}(field, x, ts, cfg):",
         *bind,
         f"    {', '.join(f'a{i}' if i in rows else '_' for i in range(n))}, = x",
         *setup,
-        '    states, derivs = array("d"), array("d")',
+        f"    states, derivs = empty(len(ts) * {n}), empty(len(ts) * {n})",
+        "    o = 0",
         *whole(k, "    "),
         *("    " + line for line in store),
         "    t = ts[0]",
         "    for target in ts[1:]:",
         *interval,
         *end,
+        f"        o += {sample.size}",
         *("        " + line for line in store),
         "        t = target",
         "    return states, derivs",
     ]
+
+    def replay(*args):
+        return _stepper(method, n, text, *keep, checked=True)(*args)
+
     return _compile(
         "\n".join(lines) + "\n",
         filename,
         f"{method}_n{n}",
-        array=array,
+        empty=np.empty,
+        pack=sample.pack_into,
+        unpack=sample.unpack_from,
+        replay=replay,
         isfinite=math.isfinite,
         sqrt=math.sqrt,
         nan=math.nan,
@@ -667,33 +699,58 @@ def _all_finite(v: str, rows) -> str:
     return terms if len(rows) == 1 else f"isfinite({_row(v + '#', rows, ' + ')}) or {terms}"
 
 
-def _rk4_steps(rows, finite: str, stage, whole, fsal: bool) -> tuple:
+def _rk4_steps(rows, finite: str, stage, whole, fsal: bool, checked: bool) -> tuple:
     """rk4's parts of a run: cfg.substeps equal steps per sample interval on
     the rows of x.  The derivative at a sample is the whole field there, so
-    with fsal (a text) it is also the first stage of the interval's first step."""
-    pad = " " * 16
-    # a# is finite here (x is, and so is every step), so an error at the
-    # first stage is the field's own and needs no handler
-    first = ["            if j:", *stage("k1_#", "a#", pad)] if fsal else stage("k1_#", "a#", pad[4:])
-    interval = [
-        "        dt = (target - t) / nsub",
-        "        half, sixth = 0.5 * dt, dt / 6.0",
-        "        for j in range(nsub):",
+    with fsal (a text) it is also the first stage of the interval's first step.
+    A checked run tests the state after every step; the other tests it once
+    per interval and replays a failed interval in the checked run (see the
+    module docstring)."""
+    a_finite = _all_finite("a", rows)
+    p = " " * (12 if checked else 16)
+    q = p + "    "
+    # an error at the first stage of a step that starts finite is the
+    # field's own, so it needs no stage handler
+    first = [f"{p}if j:", *stage("k1_#", "a#", q)] if fsal else stage("k1_#", "a#", p)
+    steps = [
+        f"{p[4:]}for j in range(nsub):",
         *first,
-        "            try:",
-        *stage("k2_#", "a# + half * k1_#", pad),
-        *stage("k3_#", "a# + half * k2_#", pad),
-        *stage("k4_#", "a# + dt * k3_#", pad),
-        "            except (ValueError, OverflowError):",
-        "                # a math call on a non-finite stage state (math.cos(inf))",
-        "                # is a blow-up; any other error is the field's own",
-        f"                if {finite}:",
-        "                    raise",
-        "                raise NonFiniteState(t + (j + 1) * dt) from None",
-        _row("            a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n"),
-        f"            if not ({_all_finite('a', rows)}):",
-        "                raise NonFiniteState(t + (j + 1) * dt)",
+        f"{p}try:",
+        *stage("k2_#", "a# + half * k1_#", q),
+        *stage("k3_#", "a# + half * k2_#", q),
+        *stage("k4_#", "a# + dt * k3_#", q),
+        f"{p}except (ValueError, OverflowError):",
+        f"{q}# a math call on a non-finite stage state (math.cos(inf))",
+        f"{q}# is a blow-up; any other error is the field's own",
+        f"{q}if {finite}:",
+        f"{q}    raise",
+        f"{q}raise NonFiniteState(t + (j + 1) * dt) from None",
+        _row(f"{p}a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n"),
     ]
+    interval = ["        dt = (target - t) / nsub", "        half, sixth = 0.5 * dt, dt / 6.0"]
+    if checked:
+        interval += [
+            *steps,
+            f"            if not ({a_finite}):",
+            "                raise NonFiniteState(t + (j + 1) * dt)",
+        ]
+    else:
+        interval += [
+            "        try:",
+            *steps,
+            "        except Exception:",
+            "            # a# is the state the failing step started from: if it is",
+            "            # finite, the error is the one a checked run raises",
+            f"            if {a_finite}:",
+            "                raise",
+            f"        if not ({a_finite}):",
+            "            try:",
+            "                replay(field, unpack(states, o), (t, target), cfg)",
+            "            except NonFiniteState as err:",
+            "                raise NonFiniteState(err.t) from None",
+            "            # only a field that is not a function of the state gets here",
+            "            raise NonFiniteState(target)",
+        ]
     return "k1_#", ["    nsub = cfg.substeps"], interval, whole("k1_#", "        ")
 
 

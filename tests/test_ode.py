@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import traceback
+import types
 
 import numpy as np
 import pytest
@@ -124,14 +125,40 @@ def test_sample_at_out_of_range():
 
 def test_non_finite_state_reports_time():
     # x' = x^2 from x0 = 2 blows up at t = 0.5
+    def square(x):
+        return [a * a for a in x]
+
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as err:
-            integrate(
-                lambda x: [a * a for a in x],
-                [2.0],
-                IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2),
-            )
-    assert 0.4 < err.value.t < 0.6
+            integrate(square, [2.0], cfg)
+    assert err.value.t == _first_non_finite_step(square, [2.0], cfg)[0]
+
+
+def _first_non_finite_step(field, x0, cfg):
+    """(time, index in its sample interval) of the first rk4 step whose
+    state is not finite, or whose stage raises ValueError: a plain loop over
+    the run's sample grid that tests every step, as the runs report it."""
+    times = cfg.t_span[0] + cfg.sample_dt * np.arange(cfg.intervals + 1)
+    x = [float(a) for a in x0]
+    for t, target in zip(times.tolist(), times[1:].tolist()):
+        dt = (target - t) / cfg.substeps
+        half, sixth = 0.5 * dt, dt / 6.0
+        for j in range(cfg.substeps):
+            k1 = field(x)
+            try:
+                k2 = field([a + half * k for a, k in zip(x, k1)])
+                k3 = field([a + half * k for a, k in zip(x, k2)])
+                k4 = field([a + dt * k for a, k in zip(x, k3)])
+            except ValueError:
+                return t + (j + 1) * dt, j
+            x = [
+                a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+                for a, p, q, r, s in zip(x, k1, k2, k3, k4)
+            ]
+            if not all(map(math.isfinite, x)):
+                return t + (j + 1) * dt, j
+    raise AssertionError("the run stays finite")
 
 
 def test_rkf45_accuracy():
@@ -953,10 +980,10 @@ def _tracebacks(tb):
 
 def _step_source(source):
     """The lines of a generated rk4 run that take one step, from its first
-    stage to its finite test, without the sample's whole-text lines."""
+    stage to its last state update, without the sample's whole-text lines."""
     lines = source.splitlines(True)
-    start = lines.index("        for j in range(nsub):\n")
-    end = lines.index("                raise NonFiniteState(t + (j + 1) * dt)\n")
+    start = next(i for i, line in enumerate(lines) if line.strip() == "for j in range(nsub):")
+    end = max(i for i, line in enumerate(lines) if " + sixth * (" in line)
     return "".join(lines[start : end + 1])
 
 
@@ -1157,8 +1184,8 @@ def test_restricted_stepper_keeps_what_its_results_need():
     assert "k1_2 = " in step and "k1_0" not in step and "k1_1" not in step
     assert "f_math" not in step
     # each sample stores NaN in the left-out places and the whole derivative
-    assert source.count("states.fromlist([nan, nan, a2, a3, a4])\n") == 2
-    assert source.count("derivs.fromlist([k1_0, k1_1, k1_2, k1_3, k1_4])\n") == 2
+    assert source.count("pack(states, o, nan, nan, a2, a3, a4)\n") == 2
+    assert source.count("pack(derivs, o, k1_0, k1_1, k1_2, k1_3, k1_4)\n") == 2
 
 
 def test_restricted_blow_up_traceback_shows_the_restricted_stepper():
@@ -1170,7 +1197,9 @@ def test_restricted_blow_up_traceback_shows_the_restricted_stepper():
     step = ode._stepper("rk4", 6, _SLEIGH_FRICTION, 2, 3, 4, 5)
     [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
     assert frame.filename == "nonholib.ode rk4 n=6 sleigh_friction rows 2,3,4,5"
-    assert frame.line == "raise NonFiniteState(t + (j + 1) * dt)"
+    # no stage raises (the restricted stages make no math call), so the
+    # interval's finite test fails and the run raises its replay's error
+    assert frame.line == "raise NonFiniteState(err.t) from None"
     assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
 
 
@@ -1234,3 +1263,119 @@ def test_transform_linear_bitwise_on_finite_input_and_nan_only_where_read():
     nan[4, 2] = True
     assert (np.isnan(out) == nan).all()
     assert out[~nan].tobytes() == mapped.states[~nan].tobytes()
+
+
+_SQUARE_AND_CLOCK = """
+def square_and_clock(st):
+    x, clock = st
+    return (x * x, one)
+"""
+
+
+@pytest.mark.parametrize("inlined", [True, False])
+def test_blow_up_mid_interval_reports_its_step(inlined):
+    # the run tests its state once per sample interval; the replay of the
+    # failed interval finds the step.  No stage raises: x * x overflows to inf
+    inner = ode.straight_line(_SQUARE_AND_CLOCK, one=1.0)
+    field = inner if inlined else (lambda x: inner(x))
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
+    t, j = _first_non_finite_step(inner, [2.2, 0.0], cfg)
+    assert 0 < j < cfg.substeps - 1
+    with pytest.raises(NonFiniteState) as err:
+        integrate(field, [2.2, 0.0], cfg, read=(0,))
+    assert err.value.t == t
+    [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
+    run = "nonholib.ode rk4 n=2" + (" square_and_clock rows 0" if inlined else "")
+    assert frame.filename == run
+
+
+_SQUARE_CHAIN = """
+def square_chain(st):
+    x, w1, w2, w3, y, clock = st
+    return (x * x, x, w1, w2, math.cos(w3), one)
+"""
+
+
+@pytest.mark.parametrize("inlined", [True, False])
+def test_blow_up_before_a_stage_error_reports_the_first_non_finite_step(inlined):
+    # x overflows to inf within a step, while the chain x -> w1 -> w2 -> w3
+    # keeps every stage of that step finite; w3 is inf after it, so the next
+    # step's first stage raises ValueError (math.cos(inf)) in the run, which
+    # then replays the interval for the step where the state went non-finite
+    raised = []
+
+    def cos(w):
+        try:
+            return math.cos(w)
+        except ValueError:
+            raised.append(w)
+            raise
+
+    inner = ode.straight_line(_SQUARE_CHAIN, math=types.SimpleNamespace(cos=cos), one=1.0)
+    field = inner if inlined else (lambda x: inner(x))
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
+    x0 = [2.2, 0.0, 0.0, 0.0, 0.0, 0.0]
+    t, j = _first_non_finite_step(inner, x0, cfg)
+    assert j < cfg.substeps - 1 and not raised
+    with pytest.raises(NonFiniteState) as err:
+        integrate(field, x0, cfg, read=(4,))
+    assert err.value.t == t and raised
+    assert len([f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]) == 1
+
+
+@pytest.mark.parametrize("inlined", [True, False])
+@pytest.mark.parametrize(
+    "text, consts, x0, error",
+    [
+        (_LOOKUP, dict(failing_lookup=_failing_lookup, limit=0.5), [1.0], KeyError),
+        (_DAMPED_ROOT, dict(math=math, limit=0.0), [1.0, -3.0], ValueError),
+    ],
+    ids=["lookup", "damped-root"],
+)
+def test_field_error_on_a_finite_state_shows_one_run_frame(text, consts, x0, error, inlined):
+    inner = ode.straight_line(text, **consts)
+    field = inner if inlined else (lambda x: inner(x))
+    cfg = IntegratorConfig(t_span=(0.0, 5.0), dt=1e-2, sample_dt=0.1)
+    with pytest.raises(error) as err:
+        integrate(field, x0, cfg)
+    assert err.value.__class__ is error and err.value.__context__ is None
+    runs = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode rk4")]
+    assert len(runs) == 1 and "checked" not in runs[0].filename
+
+
+def test_replay_run_is_generated_on_failure_only():
+    field = ode.straight_line(_SQUARE_AND_CLOCK, one=1.0)
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
+    ode._stepper.cache_clear()
+    integrate(field, [0.5, 0.0], cfg, read=(0,))
+    assert ode._stepper.cache_info().misses == 1
+    for _ in range(2):
+        with pytest.raises(NonFiniteState):
+            integrate(field, [2.2, 0.0], cfg, read=(0,))
+    # the checked run of the same key, once
+    assert ode._stepper.cache_info().misses == 2
+    checked = ode._stepper("rk4", 2, _SQUARE_AND_CLOCK, 0, checked=True)
+    assert checked.__code__.co_filename == "nonholib.ode rk4 n=2 square_and_clock rows 0 checked"
+
+
+def _source(step):
+    """A generated run's source, read through its loader as a traceback
+    does, since a linecache.clearcache() leaves inspect without its lines."""
+    return "".join(linecache.getlines(step.__code__.co_filename, step.__globals__))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("rk4", 6, _SLEIGH_FRICTION), ("rk4", 6, _SLEIGH_FRICTION, 2, 3, 4, 5), ("rk4", 3)],
+    ids=["text", "restricted", "called"],
+)
+def test_rk4_steps_hold_no_finite_test(key):
+    # only the stage handler, which runs on an error, tests a stage state;
+    # the state is tested once per sample interval, after the step loop
+    step = _step_source(_source(ode._stepper(*key)))
+    handler = step[step.index("except (ValueError, OverflowError):") : step.index(" from None\n")]
+    assert "isfinite" in handler and "isfinite" not in step.replace(handler, "")
+    # the replay's checked run tests the state after every step
+    checked = _source(ode._stepper(*key, checked=True))
+    after = checked[checked.index(_step_source(checked)) + len(_step_source(checked)) :]
+    assert after.startswith("            if not (isfinite(")
