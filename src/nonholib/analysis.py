@@ -277,10 +277,11 @@ def one_point_graph(expansion: ExpansionData) -> ExpansionData:
     potential force are the same at every q.  h1 of a stack (qs, xis) reads
     them once, at qs[0], for every xi.  The per-row h1 at INVARIANCE_ROWS
     samples spread over the stack, taken in one call on the stack of those
-    samples, checks it: a gap past INVARIANCE_RTOL raises
-    FrameNotInvariant, and a non-finite per-row value NonFiniteValue, for
-    the first such sample.  A dependence on q that agrees at every checked
-    sample goes unseen.  A non-finite one-point graph is returned for
+    samples, checks it.  An error that call raises at any of them
+    (SingularFrame, SingularMetric) comes first; then, sample by sample, a
+    gap past INVARIANCE_RTOL raises FrameNotInvariant, and a non-finite
+    per-row value NonFiniteValue.  A dependence on q that agrees at every
+    checked sample goes unseen.  A non-finite one-point graph is returned for
     manifold_fit to refuse."""
     h1 = expansion.h1
 

@@ -316,9 +316,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, columns) -> None:
-    # Python floats, a row at a time: no numpy scalar per value, no list of every row
-    rows = np.column_stack((traj.times, traj.states))
-    _write_csv(path, ("t", *columns), (row.tolist() for row in rows))
+    _write_csv(path, ("t", *columns), np.column_stack((traj.times, traj.states)))
 
 
 def write_trajectory_json(path: Path, traj: Trajectory, columns) -> None:

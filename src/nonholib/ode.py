@@ -36,11 +36,14 @@ that started finite is handled as it always was: a non-finite stage state
 makes it a NonFiniteState at the step's end time, any other error is the
 field's own and propagates.  A failed interval test, or any error in a step
 that started non-finite, replays that one interval from its stored first
-sample in the checked run of the same key (``_stepper(..., checked=True)``,
-generated on the first failure and cached), which tests after every step.
-The run raises the replay's NonFiniteState afresh, from None, so a
-traceback shows one run frame and the reported time is that of the step
-where the state went non-finite, as in a checked run.
+sample and derivative in `_rk4_replay` (generated on the first failure and
+cached), which tests the state after every step and returns the index j of
+the step that left it non-finite.  The run then raises NonFiniteState(t +
+(j + 1) * dt) itself: the time, the exception and the traceback's one run
+frame and line are those of a test after every step.  A called field is
+thus called on the non-finite states of the interval's remaining steps,
+and again by the replay: up to 4 * substeps calls more than a test after
+every step makes.
 
 A field declared as text with `straight_line` is not called by the run;
 its text is written into every stage.  The text is one function
@@ -95,9 +98,9 @@ any.
 A run function is compiled on first use and cached.  Its source, like each
 field text's maker, is registered in `linecache` under a file name: a
 run's is such as ``nonholib.ode rk4 n=6``, to which an inlined run adds
-the field's name (``... sleigh_friction``), a restricted one its kept
-rows (``... sleigh_friction rows 2,3,4,5``) and a checked one ``checked``,
-and a maker's is the field's name (``nonholib.ode sleigh_friction``).  One
+the field's name (``... sleigh_friction``) and a restricted one its kept
+rows (``... sleigh_friction rows 2,3,4,5``), its replay ``replay``, and
+a maker's is the field's name (``nonholib.ode sleigh_friction``).  One
 name declares one text, so tracebacks and profiles tell the runs and fields
 apart and show their lines, after `linecache.clearcache` too.
 `inspect.getsource` does not: after a clearcache it finds no module for
@@ -390,7 +393,10 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
     Raises
     ------
     NonFiniteState
-        If any state component becomes NaN/Inf.
+        If any state component becomes NaN/Inf.  An rk4 run finds that at
+        the end of the sample interval and replays the interval for the
+        step (see the module docstring), so a called field may be called
+        on NaN/Inf states: it must return or raise on them.
     StepUnderflow
         If the adaptive step falls below 1e-14 * (t1 - t0).
 
@@ -542,27 +548,18 @@ _FE_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 @functools.cache
-def _stepper(method: str, n: int, text=None, *keep, checked: bool = False) -> Callable:
+def _stepper(method: str, n: int, text=None, *keep) -> Callable:
     """The run function of `method` for states of n components, compiled on
     first use: ``(field, x, ts, cfg) -> (states, derivs)`` integrates from
     the state x at ts[0] and returns the state and derivative at every time
     of ts, row after row, in two flat float64 arrays.  Given a field text
     (`straight_line`) it writes the text into every stage; otherwise it
     calls the field.  Given the rows to keep (an rk4 run of a text), its
-    stages integrate only those, and every other place of a state is NaN.
-    An rk4 run tests its state once per sample interval; with `checked` it
-    tests it after every step, as the replay of a failed interval does."""
+    stages integrate only those, and every other place of a state is NaN."""
     rows = keep or range(n)
-    filename = f"nonholib.ode {method} n={n}"
-    if text is not None:
-        filename += " " + _declared(text)[1].co_name
-    if keep:
-        filename += f" rows {','.join(map(str, keep))}"
-    if checked:
-        filename += " checked"
     bind, finite, stage, whole = _field_snippets(n, rows, text)
     if method == "rk4":
-        k, setup, interval, end = _rk4_steps(rows, finite, stage, whole, text is not None, checked)
+        k, setup, interval, end = _rk4_steps(rows, finite, stage, whole, text is not None)
     else:
         k, setup, interval, end = _rkf45_steps(n, stage, text is not None)
     # one sample row of n float64s, packed at and read from a byte offset o
@@ -572,7 +569,7 @@ def _stepper(method: str, n: int, text=None, *keep, checked: bool = False) -> Ca
     lines = [
         f"def {method}_n{n}(field, x, ts, cfg):",
         *bind,
-        f"    {', '.join(f'a{i}' if i in rows else '_' for i in range(n))}, = x",
+        f"    {_unpack('a', rows, n)}, = x",
         *setup,
         f"    states, derivs = empty(len(ts) * {n}), empty(len(ts) * {n})",
         "    o = 0",
@@ -587,24 +584,69 @@ def _stepper(method: str, n: int, text=None, *keep, checked: bool = False) -> Ca
         "        t = target",
         "    return states, derivs",
     ]
-
-    def replay(*args):
-        return _stepper(method, n, text, *keep, checked=True)(*args)
-
     return _compile(
         "\n".join(lines) + "\n",
-        filename,
+        _run_name(method, n, text, keep),
         f"{method}_n{n}",
         empty=np.empty,
         pack=sample.pack_into,
         unpack=sample.unpack_from,
-        replay=replay,
+        # generated on the first failed interval only
+        replay=lambda *args: _rk4_replay(n, text, *keep)(*args),
         isfinite=math.isfinite,
         sqrt=math.sqrt,
         nan=math.nan,
         NonFiniteState=NonFiniteState,
         StepUnderflow=StepUnderflow,
     )
+
+
+@functools.cache
+def _rk4_replay(n: int, text=None, *keep) -> Callable:
+    """The replay of a failed sample interval of the rk4 run of the same
+    key, compiled on first use: ``(field, x, k, dt, cfg) -> j`` takes the
+    interval's steps of size dt from its first sample x, whose derivative
+    is k, tests the state after each step and returns the index j of the
+    first step that leaves it non-finite.  A field that is a function of
+    the state raises nothing here, since the run raised any error of a step
+    that started finite; one that is not may find no such step, and then j
+    is the interval's last step."""
+    rows = keep or range(n)
+    bind, _, stage, _ = _field_snippets(n, rows, text)
+    fsal = text is not None
+    lines = [
+        f"def rk4_n{n}_replay(field, x, k, dt, cfg):",
+        *bind,
+        f"    {_unpack('a', rows, n)}, = x",
+        *([f"    {_unpack('k1_', rows, n)}, = k"] if fsal else []),
+        "    half, sixth = 0.5 * dt, dt / 6.0",
+        "    for j in range(cfg.substeps):",
+        *_rk4_step(rows, stage, fsal, " " * 8),
+        f"        if not ({_all_finite('a', rows)}):",
+        "            return j",
+        "    return cfg.substeps - 1",
+    ]
+    return _compile(
+        "\n".join(lines) + "\n",
+        _run_name("rk4", n, text, keep) + " replay",
+        f"rk4_n{n}_replay",
+        isfinite=math.isfinite,
+    )
+
+
+def _run_name(method: str, n: int, text, keep) -> str:
+    """The file name of a run (see the module docstring)."""
+    name = f"nonholib.ode {method} n={n}"
+    if text is not None:
+        name += " " + _declared(text)[1].co_name
+    if keep:
+        name += f" rows {','.join(map(str, keep))}"
+    return name
+
+
+def _unpack(v: str, rows, n: int) -> str:
+    """The targets v# for rows, _ for every other of n places."""
+    return ", ".join(f"{v}{i}" if i in rows else "_" for i in range(n))
 
 
 def _compile(source: str, filename: str, name: str, **names) -> Callable:
@@ -699,59 +741,57 @@ def _all_finite(v: str, rows) -> str:
     return terms if len(rows) == 1 else f"isfinite({_row(v + '#', rows, ' + ')}) or {terms}"
 
 
-def _rk4_steps(rows, finite: str, stage, whole, fsal: bool, checked: bool) -> tuple:
+def _rk4_steps(rows, finite: str, stage, whole, fsal: bool) -> tuple:
     """rk4's parts of a run: cfg.substeps equal steps per sample interval on
     the rows of x.  The derivative at a sample is the whole field there, so
     with fsal (a text) it is also the first stage of the interval's first step.
-    A checked run tests the state after every step; the other tests it once
-    per interval and replays a failed interval in the checked run (see the
-    module docstring)."""
+    The state is tested once per interval, and a failed interval is
+    replayed to find its step (see the module docstring)."""
     a_finite = _all_finite("a", rows)
-    p = " " * (12 if checked else 16)
+    interval = [
+        "        dt = (target - t) / nsub",
+        "        half, sixth = 0.5 * dt, dt / 6.0",
+        "        try:",
+        "            for j in range(nsub):",
+        *_rk4_step(rows, stage, fsal, " " * 16, finite),
+        "        except Exception:",
+        "            # a# is the state the failing step started from: if it is",
+        "            # finite, the error is the one a per-step test would raise",
+        f"            if {a_finite}:",
+        "                raise",
+        f"        if not ({a_finite}):",
+        "            j = replay(field, unpack(states, o), unpack(derivs, o), dt, cfg)",
+        "            raise NonFiniteState(t + (j + 1) * dt)",
+    ]
+    return "k1_#", ["    nsub = cfg.substeps"], interval, whole("k1_#", "        ")
+
+
+def _rk4_step(rows, stage, fsal: bool, p: str, finite=None) -> list:
+    """The lines, indented by p, of the rk4 step j from the state a#.
+    Given `finite`, the test of a stage state, a stage error after the
+    first stage is a blow-up when the stage state is not finite."""
     q = p + "    "
     # an error at the first stage of a step that starts finite is the
     # field's own, so it needs no stage handler
     first = [f"{p}if j:", *stage("k1_#", "a#", q)] if fsal else stage("k1_#", "a#", p)
-    steps = [
-        f"{p[4:]}for j in range(nsub):",
-        *first,
-        f"{p}try:",
-        *stage("k2_#", "a# + half * k1_#", q),
-        *stage("k3_#", "a# + half * k2_#", q),
-        *stage("k4_#", "a# + dt * k3_#", q),
-        f"{p}except (ValueError, OverflowError):",
-        f"{q}# a math call on a non-finite stage state (math.cos(inf))",
-        f"{q}# is a blow-up; any other error is the field's own",
-        f"{q}if {finite}:",
-        f"{q}    raise",
-        f"{q}raise NonFiniteState(t + (j + 1) * dt) from None",
-        _row(f"{p}a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n"),
+    pad = p if finite is None else q
+    later = [
+        *stage("k2_#", "a# + half * k1_#", pad),
+        *stage("k3_#", "a# + half * k2_#", pad),
+        *stage("k4_#", "a# + dt * k3_#", pad),
     ]
-    interval = ["        dt = (target - t) / nsub", "        half, sixth = 0.5 * dt, dt / 6.0"]
-    if checked:
-        interval += [
-            *steps,
-            f"            if not ({a_finite}):",
-            "                raise NonFiniteState(t + (j + 1) * dt)",
+    if finite is not None:
+        later = [
+            f"{p}try:",
+            *later,
+            f"{p}except (ValueError, OverflowError):",
+            f"{q}# a math call on a non-finite stage state (math.cos(inf))",
+            f"{q}# is a blow-up; any other error is the field's own",
+            f"{q}if {finite}:",
+            f"{q}    raise",
+            f"{q}raise NonFiniteState(t + (j + 1) * dt) from None",
         ]
-    else:
-        interval += [
-            "        try:",
-            *steps,
-            "        except Exception:",
-            "            # a# is the state the failing step started from: if it is",
-            "            # finite, the error is the one a checked run raises",
-            f"            if {a_finite}:",
-            "                raise",
-            f"        if not ({a_finite}):",
-            "            try:",
-            "                replay(field, unpack(states, o), (t, target), cfg)",
-            "            except NonFiniteState as err:",
-            "                raise NonFiniteState(err.t) from None",
-            "            # only a field that is not a function of the state gets here",
-            "            raise NonFiniteState(target)",
-        ]
-    return "k1_#", ["    nsub = cfg.substeps"], interval, whole("k1_#", "        ")
+    return [*first, *later, _row(f"{p}a# = a# + sixth * (((k1_# + 2.0 * k2_#) + 2.0 * k3_#) + k4_#)", rows, "\n")]
 
 
 def _rkf45_steps(n: int, stage, fsal: bool) -> tuple:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nonholib
-from nonholib.cli import ExperimentConfig, _fast_rate, _integrator_config, _write_csv, main
+from nonholib.cli import ExperimentConfig, _fast_rate, _integrator_config, main
 from nonholib.systems import get_system
 
 
@@ -883,11 +883,3 @@ def test_relaxation_rate_is_computed_once_per_command(tmp_path, monkeypatch):
         calls.clear()
         assert run(argv + ["--out", str(tmp_path / argv[0] / "m")]) == 0
         assert len(calls) == expected, argv
-
-
-def test_write_csv_writes_the_same_bytes_from_ndarray_and_list_rows(tmp_path):
-    rows = np.array([[0.1, -2.5e-300, np.nan], [1 / 3, 1e16, -0.0], [np.inf, -np.inf, 5e-324]])
-    from_array, from_list = tmp_path / "array.csv", tmp_path / "list.csv"
-    _write_csv(from_array, ("x", "y", "z"), rows)
-    _write_csv(from_list, ("x", "y", "z"), rows.tolist())
-    assert from_array.read_bytes() == from_list.read_bytes()

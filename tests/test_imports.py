@@ -3,9 +3,6 @@ and every public top-level function and class is read somewhere in the
 package or named in a table that says why it stays."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -147,12 +144,3 @@ def test_every_public_name_is_read_or_kept_for_a_stated_reason():
     # a kept name that is gone or has gained a reader leaves the table
     assert sorted(set(KEPT_UNREAD) - public) == []
     assert sorted(set(KEPT_UNREAD) & read) == []
-
-
-def test_importing_the_cli_loads_no_array_module():
-    # the run buffers are numpy arrays; the array extension module would
-    # only add its pages to every process's peak memory
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(_PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, nonholib.cli; print('array' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

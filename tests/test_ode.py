@@ -136,12 +136,12 @@ def test_non_finite_state_reports_time():
 
 
 def _first_non_finite_step(field, x0, cfg):
-    """(time, index in its sample interval) of the first rk4 step whose
-    state is not finite, or whose stage raises ValueError: a plain loop over
-    the run's sample grid that tests every step, as the runs report it."""
+    """(time, sample interval, index in the interval) of the first rk4 step
+    whose state is not finite, or whose stage raises ValueError: a plain loop
+    over the run's sample grid that tests every step, as the runs report it."""
     times = cfg.t_span[0] + cfg.sample_dt * np.arange(cfg.intervals + 1)
     x = [float(a) for a in x0]
-    for t, target in zip(times.tolist(), times[1:].tolist()):
+    for i, (t, target) in enumerate(zip(times.tolist(), times[1:].tolist())):
         dt = (target - t) / cfg.substeps
         half, sixth = 0.5 * dt, dt / 6.0
         for j in range(cfg.substeps):
@@ -151,13 +151,13 @@ def _first_non_finite_step(field, x0, cfg):
                 k3 = field([a + half * k for a, k in zip(x, k2)])
                 k4 = field([a + dt * k for a, k in zip(x, k3)])
             except ValueError:
-                return t + (j + 1) * dt, j
+                return t + (j + 1) * dt, i, j
             x = [
                 a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
                 for a, p, q, r, s in zip(x, k1, k2, k3, k4)
             ]
             if not all(map(math.isfinite, x)):
-                return t + (j + 1) * dt, j
+                return t + (j + 1) * dt, i, j
     raise AssertionError("the run stays finite")
 
 
@@ -979,10 +979,11 @@ def _tracebacks(tb):
 
 
 def _step_source(source):
-    """The lines of a generated rk4 run that take one step, from its first
-    stage to its last state update, without the sample's whole-text lines."""
+    """The lines of a generated rk4 run or replay that take one step, from
+    its first stage to its last state update, without the sample's
+    whole-text lines."""
     lines = source.splitlines(True)
-    start = next(i for i, line in enumerate(lines) if line.strip() == "for j in range(nsub):")
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith("for j in range("))
     end = max(i for i, line in enumerate(lines) if " + sixth * (" in line)
     return "".join(lines[start : end + 1])
 
@@ -1197,9 +1198,7 @@ def test_restricted_blow_up_traceback_shows_the_restricted_stepper():
     step = ode._stepper("rk4", 6, _SLEIGH_FRICTION, 2, 3, 4, 5)
     [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
     assert frame.filename == "nonholib.ode rk4 n=6 sleigh_friction rows 2,3,4,5"
-    # no stage raises (the restricted stages make no math call), so the
-    # interval's finite test fails and the run raises its replay's error
-    assert frame.line == "raise NonFiniteState(err.t) from None"
+    assert frame.line == "raise NonFiniteState(t + (j + 1) * dt)"
     assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
 
 
@@ -1279,7 +1278,7 @@ def test_blow_up_mid_interval_reports_its_step(inlined):
     inner = ode.straight_line(_SQUARE_AND_CLOCK, one=1.0)
     field = inner if inlined else (lambda x: inner(x))
     cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
-    t, j = _first_non_finite_step(inner, [2.2, 0.0], cfg)
+    t, _, j = _first_non_finite_step(inner, [2.2, 0.0], cfg)
     assert 0 < j < cfg.substeps - 1
     with pytest.raises(NonFiniteState) as err:
         integrate(field, [2.2, 0.0], cfg, read=(0,))
@@ -1315,7 +1314,7 @@ def test_blow_up_before_a_stage_error_reports_the_first_non_finite_step(inlined)
     field = inner if inlined else (lambda x: inner(x))
     cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
     x0 = [2.2, 0.0, 0.0, 0.0, 0.0, 0.0]
-    t, j = _first_non_finite_step(inner, x0, cfg)
+    t, _, j = _first_non_finite_step(inner, x0, cfg)
     assert j < cfg.substeps - 1 and not raised
     with pytest.raises(NonFiniteState) as err:
         integrate(field, x0, cfg, read=(4,))
@@ -1340,22 +1339,44 @@ def test_field_error_on_a_finite_state_shows_one_run_frame(text, consts, x0, err
         integrate(field, x0, cfg)
     assert err.value.__class__ is error and err.value.__context__ is None
     runs = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode rk4")]
-    assert len(runs) == 1 and "checked" not in runs[0].filename
+    assert len(runs) == 1 and "replay" not in runs[0].filename
 
 
-def test_replay_run_is_generated_on_failure_only():
+def test_replay_is_generated_on_failure_only():
     field = ode.straight_line(_SQUARE_AND_CLOCK, one=1.0)
     cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
     ode._stepper.cache_clear()
+    ode._rk4_replay.cache_clear()
     integrate(field, [0.5, 0.0], cfg, read=(0,))
-    assert ode._stepper.cache_info().misses == 1
+    assert ode._rk4_replay.cache_info().misses == 0
     for _ in range(2):
         with pytest.raises(NonFiniteState):
             integrate(field, [2.2, 0.0], cfg, read=(0,))
-    # the checked run of the same key, once
-    assert ode._stepper.cache_info().misses == 2
-    checked = ode._stepper("rk4", 2, _SQUARE_AND_CLOCK, 0, checked=True)
-    assert checked.__code__.co_filename == "nonholib.ode rk4 n=2 square_and_clock rows 0 checked"
+    # the replay of the run's key, generated once
+    assert ode._stepper.cache_info().misses == ode._rk4_replay.cache_info().misses == 1
+    replay = ode._rk4_replay(2, _SQUARE_AND_CLOCK, 0)
+    assert replay.__code__.co_filename == "nonholib.ode rk4 n=2 square_and_clock rows 0 replay"
+
+
+def test_called_field_calls_on_a_failing_run():
+    # the run finishes the failing interval's steps on non-finite states,
+    # then the replay takes the interval's steps again up to the failing one
+    calls = []
+
+    def square(x):
+        calls.append(x)
+        return [a * a for a in x]
+
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2)
+    _, i, j = _first_non_finite_step(square, [2.0], cfg)
+    calls.clear()
+    with pytest.raises(NonFiniteState):
+        integrate(square, [2.0], cfg)
+    nsub = cfg.substeps
+    # a derivative call per stored sample and four calls per step
+    assert len(calls) == (i + 1) * (1 + 4 * nsub) + 4 * (j + 1)
+    # the run's last call before the replay's is at a non-finite state
+    assert j < nsub - 1 and not math.isfinite(calls[-4 * (j + 1) - 1][0])
 
 
 def _source(step):
@@ -1375,7 +1396,7 @@ def test_rk4_steps_hold_no_finite_test(key):
     step = _step_source(_source(ode._stepper(*key)))
     handler = step[step.index("except (ValueError, OverflowError):") : step.index(" from None\n")]
     assert "isfinite" in handler and "isfinite" not in step.replace(handler, "")
-    # the replay's checked run tests the state after every step
-    checked = _source(ode._stepper(*key, checked=True))
-    after = checked[checked.index(_step_source(checked)) + len(_step_source(checked)) :]
-    assert after.startswith("            if not (isfinite(")
+    # the replay tests the state after every step
+    replay = _source(ode._rk4_replay(*key[1:]))
+    after = replay[replay.index(_step_source(replay)) + len(_step_source(replay)) :]
+    assert after.startswith("        if not (isfinite(")
