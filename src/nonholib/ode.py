@@ -52,14 +52,14 @@ that reads st nowhere else, assigns no argument and reads no local before
 assigning it.  Every other name it reads is a constant passed when the
 field is built: the text is compiled once into a maker whose parameters are
 these names, and each field is the maker's closure over its constants.  The
-sleigh's nh, friction and corrected fields and the pendulum's friction,
-potential and nh fields are declared this way.  In a stage the text's
-arguments become the stage locals ``s0 ...`` and every other name gets the
-prefix ``f_``; an rk4 stage stores only the arguments that its lines load.
-The constants are read from the field's closure at the start of each run,
-so one run function, cached on the text, serves every field built from it
-(every eps).  The stages and the callable come from one text, so they
-cannot disagree.
+sleigh's nh, friction and corrected fields and the pendulum's potential,
+friction, inertial and nh fields are declared this way.  In a stage the
+text's arguments become the stage locals ``s0 ...`` and every other name
+gets the prefix ``f_``; an rk4 stage stores only the arguments that its
+lines load.  The constants are read from the field's closure at the start
+of each run, so one run function, cached on the text, serves every field
+built from it (every eps).  The stages and the callable come from one
+text, so they cannot disagree.
 
 A run of a text evaluates the whole text once at each sample: that is the
 stored derivative, and, the same expressions on the same floats, the first
@@ -69,13 +69,13 @@ stage of each interval's first step; Fehlberg takes the first stage once
 per accepted state, and every attempt from that state, rejected or not,
 reuses it.  So a field error at an accepted state surfaces before the next
 attempt's step-size check.  Every other field is called with each stage
-state as a list and its result unpacked into locals: fields that return an
-ndarray, the generic `dynamics` fields, lambdas and wrappers, such as the
-tracing wrapper of perfbench's ``--trace 1``, whose per-layer times
-therefore describe the called path.  A called field is evaluated once per
-sample and 4 times per rk4 step or 6 times per Fehlberg attempt, so such a
-wrapper counts the evaluations that a whole-array loop makes.  Both paths
-give bitwise-equal results.
+state as a list and its result unpacked into locals: the generic `dynamics`
+fields (the ``fast`` models among them), which return an ndarray, and user
+fields, lambdas and wrappers, such as the tracing wrapper of perfbench's
+``--trace 1``, whose per-layer times therefore describe the called path.  A
+called field is evaluated once per sample and 4 times per rk4 step or 6
+times per Fehlberg attempt, so such a wrapper counts the evaluations that a
+whole-array loop makes.  Both paths give bitwise-equal results.
 
 Which rows are integrated: every row, unless the caller names the rows
 it reads (`integrate`'s ``read``) and the field is declared as text.  A

@@ -3,16 +3,19 @@
 Closed-form right-hand sides live here so that the generic frame machinery
 in :mod:`nonholib.dynamics` can be cross-checked against them, and so that
 experiment runs do not pay the generic machinery's per-evaluation cost.
-The run-path fields (``sleigh_*_field`` and the pendulum's potential,
-friction and nh fields) are declared once each, as a straight-line text
+The run-path fields (``sleigh_*_field`` and the pendulum's three
+realizations and nh field) are declared once each, as a straight-line text
 that `nonholib.ode.straight_line` compiles with its constants bound at
 build time; the integrator writes that text into its stages instead of
 calling the field, so a stage makes no Python-level call.  The
 ``sleigh_*_rhs`` helpers, which read the parameters on every call in the
 same operation order, are the sleigh fields' bitwise oracle.  The pendulum
 texts write ``_radial`` out, its origin check included, so the potential
-and friction fields are bitwise its composition; the nh field computes the
-former numpy formula on floats, which agrees with it to a few ulps.
+and friction fields are bitwise its composition.  The nh field agrees with
+the numpy formula it replaced to a few ulps of g + |v|^2 / r; the
+heavy-mass field inverts its mass matrix in closed form and is within a few
+such ulps of the exact rates, where the numpy solve it replaced was off by
+up to about (1 + 1/eps) / 2.
 
 Sleigh conventions.  Chart (x, y, phi): skate contact point and blade
 angle; mass m, inertia I about the center of mass, which sits a distance
@@ -366,8 +369,6 @@ class PendulumParams:
             raise InvalidParameter("g must be positive")
 
 
-PENDULUM_VARIANTS = ("potential", "friction", "inertial")
-
 _R_MIN = 1e-8
 
 
@@ -394,28 +395,37 @@ _PENDULUM_PROLOGUE = """\
 # The texts read ng = -g and neps = -eps, bound when a field is built, so no
 # stage negates a constant.  The bits are those of -k * ex and -g - k * ey
 # with k = rdot / eps: IEEE negation and division are sign-exact, so nk is
-# -k and nk * ey is -(k * ey), and x - y is x + (-y).
-_PENDULUM_POTENTIAL = f"""
+# -k and nk * ey is -(k * ey), and x - y is x + (-y).  The heavy mass's
+# inverse mass matrix is I - e e^T / (1 + eps) in closed form, so its k is
+# (|v_perp|^2 / r - g ey) / (1 + eps), with no solve.
+_PENDULUM_TEXTS = {
+    "potential": f"""
 def pendulum_potential(st):
 {_PENDULUM_PROLOGUE}    nk = (r - 1.0) / neps
     return (vx, vy, nk * ex, ng + nk * ey)
-"""
-
-_PENDULUM_FRICTION = f"""
+""",
+    "friction": f"""
 def pendulum_friction(st):
 {_PENDULUM_PROLOGUE}    rdot = ex * vx + ey * vy
     nk = rdot / neps
     return (vx, vy, nk * ex, ng + nk * ey)
-"""
+""",
+    "inertial": f"""
+def pendulum_inertial(st):
+{_PENDULUM_PROLOGUE}    rdot = ex * vx + ey * vy
+    nk = ((vx * vx + vy * vy - rdot * rdot) / r + ng * ey) / (neps - 1.0)
+    return (vx, vy, nk * ex, ng + nk * ey)
+""",
+}
 
-# numpy's grav - (grav @ e_r) * e_r - (v @ v) / r * e_r on floats; its
-# 2-term v @ v rounds differently from vx * vx + vy * vy, so the rates agree
-# with the numpy formula to a few ulps of g + |v|^2 / r, not bitwise
+PENDULUM_VARIANTS = tuple(_PENDULUM_TEXTS)
+
+# gravity less its radial part gr e_r, less the centripetal |v|^2 / r e_r
 _PENDULUM_NH = f"""
 def pendulum_nh(st):
-{_PENDULUM_PROLOGUE}    gr = 0.0 * ex + ng * ey
+{_PENDULUM_PROLOGUE}    gr = ng * ey
     c = (vx * vx + vy * vy) / r
-    return (vx, vy, (0.0 - gr * ex) - c * ex, (ng - gr * ey) - c * ey)
+    return (vx, vy, -gr * ex - c * ex, (ng - gr * ey) - c * ey)
 """
 
 # the names the pendulum texts read besides ng and neps
@@ -429,30 +439,14 @@ def make_pendulum(variant: str, p: PendulumParams, eps: float) -> Callable:
     mass near the unit circle.  variant "friction": radial Rayleigh
     friction rdot^2/(2 eps) damps motion off concentric circles.  variant
     "inertial": a heavy radial mass term rdot^2/(2 eps) slows radial
-    motion; the modified mass matrix is assembled in Cartesian coordinates
-    and inverted pointwise.  eps must be positive and finite.
+    motion; its mass matrix I + e_r e_r^T / eps is inverted in closed form,
+    as I - e_r e_r^T / (1 + eps).  eps must be positive and finite.
     """
     if variant not in PENDULUM_VARIANTS:
         raise ValueError(f"unknown pendulum variant {variant!r}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    g = p.g
-    if variant != "inertial":
-        text = _PENDULUM_POTENTIAL if variant == "potential" else _PENDULUM_FRICTION
-        return straight_line(text, ng=-g, neps=-eps, **_RADIUS)
-
-    def rhs(st):
-        x, y, vx, vy = st
-        r, ex, ey = _radial(x, y)
-        e_r = np.array([ex, ey])
-        v = np.array([vx, vy])
-        v_perp = v - (e_r @ v) * e_r
-        mass = np.eye(2) + np.outer(e_r, e_r) / eps
-        force = np.array([0.0, -g]) - (v_perp @ v_perp) / (eps * r) * e_r
-        acc = np.linalg.solve(mass, force)
-        return np.array([vx, vy, acc[0], acc[1]])
-
-    return rhs
+    return straight_line(_PENDULUM_TEXTS[variant], ng=-p.g, neps=-eps, **_RADIUS)
 
 
 def pendulum_nh_field(p: PendulumParams) -> Callable:

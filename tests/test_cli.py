@@ -177,6 +177,15 @@ def test_simulate_blowup_exit_3(tmp_path, capsys):
     assert "t=" in captured.err
 
 
+def test_unknown_system_exits_2_with_its_line(capsys):
+    # the message as get_system states it, not the repr a KeyError prints
+    assert run(["simulate", "--system", "foo"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown system 'foo'; available: pendulum-friction,"
+        " pendulum-inertial, pendulum-potential, sleigh\n"
+    )
+
+
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
 def test_pendulum_run_into_the_origin_exits_3_with_its_line(tmp_path, capsys, method):
     # free fall down the y axis, with g and the friction negligible, reaches

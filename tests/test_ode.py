@@ -428,6 +428,7 @@ def _field_cases(eps):
     from nonholib.systems import (
         PendulumParams,
         SleighParams,
+        get_system,
         make_pendulum,
         pendulum_default_state,
         sleigh_corrected_field,
@@ -452,16 +453,24 @@ def _field_cases(eps):
             pendulum_default_state(),
             eps / 20,
         ),
-        # computes with numpy inside and returns an ndarray
+        # a declared text, written into the stages
         "pendulum-inertial": (
             make_pendulum("inertial", PendulumParams(), eps),
+            [0.6, -0.8, 0.3, 0.2],
+            eps / 20,
+        ),
+        # computes with numpy inside and returns an ndarray
+        "pendulum-fast": (
+            get_system("pendulum-friction").models["fast"].build({}, None),
             [0.6, -0.8, 0.3, 0.2],
             eps / 20,
         ),
     }
 
 
-@pytest.mark.parametrize("name", ["sleigh-friction", "sleigh-corrected", "pendulum-inertial"])
+@pytest.mark.parametrize(
+    "name", ["sleigh-friction", "sleigh-corrected", "pendulum-inertial", "pendulum-fast"]
+)
 def test_rk4_matches_numpy_reference_bitwise(name):
     field, x0, dt = _field_cases(2e-3)[name]
     cfg = IntegratorConfig(t_span=(0.0, 0.5), dt=dt, sample_dt=1e-2)
@@ -481,6 +490,7 @@ def _cubic_decay(x):
 RKF45_BRANCHES = {
     "pendulum-friction": {"rejected"},
     "pendulum-inertial": set(),
+    "pendulum-fast": set(),
     "sleigh-friction": {"rejected"},
     "sleigh-corrected": set(),
     "blow-up": {"rejected", "non_finite_stage", "non_finite_result"},
@@ -585,7 +595,7 @@ def test_fehlberg_text_runs_match_the_called_path_bitwise(name):
     assert {b for b, n in counts.items() if n} == RKF45_BRANCHES[name]
     # no zero-coefficient term and no 0 to start a sum or the error norm
     for text in (_text_of(field), None):
-        source = inspect.getsource(ode._stepper("rkf45", len(x0), text))
+        source = _source(ode._stepper("rkf45", len(x0), text))
         assert not [term for term in ("0.0 * k", "(0 + ", "(0.0 + ") if term in source]
 
 
@@ -681,7 +691,7 @@ def test_generated_stepper_source_in_tracebacks(method):
         f for f in traceback.extract_tb(err.tb) if f.filename == f"nonholib.ode {method} n=3"
     ]
     assert "= field(" in frame.line
-    source = inspect.getsource(ode._stepper(method, 3))
+    source = _source(ode._stepper(method, 3))
     assert source.startswith(f"def {method}_n3(field, x, ts, cfg):\n")
     assert source.splitlines()[frame.lineno - 1].strip() == frame.line
 
@@ -704,6 +714,12 @@ def test_field_errors_on_finite_states_propagate():
         cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
         with pytest.raises(ValueError, match="not a blow-up"):
             integrate(broken, [1.0], cfg)
+
+
+def _source(step):
+    """A generated run's source, read through its loader as a traceback
+    does, since a linecache.clearcache() leaves inspect without its lines."""
+    return "".join(linecache.getlines(step.__code__.co_filename, step.__globals__))
 
 
 def _text_of(field):
@@ -836,9 +852,8 @@ def _called_fields():
     """name -> (field, state size) of fields the steppers call."""
     from nonholib import dynamics
     from nonholib.systems import (
-        PendulumParams,
         SleighParams,
-        make_pendulum,
+        get_system,
         sleigh_friction_field,
         sleigh_friction_form,
         sleigh_system,
@@ -861,7 +876,7 @@ def _called_fields():
         sleigh_system(p), sleigh_uvw_frame(p), sleigh_friction_form(p), 4e-3
     )
     return {
-        "pendulum-inertial": (make_pendulum("inertial", PendulumParams(), 4e-3), 4),
+        "pendulum-fast": (get_system("pendulum-friction").models["fast"].build({}, None), 4),
         "dynamics-friction": (generic, 6),
         "lambda": (lambda x: friction(x), 6),
         "counting-wrapper": (counted, 6),
@@ -875,7 +890,7 @@ def test_straight_line_fields_are_inlined(name, method):
     field, x0 = _inlined_fields()[name]
     n = len(x0)
     step = ode._stepper(method, n, _text_of(field))
-    assert "field(" not in inspect.getsource(step)
+    assert "field(" not in _source(step)
     assert step.__code__.co_filename == f"nonholib.ode {method} n={n} {field.__name__}"
 
 
@@ -883,7 +898,7 @@ def test_straight_line_fields_are_inlined(name, method):
 def test_rkf45_error_norm_and_step_control_call_no_builtin(n):
     # min, max and abs are written out as conditional expressions; the
     # numpy reference pins their values
-    source = inspect.getsource(ode._stepper("rkf45", n))
+    source = _source(ode._stepper("rkf45", n))
     assert not [name for name in ("min(", "max(", "abs(") if name in source]
 
 
@@ -892,7 +907,7 @@ def test_rkf45_error_norm_and_step_control_call_no_builtin(n):
 def test_other_fields_are_called(name, method):
     field, n = _called_fields()[name]
     assert _text_of(field) is None
-    assert "= field(xs)" in inspect.getsource(ode._stepper(method, n))
+    assert "= field(xs)" in _source(ode._stepper(method, n))
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
@@ -1092,6 +1107,7 @@ _ROWS_READ = {
     "sleigh-friction": {2, 3, 4, 5},
     "sleigh-corrected": {2, 3, 4},
     "pendulum-friction": {0, 1, 2, 3},
+    "pendulum-inertial": {0, 1, 2, 3},
     "pendulum-potential": {0, 1, 2, 3},
     "pendulum-nh": {0, 1, 2, 3},
 }
@@ -1154,17 +1170,14 @@ def test_restricted_stepper_serves_every_eps():
     assert step.__code__.co_filename == "nonholib.ode rk4 n=6 sleigh_friction rows 2,3,4,5"
     # the sin and cos of phi went with the x and y rates: only the whole
     # text at each sample computes them, for the derivative columns
-    source = inspect.getsource(step)
+    source = _source(step)
     assert "field(" not in source and "f_math" not in _step_source(source)
     assert source.count("f_math.sin(a2)") == 2
 
 
 def test_rk4_stages_store_only_the_state_their_lines_load():
     def source(*key):
-        # read through the stepper's loader, as a traceback does, since an
-        # earlier linecache.clearcache() leaves inspect without its lines
-        step = ode._stepper(*key)
-        return "".join(linecache.getlines(step.__code__.co_filename, step.__globals__))
+        return _source(ode._stepper(*key))
 
     # no kept rate of the restricted sleigh friction stepper reads phi, and
     # no sleigh rate reads x or y
@@ -1178,7 +1191,7 @@ def test_rk4_stages_store_only_the_state_their_lines_load():
 
 
 def test_restricted_stepper_keeps_what_its_results_need():
-    source = inspect.getsource(ode._stepper("rk4", 5, _SLEIGH_CORRECTED, 2, 3, 4))
+    source = _source(ode._stepper("rk4", 5, _SLEIGH_CORRECTED, 2, 3, 4))
     assert "    _, _, a2, a3, a4, = x\n" in source
     step = _step_source(source)
     assert "                f_h1 = f_nsl * a3 * a4\n" in step
@@ -1199,7 +1212,7 @@ def test_restricted_blow_up_traceback_shows_the_restricted_stepper():
     [frame] = [f for f in traceback.extract_tb(err.tb) if f.filename.startswith("nonholib.ode")]
     assert frame.filename == "nonholib.ode rk4 n=6 sleigh_friction rows 2,3,4,5"
     assert frame.line == "raise NonFiniteState(t + (j + 1) * dt)"
-    assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
+    assert _source(step).splitlines()[frame.lineno - 1].strip() == frame.line
 
 
 _CONSTANT_RATES = """
@@ -1377,12 +1390,6 @@ def test_called_field_calls_on_a_failing_run():
     assert len(calls) == (i + 1) * (1 + 4 * nsub) + 4 * (j + 1)
     # the run's last call before the replay's is at a non-finite state
     assert j < nsub - 1 and not math.isfinite(calls[-4 * (j + 1) - 1][0])
-
-
-def _source(step):
-    """A generated run's source, read through its loader as a traceback
-    does, since a linecache.clearcache() leaves inspect without its lines."""
-    return "".join(linecache.getlines(step.__code__.co_filename, step.__globals__))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import decimal
 import math
 import traceback
 
@@ -368,7 +369,6 @@ def test_run_path_fields_refuse_eps_when_built(sleigh):
 CALLED_MODELS = {
     ("sleigh", "fast"),
     ("pendulum-friction", "fast"),
-    ("pendulum-inertial", "friction"),
 }
 
 
@@ -578,7 +578,94 @@ def test_pendulum_nh_text_within_four_ulps_of_the_numpy_rates():
                 assert abs(got[2] - want[2]) <= bound and abs(got[3] - want[3]) <= bound
 
 
-@pytest.mark.parametrize("model", ("potential", "friction", "nh"))
+def _inertial_numpy_rates(p, eps, st):
+    """The heavy-mass rates as numpy computed them before the field became
+    a text: the mass matrix assembled and solved at every state."""
+    x, y, vx, vy = st
+    r, ex, ey = _radial(x, y)
+    e_r = np.array([ex, ey])
+    v = np.array([vx, vy])
+    v_perp = v - (e_r @ v) * e_r
+    mass = np.eye(2) + np.outer(e_r, e_r) / eps
+    force = np.array([0.0, -p.g]) - (v_perp @ v_perp) / (eps * r) * e_r
+    acc = np.linalg.solve(mass, force)
+    return np.array([vx, vy, acc[0], acc[1]])
+
+
+def _inertial_exact_rates(g, eps, st):
+    """The heavy-mass accelerations at the float state st, in 60-digit
+    decimal arithmetic: the same mass matrix I + e e^T / eps and force,
+    solved by Cramer's rule rather than through the closed-form inverse."""
+    D = decimal.Decimal
+    x, y, vx, vy = map(D, st)
+    g, eps = D(g), D(eps)
+    r = (x * x + y * y).sqrt()
+    ex, ey = x / r, y / r
+    rdot = ex * vx + ey * vy
+    c = (vx * vx + vy * vy - rdot * rdot) / (eps * r)
+    fx, fy = -c * ex, -g - c * ey
+    m11, m12, m22 = 1 + ex * ex / eps, ex * ey / eps, 1 + ey * ey / eps
+    det = m11 * m22 - m12 * m12
+    return (fx * m22 - m12 * fy) / det, (m11 * fy - m12 * fx) / det
+
+
+def _inertial_states(rng, count):
+    """Random states; a quarter of them with velocities 1e-8 to 1e-2
+    (relative) off the radial direction, where |v_perp|^2 cancels."""
+    states = rng.uniform(-3.0, 3.0, (count, 4))
+    near = states[: count // 4]
+    x, y, s = near[:, 0], near[:, 1], near[:, 2]
+    r = np.hypot(x, y)
+    t = s * 10.0 ** rng.uniform(-8.0, -2.0, len(near))
+    near[:, 2], near[:, 3] = (s * x - t * y) / r, (s * y + t * x) / r
+    return states
+
+
+INERTIAL_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def test_pendulum_inertial_text_within_four_ulps_of_a_60_digit_solve():
+    # The bound was fixed before the first run: 4 ulps of 1 (2**-52) times
+    # the scale g + |v|^2 / r of the accelerations, at every eps, with
+    # near-radial velocities among the states
+    rng = np.random.default_rng(37)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for g in (9.81, 1.0):
+            for eps in INERTIAL_EPS:
+                field = make_pendulum("inertial", PendulumParams(g=g), eps)
+                for row in _inertial_states(rng, 500):
+                    x, y, vx, vy = row.tolist()
+                    got = field(row.tolist())
+                    assert got[:2] == (vx, vy)
+                    bound = decimal.Decimal(4 * 2.0**-52 * (g + (vx * vx + vy * vy) / math.hypot(x, y)))
+                    for a, want in zip(got[2:], _inertial_exact_rates(g, eps, row.tolist())):
+                        assert abs(decimal.Decimal(a) - want) <= bound, (g, eps, row)
+
+
+def test_pendulum_inertial_text_within_the_numpy_solves_error():
+    # numpy's rates carry the error of the solve, whose condition number is
+    # 1 + 1/eps (Higham, Accuracy and Stability of Numerical Algorithms,
+    # ch. 7): the force's radial term c = |v_perp|^2 / (eps r) is up to
+    # 1/eps times the scale g + |v|^2 / r and takes about 7 roundings before
+    # the solve.  The bound was fixed before the first run: 8 (1 + 1/eps)
+    # ulps of 1 (2**-52) times that scale.
+    rng = np.random.default_rng(38)
+    for g in (9.81, 1.0):
+        p = PendulumParams(g=g)
+        for eps in INERTIAL_EPS:
+            field = make_pendulum("inertial", p, eps)
+            for row in _inertial_states(rng, 500):
+                want = _inertial_numpy_rates(p, eps, row)
+                x, y, vx, vy = row
+                scale = g + (vx * vx + vy * vy) / math.hypot(x, y)
+                bound = 8 * (1.0 + 1.0 / eps) * 2.0**-52 * scale
+                got = field(row)
+                assert got[:2] == (want[0], want[1])
+                assert abs(got[2] - want[2]) <= bound and abs(got[3] - want[3]) <= bound
+
+
+@pytest.mark.parametrize("model", ("potential", "friction", "inertial", "nh"))
 def test_pendulum_texts_refuse_the_origin_called_and_inlined(model):
     p = PendulumParams(g=9.81)
     field = pendulum_nh_field(p) if model == "nh" else make_pendulum(model, p, 1e-2)
