@@ -22,10 +22,12 @@ stability bound, a system parameter out of range or overflowing, and a run
 that ode.IntegratorConfig refuses: a dt too small for sample_dt, a horizon
 that is not a whole number of sample intervals or holds a count of them
 that is not finite, or more than ode.MAX_SAMPLES samples or
-ode.MAX_RK4_STEPS rk4 steps; each refused before a command's
-first run), 3 numerical blow-up or singular state, 4 analysis
-precondition failure (including an adapted frame whose data for h1
-depend on q, and a left-out row that a report reads).
+ode.MAX_RK4_STEPS rk4 steps, and two eps values whose files would share
+one tag; each refused before a command's first run), 3 numerical blow-up
+or singular state, 4 analysis precondition failure (including an adapted
+frame whose data for h1 depend on q, a left-out row that a report reads,
+and a compare window or manifold transient cutoff that ends past t1, the
+latter two refused before the first run).
 """
 
 from __future__ import annotations
@@ -355,6 +357,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     state = _initial_state(cfg, spec)
     eps_list = list(cfg.eps) if spec.needs_eps else [None]
     multi = len(eps_list) > 1
+    if multi:
+        _require_distinct_tags(eps_list)
     # every run's step, size and field are checked before the first file is
     # written
     fast = _fast_rate(cfg, entry, state)
@@ -373,6 +377,17 @@ def _require_decreasing(eps_ladder) -> None:
     """Ratios along a ladder read as convergence orders only when eps falls."""
     if not all(b < a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ConfigError("eps ladder must be strictly decreasing")
+
+
+def _require_distinct_tags(eps_ladder) -> None:
+    """Each rung writes its own files, tagged _eps{eps:g}; two eps values
+    with one tag would overwrite each other's output."""
+    seen = {}
+    for eps in eps_ladder:
+        tag = f"_eps{eps:g}"
+        if tag in seen:
+            raise ConfigError(f"eps values {seen[tag]!r} and {eps!r} share the file tag {tag}")
+        seen[tag] = eps
 
 
 def _friction_rows(matrix: np.ndarray, rows) -> list:
@@ -405,6 +420,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     fric_fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
     nh_icfg = _integrator_config(cfg)
+    if cfg.t1 <= cfg.window_start:  # sup_distance's refusal, before the first run
+        raise analysis.WindowMismatch(
+            f"compare window [--window-start {cfg.window_start:g}, --t1 {cfg.t1:g}] is empty"
+        )
     # with an adapted frame the compared rows are the reduced velocities xi,
     # rows n to n + k - 1 of the reduced state (q, xi); without one, every row
     adapted = entry.adapted_frame is not None
@@ -459,6 +478,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     if entry.adapted_frame is None:
         raise ConfigError(f"system {cfg.system!r} has no slow-manifold support")
     _require_decreasing(cfg.eps)
+    _require_distinct_tags(cfg.eps)
     state = _initial_state(cfg, fric_spec)
     fast = _fast_rate(cfg, entry, state)
     # The initial slip offset is O(eps) and the slow-manifold residual
@@ -472,6 +492,13 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         )
     icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
+    # manifold_fit's refusal, before the first run: the runs' last sample time
+    last = cfg.t0 + cfg.sample_dt * icfgs[0].intervals
+    if last < cfg.transient_cutoff:
+        raise analysis.TransientTooShort(
+            f"--transient-cutoff {cfg.transient_cutoff:g} is past the runs' last sample"
+            f" time {last:.6g} (--t1 {cfg.t1:g})"
+        )
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)
     # h1's frame data are read once per rung and checked at a few of its samples

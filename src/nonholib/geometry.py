@@ -19,23 +19,23 @@ Index conventions used throughout (all arrays are plain ndarrays):
 Quasi-velocities split as (xi, eta) with xi the first k frame components
 (along D) and eta the rest; projections onto the blocks are plain slices.
 
-connection_coefficients and geodesic_rhs_struct read each of the four
-callbacks (fields, field_derivs, metric, metric_derivs) once per point;
-given the checked frame, its inverse and the checked metric,
-connection_coefficients reads only the two derivative callbacks.  It takes
-every product of three or more arrays two factors at a time, in the order
-written: on a stack of 256 points of n = 3, a three-operand einsum took 1.5
-to 5 times as long as its two pairwise steps (numpy 2.4, 2-vCPU Xeon VM).
+connection_coefficients reads each of the four callbacks (fields,
+field_derivs, metric, metric_derivs) once per point; given the checked
+frame, its inverse and the checked metric, it reads only the two
+derivative callbacks.  It takes every product of three or more arrays two
+factors at a time, in the order written: on a stack of 256 points of
+n = 3, a three-operand einsum took 1.5 to 5 times as long as its two
+pairwise steps (numpy 2.4, 2-vCPU Xeon VM).
 
 Leading sample axis: the point accessors (metric_at, metric_derivs_at,
-potential_at, potential_grad_at, fields_at, field_derivs_at) and
-frame_metric, structure_functions and connection_coefficients take either
-one point q of shape (n,) or a stack of m points of shape (m, n), and then
-return their arrays with a leading axis of length m.  A stack calls the
-user's callbacks row by row and runs every validity check on every row,
-one stacked numpy call per check.  Callers that hold many samples feed
-them through in_blocks, which cuts a stack into blocks of at most
-BLOCK_ROWS rows so that the stacked temporaries stay small.
+potential_at, potential_grad_at, fields_at, field_derivs_at),
+frame_metric and connection_coefficients take either one point q of shape
+(n,) or a stack of m points of shape (m, n), and then return their arrays
+with a leading axis of length m.  A stack calls the user's callbacks row
+by row and runs every validity check on every row, one stacked numpy call
+per check.  Callers that hold many samples feed them through in_blocks,
+which cuts a stack into blocks of at most BLOCK_ROWS rows so that the
+stacked temporaries stay small.
 """
 
 from __future__ import annotations
@@ -222,51 +222,16 @@ def frame_metric(sys: MechanicalSystem, fr: MovingFrame, q) -> np.ndarray:
     return np.swapaxes(f, -1, -2) @ kappa @ f
 
 
-def structure_functions(fr: MovingFrame, q) -> np.ndarray:
-    """Lie brackets relative to the frame: [f_b, f_g] = C^a_bg f_a.
-
-    Antisymmetric in the lower pair; identically zero for frames induced by
-    coordinates.
-    """
-    f = fr.fields_at(q)
-    return _brackets(np.linalg.inv(f), _along_frame(fr.field_derivs_at(q), f))
-
-
 def _along_frame(d, f) -> np.ndarray:
     """Chart derivatives d[..., m] turned into derivatives along the frame
     vectors: out[..., c] = f^m_c d[..., m]."""
     return d @ f[..., None, :, :]
 
 
-def _brackets(lam, df_f) -> np.ndarray:
-    """Structure functions from the frame's inverse lam and the derivatives
-    df_f[i, a, c] = f_c(f^i_a) of the frame along itself."""
-    # bracket[i, b, g] = f_b(f^i_g) - f_g(f^i_b)
-    return np.einsum("...ai,...ibg->...abg", lam, np.swapaxes(df_f, -1, -2) - df_f)
-
-
 def _read_point(sys, fr, q) -> tuple:
     """The checked frame f, its inverse lam and the checked metric kappa."""
     f = fr.fields_at(q)
     return f, np.linalg.inv(f), sys.metric_at(q)
-
-
-def _connection_terms(sys, fr, q, f, lam, kappa):
-    """Frame metric K, its inverse, its directional derivatives
-    DK[a, b, c] = f_c(K_ab) and the structure functions C at q, given the
-    frame f, its inverse lam and the metric kappa there; reads each of the
-    two derivative callbacks once."""
-    df_f = _along_frame(fr.field_derivs_at(q), f)
-    dkappa_f = _along_frame(sys.metric_derivs_at(q), f)
-    ftk = np.swapaxes(f, -1, -2) @ kappa
-    K = ftk @ f
-    # product rule on K_ab = f^i_a kappa_ij f^j_b, two factors at a time
-    DK = (
-        np.einsum("...ib,...iac->...abc", kappa @ f, df_f)
-        + np.einsum("...ajc,...jb->...abc", np.einsum("...ia,...ijc->...ajc", f, dkappa_f), f)
-        + np.einsum("...aj,...jbc->...abc", ftk, df_f)
-    )
-    return K, np.linalg.inv(K), DK, _brackets(lam, df_f)
 
 
 def connection_coefficients(
@@ -284,12 +249,28 @@ def connection_coefficients(
     its inverse lam and the checked metric kappa = sys.metric_at(q) passes
     checked=(f, lam, kappa), and only the two derivative callbacks are read.
     """
-    K, Kinv, DK, C = _connection_terms(sys, fr, q, *(checked or _read_point(sys, fr, q)))
+    f, lam, kappa = checked or _read_point(sys, fr, q)
+    df_f = _along_frame(fr.field_derivs_at(q), f)
+    dkappa_f = _along_frame(sys.metric_derivs_at(q), f)
+    ftk = np.swapaxes(f, -1, -2) @ kappa
+    K = ftk @ f
+    # DK[a, b, c] = f_c(K_ab), by the product rule on K_ab = f^i_a kappa_ij
+    # f^j_b, two factors at a time
+    DK = (
+        np.einsum("...ib,...iac->...abc", kappa @ f, df_f)
+        + np.einsum("...ajc,...jb->...abc", np.einsum("...ia,...ijc->...ajc", f, dkappa_f), f)
+        + np.einsum("...aj,...jbc->...abc", ftk, df_f)
+    )
+    # structure functions [f_b, f_g] = C^a_bg f_a from the brackets
+    # [f_b, f_g]^i = f_b(f^i_g) - f_g(f^i_b)
+    C = np.einsum("...ai,...ibg->...abg", lam, np.swapaxes(df_f, -1, -2) - df_f)
     # omega^e_gd = 1/2 (K^eb L_gbd + C^e_dg), with the lowered terms
     # L_gbd = S_gbd + S_dbg - f_b(K_dg) and S_gbd = f_d(K_gb) + K_ag C^a_bd
     S = DK + np.einsum("...ag,...abd->...gbd", K, C)
     L = S + np.swapaxes(S, -1, -3) - np.moveaxis(DK, -3, -1)
-    return 0.5 * (np.einsum("...eb,...gbd->...egd", Kinv, L) + np.swapaxes(C, -1, -2))
+    return 0.5 * (
+        np.einsum("...eb,...gbd->...egd", np.linalg.inv(K), L) + np.swapaxes(C, -1, -2)
+    )
 
 
 def christoffel(sys: MechanicalSystem, q) -> np.ndarray:
@@ -305,48 +286,3 @@ def christoffel(sys: MechanicalSystem, q) -> np.ndarray:
         - np.einsum("il,jkl->ijk", kinv, dk)
     )
     return gamma
-
-
-def christoffel_to_frame(sys: MechanicalSystem, fr: MovingFrame, q) -> np.ndarray:
-    """Connection coefficients obtained from the chart Christoffel symbols.
-
-    omega^a_bg = lam^a_i (G^i_jk f^j_b f^k_g + (d_k f^i_b) f^k_g); agrees
-    with :func:`connection_coefficients` and serves as an independent route
-    in the identity tests.
-    """
-    f = fr.fields_at(q)
-    df = fr.field_derivs_at(q)
-    lam = np.linalg.inv(f)
-    gamma = christoffel(sys, q)
-    return np.einsum("ai,ijk,jb,kg->abg", lam, gamma, f, f) + np.einsum(
-        "ai,ibk,kg->abg", lam, df, f
-    )
-
-
-# ---------------------------------------------------------------------------
-# free (geodesic) quasi-velocity dynamics, two equivalent forms
-# ---------------------------------------------------------------------------
-
-
-def geodesic_rhs_conn(sys: MechanicalSystem, fr: MovingFrame, q, v) -> np.ndarray:
-    """Quasi-velocity geodesic acceleration via connection coefficients:
-    vdot^a = -omega^a_bg v^b v^g."""
-    v = np.asarray(v, dtype=float)
-    omega = connection_coefficients(sys, fr, q)
-    return -np.einsum("abg,b,g->a", omega, v, v)
-
-
-def geodesic_rhs_struct(sys: MechanicalSystem, fr: MovingFrame, q, v) -> np.ndarray:
-    """Same acceleration via the quasi-velocity Euler-Lagrange reduction
-    (structure functions and frame-directional metric derivatives):
-
-    vdot^m = -kappa^{ma} [ f_g(kappa_ab) - 1/2 f_a(kappa_bg)
-                           - kappa_{dg} C^d_ba ] v^b v^g
-    """
-    v = np.asarray(v, dtype=float)
-    K, Kinv, DK, C = _connection_terms(sys, fr, q, *_read_point(sys, fr, q))
-    return -(
-        np.einsum("ma,abg,b,g->m", Kinv, DK, v, v)
-        - 0.5 * np.einsum("ma,bga,b,g->m", Kinv, DK, v, v)
-        - np.einsum("ma,dg,dba,b,g->m", Kinv, K, C, v, v)
-    )

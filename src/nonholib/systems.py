@@ -1,15 +1,12 @@
 """Hand-coded reference systems: knife-edge sleigh and planar pendulum.
 
-Closed-form right-hand sides live here so that the generic frame machinery
-in :mod:`nonholib.dynamics` can be cross-checked against them, and so that
-experiment runs do not pay the generic machinery's per-evaluation cost.
+Closed-form right-hand sides live here so that experiment runs do not pay
+the generic machinery's per-evaluation cost of :mod:`nonholib.dynamics`.
 The run-path fields (``sleigh_*_field`` and the pendulum's three
 realizations and nh field) are declared once each, as a straight-line text
 that `nonholib.ode.straight_line` compiles with its constants bound at
 build time; the integrator writes that text into its stages instead of
-calling the field, so a stage makes no Python-level call.  The
-``sleigh_*_rhs`` helpers, which read the parameters on every call in the
-same operation order, are the sleigh fields' bitwise oracle.  The pendulum
+calling the field, so a stage makes no Python-level call.  The pendulum
 texts write ``_radial`` out, its origin check included, so the potential
 and friction fields are bitwise its composition.  The nh field agrees with
 the numpy formula it replaced to a few ulps of g + |v|^2 / r; the
@@ -40,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -89,20 +85,17 @@ class SleighParams:
         if not all(map(math.isfinite, derived)):
             raise InvalidParameter(f"I + m a^2 and its ratios must be finite, got {self}")
 
-    # Computed once, as the sleigh rate helpers read them on every call.
-    # cached_property writes __dict__ directly, so it works on a frozen
-    # dataclass; equality, hash and repr still use the fields alone.
-    @cached_property
+    @property
     def itot(self) -> float:
         """Moment of inertia about the contact point, I + m a^2."""
         return self.I + self.m * self.a**2
 
-    @cached_property
+    @property
     def coupling(self) -> float:
         """m a / (I + m a^2): psi = omega + coupling * v."""
         return self.m * self.a / self.itot
 
-    @cached_property
+    @property
     def slaving(self) -> float:
         """m I / (I + m a^2): slip drift is v ~ -eps * slaving * u * psi.
         Also the metric weight of the slip direction."""
@@ -113,69 +106,6 @@ class SleighParams:
         return self.itot / (self.I * self.m * eps)
 
 
-def sleigh_nh_rhs(p: SleighParams, u: float, omega: float):
-    """Constrained sleigh: udot = a omega^2, omegadot = -m a u omega / (I + m a^2)."""
-    return p.a * omega * omega, -p.coupling * u * omega
-
-
-def sleigh_constraint_force(p: SleighParams, u, omega, omegadot) -> float:
-    """Reaction force magnitude m (u omega + a omegadot); it acts along
-    (-sin phi, cos phi).  On constrained orbits this is m u omega I/(I + m a^2)."""
-    return p.m * (u * omega + p.a * omegadot)
-
-
-def sleigh_friction_rhs(p: SleighParams, eps: float, u, v, omega):
-    """Slip-friction sleigh rates in the (u, v, omega) frame: udot =
-    omega (v + a omega), vdot = -u omega - fast_rate(eps) v (the slip
-    relaxes at the fast rate) and omegadot = a v/(I eps), in the operation
-    order of :func:`sleigh_friction_field`'s text."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    udot = omega * (v + p.a * omega)
-    vdot = -p.fast_rate(eps) * v - u * omega
-    omegadot = p.a / (p.I * eps) * v
-    return udot, vdot, omegadot
-
-
-def sleigh_friction_ortho_rhs(p: SleighParams, eps: float, u, v, psi):
-    """Slip-friction sleigh rates in the orthogonal (u, v, psi) frame."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    c = p.coupling
-    udot = (
-        -(p.m * p.a**2 - p.I) / p.itot * v * psi
-        - p.m * p.a * p.I / p.itot**2 * v * v
-        + p.a * psi * psi
-    )
-    vdot = -u * psi + c * u * v - p.fast_rate(eps) * v
-    psidot = -c * u * psi + c * c * u * v
-    return udot, vdot, psidot
-
-
-def sleigh_h1_rhs(p: SleighParams, u: float, psi: float) -> float:
-    """First-order slip drift: the slow manifold is v = eps * h1 + O(eps^2)
-    with h1 = -m I u psi / (I + m a^2)."""
-    return -p.slaving * u * psi
-
-
-def sleigh_x1_rhs(p: SleighParams, x, y, phi, u, psi):
-    """First-order correction field on (x, y, phi, u, psi).
-
-    The (x, y) drift is the slip velocity along the blade normal; phi picks
-    up the difference between omega and psi off the constraint.  Note the
-    phi rate is -coupling * h1, i.e. positive for u psi > 0.
-    """
-    h1 = sleigh_h1_rhs(p, u, psi)
-    s, c = math.sin(phi), math.cos(phi)
-    return (
-        -h1 * s,
-        h1 * c,
-        -p.coupling * h1,
-        p.slaving * (p.m * p.a**2 - p.I) / p.itot * u * psi * psi,
-        -p.slaving * p.coupling**2 * u * u * psi,
-    )
-
-
 def sleigh_energy(p: SleighParams, u, v, omega) -> float:
     """Kinetic energy in the (u, v, omega) frame (the metric couples v and
     omega through m a)."""
@@ -184,11 +114,6 @@ def sleigh_energy(p: SleighParams, u, v, omega) -> float:
         + 0.5 * p.itot * omega * omega
         + p.m * p.a * omega * v
     )
-
-
-def sleigh_energy_ortho(p: SleighParams, u, v, psi) -> float:
-    """Kinetic energy in the diagonalizing (u, v, psi) frame."""
-    return 0.5 * (p.m * u * u + p.slaving * v * v + p.itot * psi * psi)
 
 
 # full-state fields used by the experiment driver ---------------------------
@@ -202,8 +127,9 @@ def sleigh_nh(st):
 
 
 def sleigh_nh_field(p: SleighParams) -> Callable:
-    """State (x, y, phi, u, omega); the rates of :func:`sleigh_nh_rhs`,
-    its oracle, with the constants bound at build time."""
+    """State (x, y, phi, u, omega); xdot = u cos phi, ydot = u sin phi,
+    phidot = omega, udot = a omega^2 and omegadot = -m a u omega / (I + m
+    a^2), with the constants bound at build time."""
     return straight_line(_SLEIGH_NH, a=p.a, nc=-p.coupling, math=math)
 
 
@@ -223,11 +149,12 @@ def sleigh_friction(st):
 
 
 def sleigh_friction_field(p: SleighParams, eps: float) -> Callable:
-    """State (x, y, phi, u, v, omega); the rates of
-    :func:`sleigh_friction_rhs`, its oracle, with the constants bound at
-    build time.  Its eps constants are folded then, so a stage divides
-    nowhere: vdot = -u omega - fast_rate(eps) v reads nrate =
-    -fast_rate(eps), and omegadot = a v/(I eps) reads lever = a/(I eps).
+    """State (x, y, phi, u, v, omega); (xdot, ydot) = u (cos phi, sin phi)
+    + v (-sin phi, cos phi), phidot = omega, udot = omega (v + a omega),
+    vdot = -u omega - fast_rate(eps) v (the slip relaxes at the fast rate)
+    and omegadot = a v/(I eps), with the constants bound at build time.
+    Its eps constants are folded then, so a stage divides nowhere: vdot
+    reads nrate = -fast_rate(eps), and omegadot reads lever = a/(I eps).
     Raises InvalidParameter when either is not finite (m I eps underflowing
     to 0, say)."""
     if not eps > 0:
@@ -261,9 +188,12 @@ def sleigh_corrected(st):
 
 def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
     """Nonholonomic field plus eps times the first-order correction,
-    state (x, y, phi, u, psi): :func:`sleigh_nh_rhs` plus eps times
-    :func:`sleigh_x1_rhs`, its oracles, with the constants bound at build
-    time.  At eps = 0 it is :func:`sleigh_nh_field`."""
+    state (x, y, phi, u, psi), with the constants bound at build time.
+    With the slip drift h1 = -m I u psi / (I + m a^2), the correction is
+    (-h1 sin phi, h1 cos phi) on (x, y), -coupling h1 on phi,
+    slaving (m a^2 - I)/(I + m a^2) u psi^2 on u and
+    -slaving coupling^2 u^2 psi on psi.  At eps = 0 it is
+    :func:`sleigh_nh_field`."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if eps == 0.0:

@@ -34,13 +34,7 @@ from nonholib.analysis import (
 from nonholib.cli import main as cli_main
 from nonholib.dynamics import compute_h1, first_order_field, nonholonomic_field
 from nonholib.dynamics import friction_field
-from nonholib.geometry import (
-    christoffel_to_frame,
-    connection_coefficients,
-    geodesic_rhs_conn,
-    geodesic_rhs_struct,
-    structure_functions,
-)
+from nonholib.geometry import connection_coefficients
 from nonholib.ode import IntegratorConfig, integrate, transform_linear
 from nonholib.systems import (
     PendulumParams,
@@ -51,14 +45,21 @@ from nonholib.systems import (
     sleigh_corrected_field,
     sleigh_friction_field,
     sleigh_friction_form,
-    sleigh_friction_ortho_rhs,
-    sleigh_h1_rhs,
     sleigh_nh_field,
-    sleigh_nh_rhs,
     sleigh_ortho_frame,
     sleigh_system,
     sleigh_uvw_frame,
+)
+
+from oracles import (
+    christoffel_to_frame,
+    geodesic_rhs_conn,
+    geodesic_rhs_struct,
+    sleigh_friction_ortho_rhs,
+    sleigh_h1_rhs,
+    sleigh_nh_rhs,
     sleigh_x1_rhs,
+    structure_functions,
 )
 
 P = SleighParams(m=1.0, I=1.0, a=0.2)

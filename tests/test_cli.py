@@ -415,6 +415,11 @@ def test_spring_default_step_is_never_refused():
         (["simulate", "--system", "sleigh", "--model", "friction", "--method", "rkf45",
           "--eps", "1e-300", "--param", "I=1e-20", "--param", "m=1e-20", "--t1",
           "0.01"], 2),
+        # both rungs would write the file tagged _eps0.01
+        (["simulate", "--system", "sleigh", "--model", "friction", "--eps",
+          "1.0000001e-2", "--eps", "1e-2", "--t1", "0.1"], 2),
+        (["manifold", "--system", "sleigh", "--model", "friction", "--eps",
+          "1.0000001e-2", "--eps", "1e-2"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -430,7 +435,7 @@ def test_spring_default_step_is_never_refused():
         "window-start-at-t0", "window-start-before-t0", "unbounded-rk4-run",
         "unbounded-sample-grid", "overflowing-interval-count", "overflowing-horizon",
         "overflowing-sleigh-inertia", "overflowing-sleigh-inertia-compare",
-        "underflowing-friction-rate",
+        "underflowing-friction-rate", "simulate-shared-eps-tag", "manifold-shared-eps-tag",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):
@@ -448,6 +453,7 @@ def test_failures_exit_with_one_line(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -473,6 +479,36 @@ def test_too_long_rung_refused_before_the_first_run(
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--window-start",
+          "10"], "--window-start"),
+        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "0.4"],
+         "--window-start"),
+        (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2,5e-3",
+          "--transient-cutoff", "12"], "--transient-cutoff"),
+        (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
+          "--t1", "0.2"], "--transient-cutoff"),
+    ],
+    ids=["window-start-at-t1", "window-start-past-t1", "cutoff-past-t1", "cutoff-past-short-t1"],
+)
+def test_window_past_the_run_refused_before_the_first_run(
+    argv, flag, tmp_path, monkeypatch, capsys
+):
+    # the analysis would refuse these windows only after the whole ladder ran
+    from nonholib import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setenv("NONHOLIB_OUT_DIR", str(tmp_path))
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and flag in err
+    assert calls == []
     assert list(tmp_path.iterdir()) == []
 
 

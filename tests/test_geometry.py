@@ -8,16 +8,18 @@ from nonholib.geometry import (
     SingularFrame,
     SingularMetric,
     christoffel,
-    christoffel_to_frame,
     connection_coefficients,
     frame_metric,
-    geodesic_rhs_conn,
-    geodesic_rhs_struct,
-    structure_functions,
 )
 from nonholib.ode import IntegratorConfig, integrate
 
 from conftest import random_sleigh_q
+from oracles import (
+    christoffel_to_frame,
+    geodesic_rhs_conn,
+    geodesic_rhs_struct,
+    structure_functions,
+)
 
 
 def euclidean(n):
@@ -98,7 +100,6 @@ def test_accessors_on_a_stack_equal_per_row(sleigh_setup):
         fr.fields_at,
         fr.field_derivs_at,
         lambda q: frame_metric(sysm, fr, q),
-        lambda q: structure_functions(fr, q),
     ):
         stacked = at(qs)
         assert stacked.tobytes() == np.array([at(q) for q in qs]).tobytes()

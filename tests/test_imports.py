@@ -3,11 +3,13 @@ and every public top-level function and class is read somewhere in the
 package or named in a table that says why it stays."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nonholib"
+_TESTS = Path(__file__).resolve().parent
+_PACKAGE = _TESTS.parent / "src" / "nonholib"
 
 
 def _module_imports(body):
@@ -68,36 +70,70 @@ def test_no_unused_module_level_import(path):
 
 #: Public names that no module of the package reads, and why each stays: the
 #: test that uses it as an oracle or an independent route, its perfbench use,
-#: or the ROADMAP item that reserves it.
+#: or the ROADMAP item that reserves it.  The independent routes that only
+#: tests read live in tests/oracles.py, not here.
 KEPT_UNREAD = {
     "energy_audit": "ROADMAP item 15 puts it in the compare report; criterion 06 "
     "and perfbench's analysis.energy_audit_ms probe run it",
     "friction_field_chart": "perfbench's tracer rebinds dynamics.christoffel, which only "
     "this function reads; test_chart_field_matches_frame_field's independent route",
-    "first_order_field": "criterion 10 checks the sleigh's sleigh_x1_rhs against it",
+    "first_order_field": "the corrected scheme's generic term (ROADMAP item 20); "
+    "criterion 10 checks it against the sleigh's closed form",
     "corrected_field": "perfbench's dynamics.corrected.rhs_us probe; ROADMAP item 6 "
     "registers it for pendulum-friction",
     "energy_frame": "perfbench's tracer rebinds dynamics.frame_metric, which only this "
     "function reads; test_nh_field_conserves_energy measures energy with it",
     "expansion_defect": "ROADMAP item 7 takes h2 from its invariance relation; "
     "test_expansion_defect_quadratic_in_eps",
-    "structure_functions": "criterion 11 checks torsion-freeness against it",
-    "christoffel_to_frame": "criterion 11's independent route to the connection",
-    "geodesic_rhs_conn": "criterion 11 checks geodesic_rhs_struct against it",
-    "geodesic_rhs_struct": "criterion 11's second form of the geodesic rates",
-    "sleigh_nh_rhs": "criterion 10's oracle of the generic nh field and the bitwise "
-    "oracle of the sleigh's nh text in test_systems",
-    "sleigh_constraint_force": "test_h1_equals_minus_reaction_force's independent route to h1",
-    "sleigh_friction_rhs": "the bitwise oracle of the sleigh's friction text in test_systems",
-    "sleigh_friction_ortho_rhs": "criterion 10's oracle of the generic friction field",
-    "sleigh_x1_rhs": "criterion 10's oracle of first_order_field and the oracle of the "
-    "sleigh's corrected text in test_systems",
-    "sleigh_energy_ortho": "test_energies' independent route to the sleigh's energy",
     "pendulum_frame": "ROADMAP item 6 builds the pendulum's corrected field on it; "
     "test_nh_pendulum_generic_matches_hand_coded",
     "rows_read": "the rows a field's rates read, which test_ode, test_systems and "
     "test_cli check per field; integrate reads _rows_read of the text it looked up",
 }
+
+
+def _missing_citations(reasons: dict, sources: dict) -> list:
+    """(name, citation) for each test function ("test_name") and acceptance
+    criterion ("criterion NN", a test_criterion_NN_* function) that the
+    reason for name cites and no source defines.  sources maps a test
+    module's name, which a reason may also cite (test_cli), to its text."""
+    functions = {
+        node.name
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+    }
+    missing = []
+    for name, reason in reasons.items():
+        missing += [
+            (name, test)
+            for test in re.findall(r"\b(test_\w+)", reason)
+            if test not in functions and test not in sources
+        ]
+        missing += [
+            (name, f"criterion {n}")
+            for n in re.findall(r"\bcriterion (\d\d)\b", reason)
+            if not any(f.startswith(f"test_criterion_{n}_") for f in functions)
+        ]
+    return missing
+
+
+def test_citation_check_finds_what_it_should():
+    sources = {"test_cli": "def test_here(): pass\ndef test_criterion_06_x(): pass\n"}
+    reasons = {
+        "kept": "criterion 06, test_cli and test_here's route",
+        "stale": "criterion 07 checks it; test_gone",
+    }
+    assert _missing_citations(reasons, sources) == [
+        ("stale", "test_gone"),
+        ("stale", "criterion 07"),
+    ]
+
+
+def test_every_cited_test_exists():
+    # a reason that cites a renamed or deleted test would go stale silently
+    sources = {path.stem: path.read_text() for path in sorted(_TESTS.glob("test_*.py"))}
+    assert _missing_citations(KEPT_UNREAD, sources) == []
 
 
 def _public_names(source: str) -> set:

@@ -27,19 +27,25 @@ from nonholib.systems import (
     make_pendulum,
     pendulum_default_state,
     pendulum_nh_field,
-    sleigh_constraint_force,
     sleigh_corrected_field,
     sleigh_energy,
-    sleigh_energy_ortho,
     sleigh_friction_field,
-    sleigh_friction_ortho_rhs,
-    sleigh_friction_rhs,
-    sleigh_h1_rhs,
     sleigh_nh_field,
-    sleigh_nh_rhs,
     sleigh_ortho_frame,
     sleigh_system,
     sleigh_uvw_frame,
+)
+
+from oracles import (
+    corrected_oracle,
+    friction_oracle,
+    nh_oracle,
+    sleigh_constraint_force,
+    sleigh_energy_ortho,
+    sleigh_friction_ortho_rhs,
+    sleigh_friction_rhs,
+    sleigh_h1_rhs,
+    sleigh_nh_rhs,
     sleigh_x1_rhs,
 )
 
@@ -270,23 +276,6 @@ def test_corrected_field_zero_eps_is_nh(sleigh):
         assert_allclose(corr(st), nh(st), atol=0.0, rtol=0.0)
 
 
-def _nh_oracle(p, st):
-    x, y, phi, u, om = st
-    return (u * math.cos(phi), u * math.sin(phi), om, *sleigh_nh_rhs(p, u, om))
-
-
-def _friction_oracle(p, eps, st):
-    x, y, phi, u, v, om = st
-    s, c = math.sin(phi), math.cos(phi)
-    udot, vdot, omdot = sleigh_friction_rhs(p, eps, u, v, om)
-    return (u * c - v * s, u * s + v * c, om, udot, vdot, omdot)
-
-
-def _corrected_oracle(p, eps, st):
-    nh = _nh_oracle(p, st)
-    return tuple(a + eps * b for a, b in zip(nh, sleigh_x1_rhs(p, *st)))
-
-
 run_path_params = pytest.mark.parametrize(
     "params", ({}, {"m": 2.5}, {"I": 0.3}, {"a": 0.0}, {"a": 0.7})
 )
@@ -305,10 +294,10 @@ def test_run_path_fields_equal_their_rate_helpers(params, eps):
     rng = np.random.default_rng(33)
     for row in rng.uniform(-3.0, 3.0, (1000, 6)):
         for st in (row, row.tolist()):
-            assert fric(st) == _friction_oracle(p, eps, st)
+            assert fric(st) == friction_oracle(p, eps, st)
             st5 = st[:5]
-            assert nh(st5) == _nh_oracle(p, st5)
-            assert corr(st5) == _corrected_oracle(p, eps, st5)
+            assert nh(st5) == nh_oracle(p, st5)
+            assert corr(st5) == corrected_oracle(p, eps, st5)
             assert corr0(st5) == nh(st5)
 
 
