@@ -136,15 +136,11 @@ class _Point:
         self.f, self.lam, self.kappa = checked
         self.omega = connection_coefficients(sys, fr, q, checked=checked)
         self.acc = -_contract(w, self.omega, w)
-        dV = sys.potential_grad_at(q)
-        # only rows with a potential force are touched, so a row without one
-        # keeps the signed zeros of its connection term
-        pushed = dV.any(axis=-1)
-        if pushed.all():  # every row, also of w under a single point q
+        # a system without a potential keeps the signed zeros of its
+        # connection term; one with a potential pushes every row
+        if sys.potential is not None:
+            dV = sys.potential_grad_at(q)
             self.acc = self.acc - _matvec(self.lam, _solve(self.kappa, dV))
-        elif pushed.any():
-            force = _matvec(self.lam[pushed], _solve(self.kappa[pushed], dV[pushed]))
-            self.acc[pushed] = self.acc[pushed] - force
 
     @classmethod
     def reduced(cls, sys, fr, q, xi):

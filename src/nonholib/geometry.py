@@ -173,8 +173,6 @@ class MechanicalSystem:
 
 def _scale(a: np.ndarray) -> np.ndarray:
     """max(max |entry|, 1) of each matrix in a, broadcastable against a."""
-    if not a.size:
-        return np.ones(a.shape[:-2] + (1, 1))
     return np.maximum(np.max(np.abs(a), axis=(-2, -1), keepdims=True), 1.0)
 
 

@@ -32,18 +32,19 @@ state, x4 and the error, since a failed test halves the step.  An rk4 run
 tests its state once per sample interval, after the interval's last step.
 That is exact, because a non-finite a# stays non-finite under the update
 a# + sixth * (...).  A stage error (ValueError or OverflowError) in a step
-that started finite is handled as it always was: a non-finite stage state
-makes it a NonFiniteState at the step's end time, any other error is the
-field's own and propagates.  A failed interval test, or any error in a step
-that started non-finite, replays that one interval from its stored first
-sample and derivative in `_rk4_replay` (generated on the first failure and
-cached), which tests the state after every step and returns the index j of
-the step that left it non-finite.  The run then raises NonFiniteState(t +
-(j + 1) * dt) itself: the time, the exception and the traceback's one run
-frame and line are those of a test after every step.  A called field is
-thus called on the non-finite states of the interval's remaining steps,
-and again by the replay: up to 4 * substeps calls more than a test after
-every step makes.
+that started finite is a NonFiniteState at the step's end time if the stage
+state is non-finite, and the field's own error, which propagates, if not.
+A failed interval test, or any error in a step that started non-finite,
+replays that one interval from its stored first state in `_rk4_replay`
+(generated on the first failure and cached).  The replay takes each step's
+first stage itself; the interval's first is the stored derivative computed
+again, so the replay repeats the run's steps bit for bit.  It tests the
+state after every step and returns the index j of the step that left it
+non-finite.  The run then raises NonFiniteState(t + (j + 1) * dt) itself:
+the time, the exception and the traceback's one run frame and line are
+those of a test after every step.  A called field is thus called on the
+non-finite states of the interval's remaining steps, and again by the
+replay: up to 4 * substeps calls more than a test after every step makes.
 
 A field declared as text with `straight_line` is not called by the run;
 its text is written into every stage.  The text is one function
@@ -604,24 +605,22 @@ def _stepper(method: str, n: int, text=None, *keep) -> Callable:
 @functools.cache
 def _rk4_replay(n: int, text=None, *keep) -> Callable:
     """The replay of a failed sample interval of the rk4 run of the same
-    key, compiled on first use: ``(field, x, k, dt, cfg) -> j`` takes the
-    interval's steps of size dt from its first sample x, whose derivative
-    is k, tests the state after each step and returns the index j of the
-    first step that leaves it non-finite.  A field that is a function of
-    the state raises nothing here, since the run raised any error of a step
-    that started finite; one that is not may find no such step, and then j
-    is the interval's last step."""
+    key, compiled on first use: ``(field, x, dt, cfg) -> j`` takes the
+    interval's steps of size dt from its first sample x, tests the state
+    after each step and returns the index j of the first step that leaves
+    it non-finite.  A field that is a function of the state raises nothing
+    here, since the run raised any error of a step that started finite;
+    one that is not may find no such step, and then j is the interval's
+    last step."""
     rows = keep or range(n)
     bind, _, stage, _ = _field_snippets(n, rows, text)
-    fsal = text is not None
     lines = [
-        f"def rk4_n{n}_replay(field, x, k, dt, cfg):",
+        f"def rk4_n{n}_replay(field, x, dt, cfg):",
         *bind,
         f"    {_unpack('a', rows, n)}, = x",
-        *([f"    {_unpack('k1_', rows, n)}, = k"] if fsal else []),
         "    half, sixth = 0.5 * dt, dt / 6.0",
         "    for j in range(cfg.substeps):",
-        *_rk4_step(rows, stage, fsal, " " * 8),
+        *_rk4_step(rows, stage, False, " " * 8),
         f"        if not ({_all_finite('a', rows)}):",
         "            return j",
         "    return cfg.substeps - 1",
@@ -760,7 +759,7 @@ def _rk4_steps(rows, finite: str, stage, whole, fsal: bool) -> tuple:
         f"            if {a_finite}:",
         "                raise",
         f"        if not ({a_finite}):",
-        "            j = replay(field, unpack(states, o), unpack(derivs, o), dt, cfg)",
+        "            j = replay(field, unpack(states, o), dt, cfg)",
         "            raise NonFiniteState(t + (j + 1) * dt)",
     ]
     return "k1_#", ["    nsub = cfg.substeps"], interval, whole("k1_#", "        ")

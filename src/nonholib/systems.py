@@ -192,12 +192,10 @@ def sleigh_corrected_field(p: SleighParams, eps: float) -> Callable:
     With the slip drift h1 = -m I u psi / (I + m a^2), the correction is
     (-h1 sin phi, h1 cos phi) on (x, y), -coupling h1 on phi,
     slaving (m a^2 - I)/(I + m a^2) u psi^2 on u and
-    -slaving coupling^2 u^2 psi on psi.  At eps = 0 it is
-    :func:`sleigh_nh_field`."""
+    -slaving coupling^2 u^2 psi on psi.  At eps = 0 its rates equal
+    :func:`sleigh_nh_field`'s."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    if eps == 0.0:
-        return sleigh_nh_field(p)
     return straight_line(
         _SLEIGH_CORRECTED,
         a=p.a,
@@ -601,6 +599,9 @@ def _pendulum_entry(variant: str) -> SystemEntry:
         chart = MovingFrame(1, lambda q: np.eye(2), lambda q: np.zeros((2, 2, 2)))
         return pendulum_system(p), chart, pendulum_friction_form(p)
 
+    # the constrained energy, without the realization's eps terms (the
+    # spring's (r-1)^2/(2 eps), the radial mass's rdot^2/(2 eps)): a report
+    # echoes one initial energy per ladder, and these change with eps
     def energy_of(params, state):
         g = PendulumParams(**params).g
         return 0.5 * float(state[2] ** 2 + state[3] ** 2) + g * float(state[1])

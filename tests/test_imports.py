@@ -92,11 +92,13 @@ KEPT_UNREAD = {
 }
 
 
-def _missing_citations(reasons: dict, sources: dict) -> list:
+def _missing_citations(reasons: dict, sources: dict, roadmap: str) -> list:
     """(name, citation) for each test function ("test_name") and acceptance
     criterion ("criterion NN", a test_criterion_NN_* function) that the
-    reason for name cites and no source defines.  sources maps a test
-    module's name, which a reason may also cite (test_cli), to its text."""
+    reason for name cites and no source defines, and each "ROADMAP item N"
+    that it cites and the roadmap text numbers nowhere ("N. **").  sources
+    maps a test module's name, which a reason may also cite (test_cli), to
+    its text."""
     functions = {
         node.name
         for text in sources.values()
@@ -115,25 +117,34 @@ def _missing_citations(reasons: dict, sources: dict) -> list:
             for n in re.findall(r"\bcriterion (\d\d)\b", reason)
             if not any(f.startswith(f"test_criterion_{n}_") for f in functions)
         ]
+        missing += [
+            (name, f"ROADMAP item {n}")
+            for n in re.findall(r"\bROADMAP item (\d+)\b", reason)
+            if not re.search(rf"^\s*{n}\. \*\*", roadmap, re.M)
+        ]
     return missing
 
 
 def test_citation_check_finds_what_it_should():
     sources = {"test_cli": "def test_here(): pass\ndef test_criterion_06_x(): pass\n"}
+    roadmap = "15. **An item.**\n16. An item without a title\n"
     reasons = {
-        "kept": "criterion 06, test_cli and test_here's route",
-        "stale": "criterion 07 checks it; test_gone",
+        "kept": "criterion 06, test_cli and test_here's route; ROADMAP item 15",
+        "stale": "criterion 07 checks it; test_gone; ROADMAP item 16",
     }
-    assert _missing_citations(reasons, sources) == [
+    assert _missing_citations(reasons, sources, roadmap) == [
         ("stale", "test_gone"),
         ("stale", "criterion 07"),
+        ("stale", "ROADMAP item 16"),
     ]
 
 
 def test_every_cited_test_exists():
     # a reason that cites a renamed or deleted test would go stale silently
     sources = {path.stem: path.read_text() for path in sorted(_TESTS.glob("test_*.py"))}
-    assert _missing_citations(KEPT_UNREAD, sources) == []
+    # the open items, not the aims, which are numbered from 1 too
+    roadmap = (_TESTS.parent / "ROADMAP.md").read_text().split("\n## Open items\n")[1]
+    assert _missing_citations(KEPT_UNREAD, sources, roadmap) == []
 
 
 def _public_names(source: str) -> set:

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import nonholib
-from nonholib.cli import SETTINGS, ExperimentConfig, build_config, read_config_file
+from nonholib.cli import SETTINGS, ExperimentConfig, _flag, build_config, read_config_file
 from nonholib.systems import REGISTRY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,3 +51,12 @@ def test_readme_models_and_header_match_registry():
     assert sorted(models) == sorted(set().union(*(e.models for e in REGISTRY.values())))
     header = re.search(r"friction sleigh:\s+`(t,.*?)`", text).group(1)
     assert header.split(",") == ["t", *REGISTRY["sleigh"].models["friction"].columns]
+
+
+def test_readme_flags_match_parser():
+    text = README.read_text()
+    match = re.search(r"^Flags: (.*?)\n\n", text, re.S | re.M)
+    assert match, "README has no 'Flags:' paragraph"
+    # --t0/--t1/--dt/--sample-dt names four flags
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", match.group(1)))
+    assert named == {_flag(s[0]) for s in SETTINGS} | {"--config", "--param"}
