@@ -26,8 +26,8 @@ ode.MAX_RK4_STEPS rk4 steps, and two eps values whose files would share
 one tag; each refused before a command's first run), 3 numerical blow-up
 or singular state, 4 analysis precondition failure (including an adapted
 frame whose data for h1 depend on q, a left-out row that a report reads,
-and a compare window or manifold transient cutoff that ends past t1, the
-latter two refused before the first run).
+a compare window with no sample time past its start and a manifold cutoff
+past the last sample time, the latter two refused before the first run).
 """
 
 from __future__ import annotations
@@ -420,9 +420,12 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     fric_fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
     nh_icfg = _integrator_config(cfg)
-    if cfg.t1 <= cfg.window_start:  # sup_distance's refusal, before the first run
+    # sup_distance's and restrict_window's refusals, before the first run
+    times = nh_icfg.sample_times()
+    if not np.any((times > cfg.window_start) & (times <= cfg.t1)):
         raise analysis.WindowMismatch(
-            f"compare window [--window-start {cfg.window_start:g}, --t1 {cfg.t1:g}] is empty"
+            f"compare window [--window-start {cfg.window_start!r}, --t1 {cfg.t1!r}] holds no"
+            f" sample time after its start; the runs' last sample time is {float(times[-1])!r}"
         )
     # with an adapted frame the compared rows are the reduced velocities xi,
     # rows n to n + k - 1 of the reduced state (q, xi); without one, every row
@@ -492,12 +495,12 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         )
     icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
-    # manifold_fit's refusal, before the first run: the runs' last sample time
-    last = cfg.t0 + cfg.sample_dt * icfgs[0].intervals
+    # manifold_fit's refusal, before the first run
+    last = float(icfgs[0].sample_times()[-1])
     if last < cfg.transient_cutoff:
         raise analysis.TransientTooShort(
-            f"--transient-cutoff {cfg.transient_cutoff:g} is past the runs' last sample"
-            f" time {last:.6g} (--t1 {cfg.t1:g})"
+            f"--transient-cutoff {cfg.transient_cutoff!r} is past the runs' last sample"
+            f" time {last!r} (--t1 {cfg.t1!r})"
         )
     sysm, frame, fric = entry.generic_builders(cfg.params)
     expansion = dynamics.compute_h1(sysm, frame, fric)

@@ -81,7 +81,7 @@ whole-array loop makes.  Both paths give bitwise-equal results.
 Which rows are integrated: every row, unless the caller names the rows
 it reads (`integrate`'s ``read``) and the field is declared as text.  A
 text's rates read the rows that their expressions read, directly or
-through the statements they need (`rows_read`).  An rk4 run then leaves
+through the statements they need.  An rk4 run then leaves
 out each row that the caller does not read and that no rate reads: its
 run function, keyed on the text and the kept rows, writes into each stage
 only the kept rows' results, the statements these need and the constants
@@ -257,6 +257,10 @@ class IntegratorConfig:
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "substeps", substeps)
 
+    def sample_times(self) -> np.ndarray:
+        """The run's sample times, t0 + i * sample_dt for i = 0 ... intervals."""
+        return self.t_span[0] + self.sample_dt * np.arange(self.intervals + 1)
+
 
 class Trajectory:
     """Time-stamped samples of a solution curve with stored derivatives.
@@ -418,17 +422,9 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
     # keeping no row or every row is a whole run, whose file names no rows
     keep = keep if len(keep) < n else ()
     run = _stepper(cfg.method, n, text, *keep)
-    times = cfg.t_span[0] + cfg.sample_dt * np.arange(cfg.intervals + 1)
+    times = cfg.sample_times()
     buffers = run(field, x0.tolist(), times.tolist(), cfg)
     return Trajectory(times, *(b.reshape(-1, n) for b in buffers))
-
-
-def rows_read(field: Callable):
-    """The rows that some rate of a field declared as text reads, directly
-    or through the statements it needs, as a frozenset; None for a called
-    field, which may read any row."""
-    text = _TEXTS.get(getattr(field, "__code__", None))
-    return None if text is None else _rows_read(text)
 
 
 def straight_line(source: str, **consts) -> Callable:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonholib import SleighParams
+from nonholib import SleighParams, ode
 from nonholib.systems import (
     sleigh_friction_form,
     sleigh_ortho_frame,
@@ -35,3 +35,9 @@ def random_sleigh_q(rng, size=None):
     out = rng.uniform(-1.0, 1.0, (size, 3))
     out[:, 2] = rng.uniform(-np.pi, np.pi, size)
     return out
+
+
+def text_of(field):
+    """The text the steppers write into their stages for field, or None: the
+    lookup integrate makes."""
+    return ode._TEXTS.get(getattr(field, "__code__", None))

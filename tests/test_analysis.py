@@ -51,6 +51,13 @@ def test_sup_distance_constants():
     a = constant_traj([1.0, 2.0])
     b = constant_traj([1.0, 2.5])
     assert_allclose(sup_distance(a, b, 0.1, 0.9), 0.5)
+    # spans 4e-10 apart, and a window whose end overhangs both within the
+    # 1e-9 slack: the window is clipped to the shorter span
+    short = constant_traj([1.0, 2.5], t_end=1.0 - 4e-10)
+    assert_allclose(sup_distance(a, short, 0.1, 1.0 + 4e-10), 0.5)
+    # a window past the shorter span, by less than the slack at both ends
+    with pytest.raises(WindowMismatch, match="share no time"):
+        sup_distance(a, short, 1.0 - 1e-10, 1.0 + 3e-10)
 
 
 def test_sup_distance_symmetric_triangle():
@@ -97,6 +104,18 @@ def test_sup_distance_metric_axioms():
         assert d_ac <= (d_ab + d_bc) * (1 + 2e-15)
 
     check()
+
+
+def test_sup_distance_window_between_two_samples():
+    # no sample inside [0.23, 0.27]: the distance is read at the two ends,
+    # where the Hermite interpolants differ most at the later one
+    rng = np.random.default_rng(41)
+    times = np.linspace(0.0, 1.0, 11)
+    a, b = (Trajectory(times, *rng.uniform(-1, 1, (2, 11, 3))) for _ in range(2))
+    ends = [0.23, 0.27]
+    at_ends = np.linalg.norm(a.sample_at(ends) - b.sample_at(ends), axis=1)
+    assert at_ends[1] > at_ends[0]
+    assert sup_distance(a, b, *ends) == at_ends[1]
 
 
 def test_sup_distance_window_mismatch():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nonholib
+from conftest import text_of
 from nonholib.cli import ExperimentConfig, _fast_rate, _integrator_config, main
 from nonholib.systems import get_system
 
@@ -493,13 +494,25 @@ def test_too_long_rung_refused_before_the_first_run(
           "--transient-cutoff", "12"], "--transient-cutoff"),
         (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
           "--t1", "0.2"], "--transient-cutoff"),
+        (["compare", "--system", "sleigh", "--eps", "1e-2,5e-3,2.5e-3", "--sample-dt", "0.3",
+          "--t1", "0.9000000001", "--window-start", "0.90000000005"],
+         "--window-start 0.90000000005, --t1 0.9000000001] holds no sample time after its"
+         " start; the runs' last sample time is 0.8999999999999999"),
+        (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2,5e-3",
+          "--sample-dt", "0.3", "--t1", "0.9", "--transient-cutoff", "0.9"],
+         "--transient-cutoff 0.9 is past the runs' last sample time 0.8999999999999999"),
     ],
-    ids=["window-start-at-t1", "window-start-past-t1", "cutoff-past-t1", "cutoff-past-short-t1"],
+    ids=[
+        "window-start-at-t1", "window-start-past-t1", "cutoff-past-t1", "cutoff-past-short-t1",
+        "window-start-past-last-sample", "cutoff-past-last-sample",
+    ],
 )
 def test_window_past_the_run_refused_before_the_first_run(
     argv, flag, tmp_path, monkeypatch, capsys
 ):
-    # the analysis would refuse these windows only after the whole ladder ran
+    # the analysis would refuse these windows only after the whole ladder ran;
+    # the last two t1 lie within the grid's slack past the last sample time,
+    # 3 * 0.3 = 0.8999999999999999, which the message states in full
     from nonholib import cli
 
     calls = []
@@ -510,6 +523,66 @@ def test_window_past_the_run_refused_before_the_first_run(
     assert len(err.splitlines()) == 1 and flag in err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+#: The eps ladders of perfbench's compare workloads, each with its method.
+_WORKLOAD_LADDERS = {
+    "sleigh": ["--method", "rk4", "--eps", "8e-3,4e-3,2e-3"],
+    "pendulum-friction": ["--method", "rkf45", "--eps", "8e-3,4e-3,2e-3,1e-3"],
+}
+
+
+def test_compare_window_edges_exit_with_the_contract(tmp_path, capsys):
+    # --t1 within IntegratorConfig's 1e-9 of a sample interval of a node, and
+    # --window-start within 1e-9 of a node at or before it: the windows
+    # whose ends overhang the runs' last sample.  Every exit is 0 with a
+    # report, or 2 or 4 with one stderr line; none ends in a traceback.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    out = tmp_path / "edge"
+    report = tmp_path / "edge_compare.json"
+
+    @st.composite
+    def edges(draw):
+        system = draw(st.sampled_from(sorted(_WORKLOAD_LADDERS)))
+        sample_dt = draw(st.sampled_from((0.25, 0.3, 0.5, 1.0)))
+        k = draw(st.integers(1, int(2.0 / sample_dt)))
+        t1 = k * sample_dt + draw(st.floats(-1e-9, 1e-9)) * sample_dt
+        start = draw(st.integers(0, k)) * sample_dt + draw(st.floats(-1e-9, 1e-9))
+        # "=" keeps argparse from reading a negative start as a flag
+        return ["compare", "--system", system, *_WORKLOAD_LADDERS[system],
+                f"--sample-dt={sample_dt!r}", f"--t1={t1!r}", f"--window-start={start!r}"]
+
+    def ladder(system):
+        return ["compare", "--system", system, *_WORKLOAD_LADDERS[system]]
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(argv=edges())
+    # three windows whose ends overhang the runs, one past their last sample
+    # and one strictly between two samples
+    @hyp.example(argv=ladder("sleigh") + ["--sample-dt", "1", "--t1", "2.0000000009",
+                                          "--window-start", "1.0000000005"])
+    @hyp.example(argv=ladder("pendulum-friction") + ["--sample-dt", "1", "--t1", "2.0000000009",
+                                                     "--window-start", "1.0000000005"])
+    @hyp.example(argv=ladder("sleigh") + ["--sample-dt", "0.5", "--t1", "1.0000000004",
+                                          "--window-start", "0.5000000001"])
+    @hyp.example(argv=["compare", "--system", "sleigh", "--eps", "1e-2,5e-3,2.5e-3",
+                       "--sample-dt", "0.3", "--t1", "0.9000000001",
+                       "--window-start", "0.90000000005"])
+    @hyp.example(argv=ladder("pendulum-friction") + ["--sample-dt", "0.25", "--t1",
+                                                     "0.24999999998", "--window-start",
+                                                     "0.24999999993"])
+    def check(argv):
+        report.unlink(missing_ok=True)
+        code = run(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 4), (argv, err)
+        if code:
+            assert len(err.splitlines()) == 1, (argv, err)
+        else:
+            assert report.exists(), argv
+
+    check()
 
 
 def test_compare_report(tmp_path):
@@ -837,8 +910,8 @@ def test_nh_model_reading_a_left_out_row_exits_4(tmp_path, monkeypatch, capsys):
 
     entry = _sleigh_variant(monkeypatch, "x-nh-sleigh")
     entry.models["nh"] = dataclasses.replace(entry.models["nh"], build=build)
-    assert 0 in ode.rows_read(build({}, None))
-    assert 0 not in ode.rows_read(entry.models["friction"].build({}, 1e-2))
+    assert 0 in ode._rows_read(text_of(build({}, None)))
+    assert 0 not in ode._rows_read(text_of(entry.models["friction"].build({}, 1e-2)))
     argv = _SHORT_COMPARE + ["--system", "x-nh-sleigh"]
     assert run(argv + ["--out", str(tmp_path / "bad" / "cmp")]) == 4
     err = capsys.readouterr().err

@@ -87,8 +87,6 @@ KEPT_UNREAD = {
     "test_expansion_defect_quadratic_in_eps",
     "pendulum_frame": "ROADMAP item 6 builds the pendulum's corrected field on it; "
     "test_nh_pendulum_generic_matches_hand_coded",
-    "rows_read": "the rows a field's rates read, which test_ode, test_systems and "
-    "test_cli check per field; integrate reads _rows_read of the text it looked up",
 }
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import text_of
 from nonholib import ode
 from nonholib.systems import _SLEIGH_CORRECTED, _SLEIGH_FRICTION
 from nonholib.ode import (
@@ -584,7 +585,7 @@ def test_fehlberg_text_runs_match_the_called_path_bitwise(name):
         field, x0 = ode.straight_line(_CUBIC_DECAY), [1e4, -3.0]
     else:
         field, x0, _ = _field_cases(4e-3)[name]
-    assert _text_of(field) is not None
+    assert text_of(field) is not None
     cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-3, sample_dt=1e-2, method="rkf45")
     with np.errstate(over="ignore", invalid="ignore"):
         inlined = integrate(field, x0, cfg)
@@ -594,7 +595,7 @@ def test_fehlberg_text_runs_match_the_called_path_bitwise(name):
     assert inlined.derivs.tobytes() == called.derivs.tobytes()
     assert {b for b, n in counts.items() if n} == RKF45_BRANCHES[name]
     # no zero-coefficient term and no 0 to start a sum or the error norm
-    for text in (_text_of(field), None):
+    for text in (text_of(field), None):
         source = _source(ode._stepper("rkf45", len(x0), text))
         assert not [term for term in ("0.0 * k", "(0 + ", "(0.0 + ") if term in source]
 
@@ -722,12 +723,6 @@ def _source(step):
     return "".join(linecache.getlines(step.__code__.co_filename, step.__globals__))
 
 
-def _text_of(field):
-    """The text the steppers write into their stages for field, or None: the
-    lookup integrate makes."""
-    return ode._TEXTS.get(getattr(field, "__code__", None))
-
-
 _FIRST_STAGE_FAILS = """
 def first_stage_fails(st):
     (x,) = st
@@ -782,7 +777,7 @@ def test_field_error_after_an_overflowed_stage_propagates(inlined):
     values = [0.0, 0.0, 8e307, 0.0, ValueError("not a blow-up")]
     inner = _kicked_field([0.0] * (not inlined) + values)
     field = inner if inlined else (lambda x: inner(x))
-    assert (_text_of(field) is not None) == inlined
+    assert (text_of(field) is not None) == inlined
     cfg = IntegratorConfig(t_span=(0.0, 8.0), dt=4.0, sample_dt=8.0)
     with pytest.raises(ValueError, match="not a blow-up"):
         integrate(field, [0.0], cfg)
@@ -793,7 +788,7 @@ def test_field_error_on_first_stage_propagates(inlined):
     for method in ("rk4", "rkf45"):
         inner = _first_stage_failing_field()
         field = inner if inlined else (lambda x: inner(x))
-        assert (_text_of(field) is not None) == inlined
+        assert (text_of(field) is not None) == inlined
         cfg = IntegratorConfig(t_span=(0.0, 1.0), method=method)
         with pytest.raises(ValueError, match="not a blow-up"):
             integrate(field, [1.0], cfg)
@@ -843,7 +838,7 @@ def _inlined_fields():
     for entry in REGISTRY.values():
         for spec in entry.models.values():
             field = spec.build(entry.param_defaults, 4e-3)
-            if _text_of(field) is not None:
+            if text_of(field) is not None:
                 fields[field.__name__.replace("_", "-")] = (field, list(spec.default_state))
     return fields
 
@@ -889,7 +884,7 @@ def _called_fields():
 def test_straight_line_fields_are_inlined(name, method):
     field, x0 = _inlined_fields()[name]
     n = len(x0)
-    step = ode._stepper(method, n, _text_of(field))
+    step = ode._stepper(method, n, text_of(field))
     assert "field(" not in _source(step)
     assert step.__code__.co_filename == f"nonholib.ode {method} n={n} {field.__name__}"
 
@@ -906,7 +901,7 @@ def test_rkf45_error_norm_and_step_control_call_no_builtin(n):
 @pytest.mark.parametrize("name", sorted(_called_fields()))
 def test_other_fields_are_called(name, method):
     field, n = _called_fields()[name]
-    assert _text_of(field) is None
+    assert text_of(field) is None
     assert "= field(xs)" in _source(ode._stepper(method, n))
 
 
@@ -927,7 +922,7 @@ def test_one_inlined_stepper_serves_every_eps_bitwise(method):
         assert traj.states.tobytes() == states.tobytes()
         assert traj.derivs.tobytes() == derivs.tobytes()
     hits = ode._stepper.cache_info().hits
-    ode._stepper(method, 6, _text_of(fields[1]))
+    ode._stepper(method, 6, text_of(fields[1]))
     assert ode._stepper.cache_info().hits == hits + 1
 
 
@@ -941,7 +936,7 @@ def damped_root(st):
 
 def test_inlined_field_errors_on_finite_states_propagate():
     field = ode.straight_line(_DAMPED_ROOT, math=math, limit=0.0)
-    assert _text_of(field) is not None
+    assert text_of(field) is not None
     for method in ("rk4", "rkf45"):
         cfg = IntegratorConfig(t_span=(0.0, 5.0), dt=1e-2, sample_dt=0.1, method=method)
         with pytest.raises(ValueError, match="math domain error") as err:
@@ -1022,7 +1017,7 @@ def _failing_lookup(x, limit):
 def test_stepper_source_survives_linecache_clear(method, inlined):
     inner = ode.straight_line(_LOOKUP, failing_lookup=_failing_lookup, limit=0.5)
     field = inner if inlined else (lambda x: inner(x))
-    step = ode._stepper(method, 1, _text_of(field))
+    step = ode._stepper(method, 1, text_of(field))
     linecache.clearcache()
     # inspect finds no module for the stepper's file name, so it reads no
     # other module's lines; the traceback below reads them back
@@ -1116,7 +1111,7 @@ _ROWS_READ = {
 @pytest.mark.parametrize("name", sorted(_ROWS_READ))
 def test_rows_each_rate_reads(name):
     field, _ = _inlined_fields()[name]
-    assert ode.rows_read(field) == _ROWS_READ[name]
+    assert ode._rows_read(text_of(field)) == _ROWS_READ[name]
 
 
 _DEAD_LOCAL = """
@@ -1130,7 +1125,7 @@ def dead_local(st):
 
 def test_rows_read_follows_only_the_statements_the_rates_need():
     # no rate reads `unread`, so x and z are read by no rate
-    assert ode.rows_read(ode.straight_line(_DEAD_LOCAL, k=2.0)) == {1}
+    assert ode._rows_read(text_of(ode.straight_line(_DEAD_LOCAL, k=2.0))) == {1}
 
 
 def test_inlined_fields_are_the_declared_registry_texts():
@@ -1234,7 +1229,7 @@ def test_runs_keeping_no_row_or_every_row_use_the_whole_stepper():
         assert run.derivs.tobytes() == whole.derivs.tobytes()
     # both took the whole stepper, cached by the first run
     assert ode._stepper.cache_info().misses == misses
-    step = ode._stepper("rk4", 2, _text_of(field))
+    step = ode._stepper("rk4", 2, text_of(field))
     assert step.__code__.co_filename == "nonholib.ode rk4 n=2 constant_rates"
 
 
@@ -1247,7 +1242,6 @@ def test_called_fields_and_unread_runs_integrate_every_row():
         run = integrate(f, x0, cfg, read=r)
         assert run.states.tobytes() == whole.states.tobytes()
         assert run.derivs.tobytes() == whole.derivs.tobytes()
-    assert ode.rows_read(lambda x: field(x)) is None
 
 
 def test_read_rows_outside_the_state_refused():
