@@ -197,7 +197,8 @@ class IntegratorConfig:
     ----------
     t_span : (float, float)
         Start and end time, t1 > t0.  t1 - t0 must be a finite, whole number
-        (at least 1, within 1e-9) of sample intervals, so the last sample is t1.
+        (at least 1, within 1e-9) of sample intervals, and float rounding
+        must keep the sample times strictly increasing.
     dt : float
         Step size for the fixed-step scheme; initial step for the adaptive
         one.  The fixed-step scheme lands exactly on every sample time: it
@@ -205,7 +206,7 @@ class IntegratorConfig:
         effective step is sample_dt / substeps.  sample_dt / dt must be
         finite.
     sample_dt : float
-        Output sampling interval.  Samples are t0 + i * sample_dt, i = 0 ... `intervals`.
+        Output sampling interval.  Samples are t0 + i * sample_dt, i < `intervals`, then t1.
     method : str
         "rk4" (fixed step) or "rkf45" (adaptive, to the tolerance RKF45_TOL).
 
@@ -256,10 +257,13 @@ class IntegratorConfig:
         # set past the frozen guard, which keeps them read-only afterwards
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "substeps", substeps)
+        if not np.all(np.diff(self.sample_times()) > 0):
+            raise ValueError(f"sample_dt {self.sample_dt:g} is too fine for floats in {self.t_span}")
 
     def sample_times(self) -> np.ndarray:
-        """The run's sample times, t0 + i * sample_dt for i = 0 ... intervals."""
-        return self.t_span[0] + self.sample_dt * np.arange(self.intervals + 1)
+        """The run's sample times, t0 + i * sample_dt for i < intervals, then t1."""
+        t0, t1 = self.t_span
+        return np.append(t0 + self.sample_dt * np.arange(self.intervals), t1)
 
 
 class Trajectory:
@@ -393,7 +397,7 @@ def integrate(field: Callable, x0, cfg: IntegratorConfig, read=None) -> Trajecto
     Returns
     -------
     Trajectory
-        Sampled at t0 + i * sample_dt with stored derivatives.
+        Sampled at cfg.sample_times(), the last at t1, with stored derivatives.
 
     Raises
     ------

@@ -51,13 +51,11 @@ def test_sup_distance_constants():
     a = constant_traj([1.0, 2.0])
     b = constant_traj([1.0, 2.5])
     assert_allclose(sup_distance(a, b, 0.1, 0.9), 0.5)
-    # spans 4e-10 apart, and a window whose end overhangs both within the
-    # 1e-9 slack: the window is clipped to the shorter span
+    # a window must lie inside both spans, exactly: an end 4e-10 past one is refused
     short = constant_traj([1.0, 2.5], t_end=1.0 - 4e-10)
-    assert_allclose(sup_distance(a, short, 0.1, 1.0 + 4e-10), 0.5)
-    # a window past the shorter span, by less than the slack at both ends
-    with pytest.raises(WindowMismatch, match="share no time"):
-        sup_distance(a, short, 1.0 - 1e-10, 1.0 + 3e-10)
+    for x, y in ((a, short), (short, a)):
+        with pytest.raises(WindowMismatch, match="window is"):
+            sup_distance(x, y, 0.1, 1.0)
 
 
 def test_sup_distance_symmetric_triangle():

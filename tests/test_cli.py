@@ -421,6 +421,9 @@ def test_spring_default_step_is_never_refused():
           "1.0000001e-2", "--eps", "1e-2", "--t1", "0.1"], 2),
         (["manifold", "--system", "sleigh", "--model", "friction", "--eps",
           "1.0000001e-2", "--eps", "1e-2"], 2),
+        # the float spacing at 1e16 is 2: 1e16 + 1 rounds to 1e16
+        (["simulate", "--system", "sleigh", "--model", "nh", "--t0", "1e16", "--t1",
+          "1.0000000000000004e16", "--sample-dt", "1"], 2),
     ],
     ids=[
         "negative-param", "nan-state", "origin-singularity", "zero-drive", "origin-mid-run",
@@ -437,6 +440,7 @@ def test_spring_default_step_is_never_refused():
         "unbounded-sample-grid", "overflowing-interval-count", "overflowing-horizon",
         "overflowing-sleigh-inertia", "overflowing-sleigh-inertia-compare",
         "underflowing-friction-rate", "simulate-shared-eps-tag", "manifold-shared-eps-tag",
+        "unresolvable-sample-grid",
     ],
 )
 def test_failures_exit_with_one_line(tmp_path, argv, code):
@@ -494,25 +498,13 @@ def test_too_long_rung_refused_before_the_first_run(
           "--transient-cutoff", "12"], "--transient-cutoff"),
         (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2",
           "--t1", "0.2"], "--transient-cutoff"),
-        (["compare", "--system", "sleigh", "--eps", "1e-2,5e-3,2.5e-3", "--sample-dt", "0.3",
-          "--t1", "0.9000000001", "--window-start", "0.90000000005"],
-         "--window-start 0.90000000005, --t1 0.9000000001] holds no sample time after its"
-         " start; the runs' last sample time is 0.8999999999999999"),
-        (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2,5e-3",
-          "--sample-dt", "0.3", "--t1", "0.9", "--transient-cutoff", "0.9"],
-         "--transient-cutoff 0.9 is past the runs' last sample time 0.8999999999999999"),
     ],
-    ids=[
-        "window-start-at-t1", "window-start-past-t1", "cutoff-past-t1", "cutoff-past-short-t1",
-        "window-start-past-last-sample", "cutoff-past-last-sample",
-    ],
+    ids=["window-start-at-t1", "window-start-past-t1", "cutoff-past-t1", "cutoff-past-short-t1"],
 )
 def test_window_past_the_run_refused_before_the_first_run(
     argv, flag, tmp_path, monkeypatch, capsys
 ):
-    # the analysis would refuse these windows only after the whole ladder ran;
-    # the last two t1 lie within the grid's slack past the last sample time,
-    # 3 * 0.3 = 0.8999999999999999, which the message states in full
+    # the analysis would refuse these windows only after the whole ladder ran
     from nonholib import cli
 
     calls = []
@@ -525,6 +517,32 @@ def test_window_past_the_run_refused_before_the_first_run(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["compare", "--system", "sleigh", "--eps", "1e-2,5e-3,2.5e-3", "--sample-dt", "0.3",
+          "--t1", "0.9000000001", "--window-start", "0.90000000005"], "_compare.json"),
+        (["manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2,5e-3",
+          "--sample-dt", "0.3", "--t1", "0.9", "--transient-cutoff", "0.9"], "_manifold.json"),
+        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--sample-dt", "5",
+          "--t1", "10.000000004"], "_compare.json"),
+    ],
+    ids=["window-start-past-last-sample", "cutoff-past-last-sample", "t1-past-last-sample"],
+)
+def test_windows_ending_at_an_off_grid_t1_write_the_report(
+    argv, report, tmp_path, monkeypatch, capsys
+):
+    # each t1 lies off the grid t0 + i * sample_dt (3 * 0.3 = 0.8999999999999999,
+    # 2 * 5 = 10), within IntegratorConfig's 1e-9 of an interval; the runs end
+    # at t1 itself, so the window holds a sample and the report is written
+    monkeypatch.setenv("NONHOLIB_OUT_DIR", str(tmp_path))
+    assert run(argv) == 0, capsys.readouterr().err
+    [path] = tmp_path.glob(f"*{report}")
+    if report == "_compare.json":
+        t1 = float(argv[argv.index("--t1") + 1])
+        assert json.loads(path.read_text())["t_window"][1] == t1
+
+
 #: The eps ladders of perfbench's compare workloads, each with its method.
 _WORKLOAD_LADDERS = {
     "sleigh": ["--method", "rk4", "--eps", "8e-3,4e-3,2e-3"],
@@ -532,20 +550,31 @@ _WORKLOAD_LADDERS = {
 }
 
 
-def test_compare_window_edges_exit_with_the_contract(tmp_path, capsys):
+def test_compare_window_edges_exit_with_the_contract(tmp_path, capsys, monkeypatch):
     # --t1 within IntegratorConfig's 1e-9 of a sample interval of a node, and
     # --window-start within 1e-9 of a node at or before it: the windows
-    # whose ends overhang the runs' last sample.  Every exit is 0 with a
-    # report, or 2 or 4 with one stderr line; none ends in a traceback.
+    # whose ends lie off the grid t0 + i * sample_dt.  Every exit is 0 with a
+    # report, or 2 or 4 with one stderr line before the first run; none ends
+    # in a traceback.
+    from nonholib import cli
+
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     out = tmp_path / "edge"
     report = tmp_path / "edge_compare.json"
+    calls, integrate = [], cli.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counted)
 
     @st.composite
     def edges(draw):
         system = draw(st.sampled_from(sorted(_WORKLOAD_LADDERS)))
-        sample_dt = draw(st.sampled_from((0.25, 0.3, 0.5, 1.0)))
+        # at 2, 1e-9 * sample_dt is past 1e-9 s
+        sample_dt = draw(st.sampled_from((0.25, 0.3, 0.5, 1.0, 2.0)))
         k = draw(st.integers(1, int(2.0 / sample_dt)))
         t1 = k * sample_dt + draw(st.floats(-1e-9, 1e-9)) * sample_dt
         start = draw(st.integers(0, k)) * sample_dt + draw(st.floats(-1e-9, 1e-9))
@@ -558,8 +587,8 @@ def test_compare_window_edges_exit_with_the_contract(tmp_path, capsys):
 
     @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @hyp.given(argv=edges())
-    # three windows whose ends overhang the runs, one past their last sample
-    # and one strictly between two samples
+    # three windows whose ends lie off the grid, one past its last node and
+    # one strictly between two samples
     @hyp.example(argv=ladder("sleigh") + ["--sample-dt", "1", "--t1", "2.0000000009",
                                           "--window-start", "1.0000000005"])
     @hyp.example(argv=ladder("pendulum-friction") + ["--sample-dt", "1", "--t1", "2.0000000009",
@@ -572,13 +601,21 @@ def test_compare_window_edges_exit_with_the_contract(tmp_path, capsys):
     @hyp.example(argv=ladder("pendulum-friction") + ["--sample-dt", "0.25", "--t1",
                                                      "0.24999999998", "--window-start",
                                                      "0.24999999993"])
+    # a t1 1.5e-9 s past the grid's last node, and a grid that float rounding
+    # cannot resolve (the float spacing at 1e16 is 2)
+    @hyp.example(argv=ladder("sleigh") + ["--sample-dt", "2", "--t1", "4.0000000015"])
+    @hyp.example(argv=ladder("sleigh") + ["--sample-dt", "1", "--t0", "1e16", "--t1",
+                                          "1.0000000000000004e16", "--window-start",
+                                          "1.0000000000000002e16"])
     def check(argv):
         report.unlink(missing_ok=True)
+        calls.clear()
         code = run(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code in (0, 2, 4), (argv, err)
         if code:
             assert len(err.splitlines()) == 1, (argv, err)
+            assert calls == [], argv
         else:
             assert report.exists(), argv
 

@@ -83,6 +83,18 @@ def test_sample_count():
     assert len(traj) == int(np.floor(10.0 / 1e-2)) + 1
 
 
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize("t_span, sample_dt", [((0.0, 1.0 + 1e-12), 0.01), ((0.0, 0.9), 0.3)])
+def test_runs_end_exactly_at_t1(t_span, sample_dt, method):
+    # t1 off the grid by 1e-10 of an interval, and 3 * 0.3 = 0.8999999999999999:
+    # the last sample is t1 itself, every earlier one t0 + i * sample_dt
+    cfg = IntegratorConfig(t_span=t_span, dt=1e-3, sample_dt=sample_dt, method=method)
+    times = integrate(decay, [1.0], cfg).times
+    assert times[-1] == t_span[1]
+    grid = t_span[0] + sample_dt * np.arange(cfg.intervals + 1)
+    assert np.array_equal(times[:-1], grid[:-1])
+
+
 def test_sample_at_nodes_exact():
     cfg = IntegratorConfig(t_span=(0.0, 1.0), dt=1e-2, sample_dt=0.1)
     traj = integrate(harmonic, [1.0, 0.0], cfg)
@@ -224,6 +236,9 @@ def test_config_validation():
     for t_span, sample_dt in (((0.0, 1e308), 1e-308), ((-1e308, 1e308), 1e-2)):
         with pytest.raises(ValueError, match="too long for sample_dt"):
             IntegratorConfig(t_span=t_span, sample_dt=sample_dt)
+    # the float spacing at 1e16 is 2: 1e16 + 1 rounds to 1e16
+    with pytest.raises(ValueError, match="too fine for floats"):
+        IntegratorConfig(t_span=(1e16, 1.0000000000000004e16), sample_dt=1.0)
 
 
 def test_substeps_are_derived_from_dt_and_sample_dt():
