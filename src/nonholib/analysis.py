@@ -72,6 +72,13 @@ def _finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteValue(f"{what} holds a non-finite value")
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, in np.linalg.norm(x, axis=1)'s
+    operation order, so bitwise its value; compare calls no numpy.linalg
+    function."""
+    return np.sqrt((x * x).sum(axis=1))
+
+
 @dataclass
 class ManifoldFit:
     """Post-transient samples against the first-order slow-manifold graph."""
@@ -83,7 +90,7 @@ class ManifoldFit:
     residual_sup: float = field(init=False)
 
     def __post_init__(self):
-        res = np.linalg.norm(self.etas - self.predicted, axis=1)
+        res = _row_norms(self.etas - self.predicted)
         self.residual_sup = float(res.max()) if len(res) else 0.0
 
 
@@ -124,7 +131,7 @@ def sup_distance(
         raise WindowMismatch("trajectories have different dimensions")
     _finite(xa, "the first trajectory")
     _finite(xb, "the second trajectory")
-    return float(np.max(np.linalg.norm(xa - xb, axis=1)))
+    return float(np.max(_row_norms(xa - xb)))
 
 
 def estimate_order(eps_ladder, errors) -> np.ndarray:
@@ -167,7 +174,7 @@ def pseudo_solution_defect(traj: Trajectory, field_fn: Callable) -> float:
     # elementwise, so bitwise the per-row difference
     np.subtract(traj.derivs, diffs, out=diffs)
     _finite(diffs, "the defect xdot - X(x)")
-    return float(np.max(np.linalg.norm(diffs, axis=1)))
+    return float(np.max(_row_norms(diffs)))
 
 
 def _fd_rate_5pt(values: np.ndarray, h: float) -> np.ndarray:

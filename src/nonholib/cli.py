@@ -34,7 +34,6 @@ a compare window that starts at or past --t1 and a manifold cutoff past
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -240,22 +239,20 @@ def _initial_state(cfg: ExperimentConfig, spec: ModelSpec) -> np.ndarray:
     return state
 
 
-def _fast_rate(cfg: ExperimentConfig, entry, state) -> Optional[tuple]:
+def _fast_rate(cfg: ExperimentConfig, entry) -> Optional[tuple]:
     """For a stiff friction run, (rate, rk4's stability bound for its mode),
-    rate(eps) being the fast rate at eps: a friction realization's
-    relaxation rate from its start state, or a declared oscillation rate.
-    None for other runs.  The eps-free relaxation rate is computed once, on
-    the first call, and only where needed (not by rkf45): an eigensolver
-    costs ~1 MB RSS."""
+    rate(eps) being the fast rate at eps: a Rayleigh realization's declared
+    relaxation rate over eps, or a declared oscillation rate.  None for
+    other runs.  A relaxation rate is evaluated only where a check reads it
+    (rk4's step check, manifold's transient cutoff), so that its metric
+    check refuses no other run, as the generic route's did."""
     if cfg.model != "friction":
         return None
     if entry.oscillation_rate is not None:
         return entry.oscillation_rate, RK4_OSCILLATION_BOUND
-    if entry.realization is None:
+    if entry.relaxation_rate is None:
         return None
-    sysm, _, fric = entry.realization(cfg.params)
-    rate = functools.cache(lambda: dynamics.relaxation_rate(sysm, fric, state[: sysm.n]))
-    return (lambda eps: rate() / eps, RK4_STABILITY_BOUND)
+    return (lambda eps: entry.relaxation_rate(cfg.params) / eps, RK4_STABILITY_BOUND)
 
 
 def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> IntegratorConfig:
@@ -362,7 +359,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         _require_distinct_tags(eps_list)
     # every run's step, size and field are checked before the first file is
     # written
-    fast = _fast_rate(cfg, entry, state)
+    fast = _fast_rate(cfg, entry)
     icfgs = [_integrator_config(cfg, eps, fast) for eps in eps_list]
     fields = [spec.build(cfg.params, eps) for eps in eps_list]
     for eps, icfg, field_fn in zip(eps_list, icfgs, fields):
@@ -417,7 +414,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
     nh_state = _initial_state(cfg, nh_spec)
     fric_state = entry.lift_state(cfg.params, nh_state)
-    fast = _fast_rate(cfg, entry, fric_state)
+    fast = _fast_rate(cfg, entry)
     fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
     fric_fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
     nh_icfg = _integrator_config(cfg)
@@ -482,7 +479,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     _require_decreasing(cfg.eps)
     _require_distinct_tags(cfg.eps)
     state = _initial_state(cfg, fric_spec)
-    fast = _fast_rate(cfg, entry, state)
+    fast = _fast_rate(cfg, entry)
     # The initial slip offset is O(eps) and the slow-manifold residual
     # O(eps^2): e^-10 of the offset is below eps^2 for every eps above 5e-5,
     # so the cutoff must cover 10 fast time constants at the largest eps.

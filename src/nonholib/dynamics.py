@@ -9,7 +9,7 @@ complement) and a Rayleigh friction form with kernel D, this module builds:
   slow time, with the friction term scaled by 1/eps,
 * its chart-coordinate counterpart on (q, qdot),
 * the fast field obtained at eps = 0 after rescaling time by eps, whose
-  fixed-point set is {eta = 0}, and its fastest decay rate,
+  fixed-point set is {eta = 0},
 * the first-order slow-manifold data eta = eps * h1(q, xi) and the
   first-order correction field, so that nonholonomic + eps * correction
   approximates the friction dynamics on the slow manifold to second order.
@@ -244,14 +244,6 @@ def fast_field_y0(sys, fr, fric: RayleighFriction) -> Callable:
         return np.concatenate([np.zeros(n), -friction_matrix(sys, fr, fric, q) @ w])
 
     return rhs
-
-
-def relaxation_rate(sys, fric: RayleighFriction, q) -> float:
-    """Fastest decay rate of the fast field at q: the largest eigenvalue of
-    kappa^{-1} nu, the same in every frame.  The friction dynamics relaxes
-    at this rate over eps."""
-    kappa_nu = np.linalg.solve(sys.metric_at(q), fric.nu_at(q))
-    return float(np.max(np.linalg.eigvals(kappa_nu).real))
 
 
 @dataclass(frozen=True)

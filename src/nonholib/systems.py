@@ -27,7 +27,9 @@ a ahead of the contact point along the blade.  Quasi-velocities:
 The chart metric and the blade frame (u, v, omega) are each written once,
 as constant, sin phi and cos phi parts, and their phi-derivatives are
 derived from the parts; the adapted frame (u, psi, v) is the blade frame
-times the constant change of frame that psi makes.
+times the constant change of frame that psi makes.  The registry reads that
+change, its inverse and the slip's relaxation rate in closed form, so that
+compare calls no numpy.linalg function.
 
 The friction force is -v/eps times the unit covector normal to the blade
 (unit friction coefficient in the slip direction).
@@ -42,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import RayleighFriction, fast_field_y0
-from .geometry import MechanicalSystem, MovingFrame
+from .geometry import COND_LIMIT, MechanicalSystem, MovingFrame, SingularFrame, SingularMetric
 from .ode import straight_line
 
 
@@ -104,6 +106,26 @@ class SleighParams:
     def fast_rate(self, eps: float) -> float:
         """Exponential decay rate of the slip velocity, (I + m a^2)/(I m eps)."""
         return self.itot / (self.I * self.m * eps)
+
+    @property
+    def metric_cond(self) -> float:
+        """Condition number of the chart metric, the same at every q:
+        lam^2/(m I), lam the larger root of x^2 - (m + I + m a^2) x + m I.
+        The eigenvalues are m and the two roots, whose product is m I; the
+        roots are (m + itot)/2 +- hypot((m - itot)/2, m a), with no
+        cancellation."""
+        lam = 0.5 * self.m + 0.5 * self.itot
+        lam += math.hypot(0.5 * (self.m - self.itot), self.m * self.a)
+        return lam / self.m * (lam / self.I)
+
+    @property
+    def frame_cond(self) -> float:
+        """Condition number of the adapted frame (u, psi, v), the same at
+        every q: ((sqrt(c^2 + 4) + c)/2)^2 with c the coupling.  The blade
+        frame is a rotation, so it is the change of frame's, whose singular
+        values are 1 and (sqrt(c^2 + 4) +- c)/2, of product 1."""
+        top = 0.5 * (math.hypot(self.coupling, 2.0) + self.coupling)
+        return top * top
 
 
 def sleigh_energy(p: SleighParams, u, v, omega) -> float:
@@ -261,14 +283,42 @@ def sleigh_uvw_frame(p: SleighParams) -> MovingFrame:
     return MovingFrame(2, *_trig_field(*_BLADE_PARTS))
 
 
+def _sleigh_change(c: float) -> np.ndarray:
+    """The change of frame (u, v, omega) = change @ (u, psi, v) of
+    psi = omega + c v."""
+    return np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, -c]])
+
+
 def sleigh_ortho_frame(p: SleighParams) -> MovingFrame:
     """Adapted orthogonal frame (u, psi, v), k = 2: the blade frame times
     the constant change of frame (u, v, omega) = change @ (u, psi, v) of
     psi = omega + coupling * v.  The first two fields span the constraint
     distribution, the third its orthogonal complement; the frame metric is
     diag(m, I + m a^2, m I/(I + m a^2))."""
-    change = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, -p.coupling]])
+    change = _sleigh_change(p.coupling)
     return MovingFrame(2, *_trig_field(*(np.array(b) @ change for b in _BLADE_PARTS)))
+
+
+def sleigh_change_of_frame(p: SleighParams) -> tuple:
+    """(change, inverse) of :func:`sleigh_ortho_frame` against the blade
+    frame: (u, v, omega) = change @ (u, psi, v) and (u, psi, v) = inverse @
+    (u, v, omega), with c = coupling in psi = omega + c v.  Raises
+    SingularFrame, as the adapted frame's own check would, where its
+    condition number frame_cond exceeds COND_LIMIT."""
+    if p.frame_cond > COND_LIMIT:
+        raise SingularFrame("frame condition number exceeds 1e12")
+    c = p.coupling
+    return _sleigh_change(c), np.array([[1.0, 0.0, 0.0], [0.0, c, 1.0], [0.0, 1.0, 0.0]])
+
+
+def sleigh_relaxation_rate(p: SleighParams) -> float:
+    """The slip's decay rate at eps = 1, (I + m a^2)/(m I): the one
+    eigenvalue of kappa^{-1} nu off its kernel, at every q.  Raises
+    SingularMetric, as the chart metric's own check would, where its
+    condition number metric_cond exceeds COND_LIMIT."""
+    if p.metric_cond > COND_LIMIT:
+        raise SingularMetric("metric condition number exceeds 1e12")
+    return p.fast_rate(1.0)
 
 
 def sleigh_friction_form(p: SleighParams) -> RayleighFriction:
@@ -449,22 +499,26 @@ class ModelSpec:
 class SystemEntry:
     """Registry entry: models plus the adapters the analysis driver needs.
 
-    A Rayleigh friction realization is declared once, as ``realization``;
-    the ``fast`` model and the friction model's rk4 step check derive from
-    it.  A realization without a Rayleigh form declares the rate of its
-    stiff oscillation instead, for the same check.  An ``adapted_frame``
-    adds the frame-state, reduce and lift maps; without one the friction
-    and constrained states share one layout.  The sleigh's adapted frame is
-    its realization frame times a constant change of frame by construction.
-    A chart row that no rate of the friction field reads (the sleigh's x
-    and y: it is invariant under translations of the plane) is left out of
-    ``compare`` and ``manifold`` runs, NaN in their samples, so the
-    realization, the adapted frame and the nh model must not read it
-    either; a report that reads one exits 4.  ``manifold`` reads what h1
-    needs (the adapted frame's metric, connection and friction eta-block,
-    and the potential force) once per rung, so these must be the same at
-    every q, as the sleigh's are by its invariance under rigid motions of
-    the plane; a few per-row checks refuse a frame whose h1 varies with q.
+    A Rayleigh friction realization is declared once, as ``realization``,
+    with its eps-free ``relaxation_rate`` in closed form; the ``fast`` model
+    derives from the realization and the friction model's rk4 step check
+    from the rate.  A realization without a Rayleigh form declares the rate
+    of its stiff oscillation instead, for the same check.  An
+    ``adapted_frame`` comes with its constant ``change_of_frame`` from the
+    realization's frame, from which the frame-state, reduce and lift maps
+    derive in closed form; without one the friction and constrained states
+    share one layout.  The rate refuses a chart metric, and the change an
+    adapted frame, whose condition number exceeds geometry.COND_LIMIT, with
+    the generic checks' exception and message.  A chart row that no rate
+    of the friction field reads (the sleigh's x and y: it is invariant
+    under translations of the plane) is left out of ``compare`` and
+    ``manifold`` runs, NaN in their samples, so the realization, the
+    adapted frame and the nh model must not read it either; a report that
+    reads one exits 4.  ``manifold`` reads what h1 needs (the adapted
+    frame's metric, connection and friction eta-block, and the potential
+    force) once per rung, so these must be the same at every q, as the
+    sleigh's are by its invariance under rigid motions of the plane; a few
+    per-row checks refuse a frame whose h1 varies with q.
     """
 
     param_defaults: dict
@@ -475,9 +529,14 @@ class SystemEntry:
     # (params: dict) -> (system, frame, friction): the friction model's
     # state is (q, w) with w the components of qdot in this frame
     realization: Callable = None
-    # (params: dict) -> adapted orthogonal frame; its change of frame from
-    # the realization's frame must be constant in q
+    # (params: dict) -> the realization's fast rate at eps = 1, the largest
+    # eigenvalue of kappa^{-1} nu, the same at every q
+    relaxation_rate: Callable = None
+    # (params: dict) -> adapted orthogonal frame
     adapted_frame: Callable = None
+    # (params: dict) -> (change, inverse): the realization's frame times
+    # change is the adapted frame, at every q
+    change_of_frame: Callable = None
     # eps -> angular frequency of the friction model's stiff oscillation,
     # for a realization without a Rayleigh form
     oscillation_rate: Callable = None
@@ -499,15 +558,12 @@ class SystemEntry:
 
     def frame_state_matrix(self, params: dict) -> np.ndarray:
         """Linear map from the friction-model state to the (q, xi, eta)
-        layout of the adapted frame: identity on q, and inv(F_adapted) @
-        F_model on the velocities, read at q = 0."""
-        sysm, frame, _ = self.realization(params)
-        n = sysm.n
-        q0 = np.zeros(n)
+        layout of the adapted frame: identity on q, and the inverse change
+        of frame on the velocities."""
+        _, inverse = self.change_of_frame(params)
+        n = len(inverse)
         m = np.eye(2 * n)
-        # inv(...) @ rather than solve, which leaves -0.0 entries in the map
-        adapted = np.linalg.inv(self.adapted_frame(params).fields_at(q0))
-        m[n:, n:] = adapted @ frame.fields_at(q0)
+        m[n:, n:] = inverse
         return m
 
     def reduce_matrix(self, params: dict) -> np.ndarray:
@@ -517,15 +573,15 @@ class SystemEntry:
         return m[: len(m) // 2 + self.adapted_frame(params).k]
 
     def lift_state(self, params: dict, reduced_state) -> np.ndarray:
-        """Reduced state (q, xi) -> friction-model state with zero slip,
-        by inverting the frame-state map at eta = 0.  Without an adapted
-        frame the two states share one layout."""
+        """Reduced state (q, xi) -> friction-model state with zero slip:
+        q, then the velocities change @ (xi, 0).  Without an adapted frame
+        the two states share one layout."""
+        reduced = np.asarray(reduced_state, dtype=float)
         if self.adapted_frame is None:
-            return np.asarray(reduced_state, dtype=float)
-        m = self.frame_state_matrix(params)
-        frame_state = np.zeros(len(m))
-        frame_state[: len(reduced_state)] = reduced_state
-        return np.linalg.solve(m, frame_state)
+            return reduced
+        change, _ = self.change_of_frame(params)
+        n = len(change)
+        return np.concatenate([reduced[:n], change[:, : len(reduced) - n] @ reduced[n:]])
 
 
 def _sleigh_entry() -> SystemEntry:
@@ -569,7 +625,9 @@ def _sleigh_entry() -> SystemEntry:
         models=models,
         energy_of_state=energy_of,
         realization=realization,
+        relaxation_rate=lambda params: sleigh_relaxation_rate(SleighParams(**params)),
         adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
+        change_of_frame=lambda params: sleigh_change_of_frame(SleighParams(**params)),
     )
 
 
@@ -611,6 +669,8 @@ def _pendulum_entry(variant: str) -> SystemEntry:
         models=models,
         energy_of_state=energy_of,
         realization=realization if variant == "friction" else None,
+        # unit mass, unit radial friction: kappa^{-1} nu = e_r e_r^T
+        relaxation_rate=(lambda params: 1.0) if variant == "friction" else None,
         # the radial spring: stiffness 1/eps at unit mass
         oscillation_rate=(
             (lambda eps: 1.0 / math.sqrt(eps)) if variant == "potential" else None

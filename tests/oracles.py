@@ -9,7 +9,8 @@ the Euler-Lagrange form of the geodesic rates through plain einsums on the
 public point accessors (fields_at, field_derivs_at, metric_at,
 metric_derivs_at), so that they share no helper with
 nonholib.geometry.connection_coefficients, which they check (criterion 11).
-They take one point q.
+They take one point q.  The relaxation rate is the eigenvalue route that
+the registry's closed-form rates are checked against.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from nonholib.dynamics import RayleighFriction
 from nonholib.geometry import MechanicalSystem, MovingFrame, christoffel, connection_coefficients
 from nonholib.systems import SleighParams
 
@@ -177,3 +179,16 @@ def geodesic_rhs_struct(sys: MechanicalSystem, fr: MovingFrame, q, v) -> np.ndar
         - np.einsum("dg,dba,b,g->a", K, C, v, v)
     )
     return -np.linalg.inv(K) @ lowered
+
+
+# ---------------------------------------------------------------------------
+# fast dynamics
+# ---------------------------------------------------------------------------
+
+
+def relaxation_rate(sys: MechanicalSystem, fric: RayleighFriction, q) -> float:
+    """Fastest decay rate of the fast field at q: the largest eigenvalue of
+    kappa^{-1} nu, the same in every frame.  The friction dynamics relaxes
+    at this rate over eps."""
+    kappa_nu = np.linalg.solve(sys.metric_at(q), fric.nu_at(q))
+    return float(np.max(np.linalg.eigvals(kappa_nu).real))

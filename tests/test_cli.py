@@ -261,7 +261,7 @@ def test_spring_default_step_is_never_refused():
     # up to rounding
     entry = get_system("pendulum-potential")
     cfg = ExperimentConfig(system="pendulum-potential", model="friction")
-    fast = _fast_rate(cfg, entry, None)
+    fast = _fast_rate(cfg, entry)
     assert fast[1] == 2.83
     for eps in (10.0, 1.0, 1e-2, 1e-6, 1e-12):
         # the rule reads no horizon: at eps = 1e-12 one sample interval of
@@ -1013,28 +1013,82 @@ def test_manifold_frame_reads_do_not_grow_with_the_samples(tmp_path, monkeypatch
     assert reads[0] == reads[1]
 
 
-def test_relaxation_rate_is_computed_once_per_command(tmp_path, monkeypatch):
-    # the eps-free rate is shared by every rung's step check, and an rkf45
-    # run, which checks no step, never computes it
-    from nonholib import dynamics
+def test_compare_calls_no_numpy_linalg_function(tmp_path, monkeypatch):
+    # the relaxation rate and the change of frame are declared in closed
+    # form, so compare's set-up, runs and report call no numpy.linalg
+    # function: the first LAPACK call of a process costs about 1.3 MB of
+    # peak RSS.  The reports are those of an unpatched run, byte for byte.
+    argvs = [
+        ["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"],
+        ["compare", "--system", "pendulum-friction", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"],
+    ]
+    for argv in argvs:
+        assert run(argv + ["--out", str(tmp_path / "free" / argv[2])]) == 0
 
-    calls = []
-    rate = dynamics.relaxation_rate
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare called numpy.linalg")
 
-    def counted(*args):
-        calls.append(args)
-        return rate(*args)
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for argv in argvs:
+        assert run(argv + ["--out", str(tmp_path / "patched" / argv[2])]) == 0
+    free = sorted((tmp_path / "free").iterdir())
+    assert [p.name for p in free] == ["pendulum-friction_compare.json", "sleigh_compare.json"]
+    for path in free:
+        assert path.read_bytes() == (tmp_path / "patched" / path.name).read_bytes()
 
-    monkeypatch.setattr(dynamics, "relaxation_rate", counted)
-    for argv, expected in (
-        (_SHORT_MANIFOLD, 1),
-        (["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"], 1),
-        (
-            ["compare", "--system", "pendulum-friction", "--eps", "8e-3,4e-3,2e-3"]
-            + ["--method", "rkf45", "--t1", "1"],
-            0,
-        ),
-    ):
-        calls.clear()
-        assert run(argv + ["--out", str(tmp_path / argv[0] / "m")]) == 0
-        assert len(calls) == expected, argv
+
+def test_rkf45_compare_reads_no_relaxation_rate(tmp_path, monkeypatch):
+    # rkf45 checks no step, so its runs never meet the rate's metric check
+    def refuse(params):
+        raise AssertionError("the relaxation rate was read")
+
+    _sleigh_variant(monkeypatch, "unrated-sleigh", relaxation_rate=refuse)
+    argv = ["compare", "--system", "unrated-sleigh", "--eps", "8e-3,4e-3,2e-3"]
+    assert run(argv + ["--method", "rkf45", "--t1", "1", "--out", str(tmp_path / "c")]) == 0
+
+
+_ILL_CONDITIONED = {
+    "heavy": ["--param", "m=1e13", "--param", "a=1"],
+    "light-inertia": ["--param", "I=1e-13", "--param", "a=1"],
+    "stiff-coupling": ["--param", "m=1e14", "--param", "a=1e-7"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, params, refused",
+    [
+        ("compare", "heavy", "metric"),
+        ("compare", "light-inertia", "metric"),
+        ("compare", "stiff-coupling", "frame"),
+        ("manifold", "heavy", "metric"),
+        ("manifold", "light-inertia", "metric"),
+        ("manifold", "stiff-coupling", "metric"),
+    ],
+)
+def test_ill_conditioned_sleigh_is_refused_before_the_first_run(
+    tmp_path, capsys, monkeypatch, command, params, refused
+):
+    # the declared rate checks the metric's condition number and the
+    # declared change of frame the adapted frame's, where the generic
+    # routes did: compare reads the change first, manifold the rate.  No
+    # run starts, so no file is written.
+    argv = {
+        "compare": ["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"],
+        "manifold": [
+            "manifold", "--system", "sleigh", "--model", "friction", "--eps", "1e-2,5e-3",
+            "--t1", "1", "--transient-cutoff", "0.5",
+        ],
+    }[command]
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(nonholib.cli, "integrate", no_run)
+    monkeypatch.setenv("NONHOLIB_OUT_DIR", str(tmp_path))
+    assert run(argv + _ILL_CONDITIONED[params]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: {refused} condition number exceeds 1e12\n"
+    )
+    assert list(tmp_path.iterdir()) == []

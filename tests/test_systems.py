@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from conftest import random_sleigh_q, text_of
 from nonholib import ode
 from nonholib.analysis import INVARIANCE_RTOL
-from nonholib.dynamics import compute_h1, friction_matrix, relaxation_rate
-from nonholib.geometry import connection_coefficients, frame_metric
+from nonholib.dynamics import compute_h1, friction_matrix
+from nonholib.geometry import COND_LIMIT, connection_coefficients, frame_metric
 from nonholib.ode import IntegratorConfig, integrate
 from nonholib.systems import (
     PENDULUM_VARIANTS,
@@ -40,6 +40,7 @@ from oracles import (
     corrected_oracle,
     friction_oracle,
     nh_oracle,
+    relaxation_rate,
     sleigh_constraint_force,
     sleigh_energy_ortho,
     sleigh_friction_ortho_rhs,
@@ -740,24 +741,31 @@ def test_registry_derived_state_maps(params):
         assert np.all(frame_map[5:] @ lifted == 0.0)  # no slip
 
 
-def derived_rate(system, params, eps):
-    """The rk4 refusal's rate: relaxation rate at the default start q over eps."""
-    entry = get_system(system)
-    sysm, _, fric = entry.realization(params)
-    start = np.array(entry.models["friction"].default_state)
-    return relaxation_rate(sysm, fric, start[: sysm.n]) / eps
+def eigenvalue_rate(system, params, q):
+    """The generic route to a declared relaxation rate: the largest
+    eigenvalue of kappa^{-1} nu at q."""
+    sysm, _, fric = get_system(system).realization(params)
+    return relaxation_rate(sysm, fric, np.asarray(q, dtype=float))
 
 
 @pytest.mark.parametrize("params", SLEIGH_PARAMS)
 def test_derived_rate_matches_closed_form(params):
-    for eps in (1e-2, 2e-3):
-        expected = SleighParams(**params).fast_rate(eps)
-        assert_allclose(derived_rate("sleigh", params, eps), expected, rtol=1e-15)
+    # the declared rate is the eigenvalue route's at the default start q and
+    # at every q: kappa^{-1} nu is invariant under rigid motions of the plane
+    entry = get_system("sleigh")
+    declared = entry.relaxation_rate(params)
+    assert declared == SleighParams(**params).fast_rate(1.0)
+    start = entry.models["friction"].default_state[:3]
+    assert_allclose(declared, eigenvalue_rate("sleigh", params, start), rtol=1e-15)
+    for q in np.random.default_rng(36).uniform(-5.0, 5.0, (20, 3)):
+        assert_allclose(declared, eigenvalue_rate("sleigh", params, q), rtol=1e-14)
 
 
 def test_derived_rate_pendulum_friction():
-    for eps in (1e-2, 1e-3):
-        assert_allclose(derived_rate("pendulum-friction", {}, eps), 1.0 / eps, rtol=1e-15)
+    declared = get_system("pendulum-friction").relaxation_rate({})
+    assert declared == 1.0
+    for q in (pendulum_default_state()[:2], [0.3, -2.0], [-1e3, 4.0]):
+        assert_allclose(eigenvalue_rate("pendulum-friction", {}, q), declared, rtol=1e-15)
 
 
 @pytest.mark.parametrize("params", SLEIGH_PARAMS)
@@ -767,14 +775,50 @@ def test_derived_frame_state_map(params):
     p = SleighParams(**params)
     expected = np.eye(6)
     expected[4:, 4:] = [[p.coupling, 1.0], [1.0, 0.0]]
-    frame_map = get_system("sleigh").frame_state_matrix(params)
+    entry = get_system("sleigh")
+    frame_map = entry.frame_state_matrix(params)
     assert frame_map.tobytes() == expected.tobytes()
-    # the map reads the change of frame at q = 0; it holds at every phi
+    change, inverse = entry.change_of_frame(params)
+    assert np.array_equal(change @ inverse, np.eye(3))
+    assert np.array_equal(inverse @ change, np.eye(3))
+    # the declared change is the generic frames' at every phi
     rng = np.random.default_rng(33)
     for _ in range(50):
         q = rng.uniform(-5.0, 5.0, 3)
         ortho, uvw = sleigh_ortho_frame(p).fields_at(q), sleigh_uvw_frame(p).fields_at(q)
-        assert_allclose(np.linalg.inv(ortho) @ uvw, frame_map[3:, 3:], rtol=0.0, atol=1e-15)
+        assert_allclose(np.linalg.inv(ortho) @ uvw, inverse, rtol=0.0, atol=1e-15)
+        assert_allclose(uvw @ change, ortho, rtol=0.0, atol=1e-15)
+
+
+def test_closed_form_condition_numbers_match_numpy():
+    # metric_cond and frame_cond, on which the declared rate and change of
+    # frame refuse, against np.linalg.cond of the generic metric and
+    # adapted frame, over a box whose condition numbers run from 1 to past
+    # 1e14.  The SVD's smallest singular value is off by about eps times
+    # the largest, so numpy's number is within 1e-12 + 4 eps cond relative;
+    # past 1e15 it resolves nothing.  Half the draws put m/I up to 1e16 and
+    # a near sqrt(I/m), where the coupling, and so frame_cond (up to about
+    # m/(4 I)), peaks.
+    rng = np.random.default_rng(36)
+    beyond = {"metric": 0, "frame": 0}
+    for i in range(2000):
+        m, inertia = 10.0 ** rng.uniform(-7.0, 7.0, 2)
+        a = 10.0 ** rng.uniform(-8.0, 3.0)
+        if i % 2:
+            m = inertia * 10.0 ** rng.uniform(0.0, 16.0)
+            a = math.sqrt(inertia / m) * 10.0 ** rng.uniform(-1.0, 1.0)
+        p = SleighParams(m=m, I=inertia, a=a)
+        q = np.zeros(3) if i % 4 < 2 else rng.uniform(-5.0, 5.0, 3)
+        for name, closed, matrix in (
+            ("metric", p.metric_cond, sleigh_system(p).metric(q)),
+            ("frame", p.frame_cond, sleigh_ortho_frame(p).fields(q)),
+        ):
+            if closed > 1e15:
+                continue
+            beyond[name] += closed > 1e12
+            rtol = 1e-12 + 4 * np.finfo(float).eps * closed
+            assert_allclose(closed, np.linalg.cond(matrix), rtol=rtol, err_msg=name)
+    assert min(beyond.values()) >= 10, beyond
 
 
 def test_sleigh_geometry_equals_its_closed_forms():
