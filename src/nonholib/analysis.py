@@ -49,24 +49,6 @@ class NonFiniteValue(ValueError):
     column that `ode.integrate` left out."""
 
 
-class FrameNotInvariant(ValueError):
-    """A graph read at one point disagrees with the per-row graph at other
-    samples: the frame data it takes to be the same at every q depend on q."""
-
-
-#: Largest gap between the one-point and the per-row h1 at a rung's checked
-#: samples, relative to max(1, |h1|), that one_point_graph accepts.  The
-#: sleigh's gap is at most 2.2e-15, |h1| at most 2.3, over 20 one-point q
-#: against 1,904 random (q, xi) with |xi| <= 1.2 for each of three parameter
-#: sets; a metric factor 1 + 0.1 sin(phi) gives 1e-2 to 3e-2 on the sleigh
-#: manifold's runs.
-INVARIANCE_RTOL = 1e-12
-
-#: Samples at which one_point_graph checks the one-point h1 against the
-#: per-row h1: spread evenly over a stack, its last row included.
-INVARIANCE_ROWS = 8
-
-
 def _finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(f"{what} holds a non-finite value")
@@ -270,40 +252,6 @@ def manifold_fit(
         raise NonFiniteValue(f"h1 reads a chart row left out of the run: {exc}") from None
     _finite(predicted, "the first-order graph eps * h1")
     return ManifoldFit(qs=qs, xis=xis, etas=etas, predicted=predicted)
-
-
-def one_point_graph(expansion: ExpansionData) -> ExpansionData:
-    """The graph of a system whose h1 reads nothing that varies with q: the
-    adapted frame's metric, connection and friction eta-block and the
-    potential force are the same at every q.  h1 of a stack (qs, xis) reads
-    them once, at qs[0], for every xi.  The per-row h1 at INVARIANCE_ROWS
-    samples spread over the stack, taken in one call on the stack of those
-    samples, checks it.  An error that call raises at any of them
-    (SingularFrame, SingularMetric) comes first; then, sample by sample, a
-    gap past INVARIANCE_RTOL raises FrameNotInvariant, and a non-finite
-    per-row value NonFiniteValue.  A dependence on q that agrees at every
-    checked sample goes unseen.  A non-finite one-point graph is returned for
-    manifold_fit to refuse."""
-    h1 = expansion.h1
-
-    def graph(qs, xis):
-        one = h1(qs[0], xis)
-        if not np.isfinite(one).all():
-            return one
-        last = len(qs) - 1
-        checked = [last * j // INVARIANCE_ROWS for j in range(1, INVARIANCE_ROWS + 1)]
-        for i, row in zip(checked, h1(qs[checked], xis[checked])):
-            _finite(row, "the per-row h1 at a checked sample")
-            gap = float(np.max(np.abs(one[i] - row)))
-            bound = INVARIANCE_RTOL * max(1.0, float(np.max(np.abs(row))))
-            if not gap <= bound:
-                raise FrameNotInvariant(
-                    f"h1 read once at the first sample is {gap:.3g} off the per-row h1 at"
-                    f" sample {i} (bound {bound:.3g}): the frame data depend on q"
-                )
-        return one
-
-    return ExpansionData(h1=graph)
 
 
 def fit_slope_through_origin(x, y) -> float:

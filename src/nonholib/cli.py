@@ -25,10 +25,9 @@ that is not finite, a sample grid too fine for float times to increase
 along it, or more than ode.MAX_SAMPLES samples or
 ode.MAX_RK4_STEPS rk4 steps, and two eps values whose files would share
 one tag; each refused before a command's first run), 3 numerical blow-up
-or singular state, 4 analysis precondition failure (including an adapted
-frame whose data for h1 depend on q, a left-out row that a report reads,
-a compare window that starts at or past --t1 and a manifold cutoff past
---t1, the latter two refused before the first run).
+or singular state, 4 analysis precondition failure (including a left-out
+row that a report reads, a compare window that starts at or past --t1 and
+a manifold cutoff past --t1, the latter two refused before the first run).
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, dynamics
-from .dynamics import SingularEtaBlock
+from . import analysis
 from .geometry import SingularFrame, SingularMetric
 from .ode import (
     IntegratorConfig,
@@ -474,7 +472,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     if cfg.model != "friction":
         raise ConfigError("manifold extraction requires the friction model")
     entry, fric_spec = _resolve_model(cfg)
-    if entry.adapted_frame is None:
+    if entry.slow_graph is None:
         raise ConfigError(f"system {cfg.system!r} has no slow-manifold support")
     _require_decreasing(cfg.eps)
     _require_distinct_tags(cfg.eps)
@@ -496,12 +494,9 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         raise analysis.TransientTooShort(
             f"--transient-cutoff {cfg.transient_cutoff!r} is past --t1 {cfg.t1!r}"
         )
-    sysm, frame, fric = entry.generic_builders(cfg.params)
-    expansion = dynamics.compute_h1(sysm, frame, fric)
-    # h1's frame data are read once per rung and checked at a few of its samples
-    graph = analysis.one_point_graph(expansion)
-    n, k = sysm.n, frame.k
+    graph = entry.slow_graph(cfg.params)
     to_frame = entry.frame_state_matrix(cfg.params)
+    n, k = len(to_frame) // 2, entry.adapted_frame(cfg.params).k
     fric_read = _friction_rows(to_frame, range(n, 2 * n))
 
     residuals, slopes, expected_slopes = [], [], []
@@ -516,7 +511,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         drive = fit.xis[:, 0] * fit.xis[:, 1]
         slip = fit.etas[:, 0]
         slopes.append(analysis.fit_slope_through_origin(drive, slip))
-        expected_slopes.append(eps * expansion.h1(fit.qs[0], np.array([1.0, 1.0]))[0])
+        expected_slopes.append(eps * graph.h1(fit.qs[:1], np.ones((1, k)))[0, 0])
         scatter = _out_path(cfg, ".csv", f"_manifold_eps{eps:g}")
         _write_csv(scatter, ("drive", "slip"), zip(drive, slip))
         print(f"wrote {scatter}")
@@ -605,7 +600,6 @@ def main(argv=None) -> int:
         OriginSingularity,
         SingularFrame,
         SingularMetric,
-        SingularEtaBlock,
     ) as exc:
         t = getattr(exc, "t", None)
         where = f" at t={t:.6g}" if t is not None else ""
@@ -616,7 +610,6 @@ def main(argv=None) -> int:
         analysis.WindowMismatch,
         analysis.DegenerateFit,
         analysis.NonFiniteValue,
-        analysis.FrameNotInvariant,
     ) as exc:
         print(f"analysis precondition failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS

@@ -28,8 +28,8 @@ The chart metric and the blade frame (u, v, omega) are each written once,
 as constant, sin phi and cos phi parts, and their phi-derivatives are
 derived from the parts; the adapted frame (u, psi, v) is the blade frame
 times the constant change of frame that psi makes.  The registry reads that
-change, its inverse and the slip's relaxation rate in closed form, so that
-compare calls no numpy.linalg function.
+change, its inverse, the slip's relaxation rate and the slow-manifold graph
+in closed form, so that compare and manifold call no numpy.linalg function.
 
 The friction force is -v/eps times the unit covector normal to the blade
 (unit friction coefficient in the slip direction).
@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import RayleighFriction, fast_field_y0
+from .dynamics import ExpansionData, RayleighFriction, fast_field_y0
 from .geometry import COND_LIMIT, MechanicalSystem, MovingFrame, SingularFrame, SingularMetric
 from .ode import straight_line
 
@@ -321,6 +321,15 @@ def sleigh_relaxation_rate(p: SleighParams) -> float:
     return p.fast_rate(1.0)
 
 
+def sleigh_slow_graph(p: SleighParams) -> ExpansionData:
+    """The first-order slow-manifold graph in the adapted frame, at every q:
+    the slip drift h1(q, xi) = -slaving * u * psi of xi = (u, psi), the h1
+    that dynamics.compute_h1 solves for.  h1 takes every shape that
+    ExpansionData documents and reads no row of q."""
+    nsl = -p.slaving
+    return ExpansionData(h1=lambda qs, xis: nsl * xis[..., :1] * xis[..., 1:])
+
+
 def sleigh_friction_form(p: SleighParams) -> RayleighFriction:
     """Unit sideways-slip friction: nu = w w^T with w the blade normal."""
 
@@ -512,13 +521,10 @@ class SystemEntry:
     the generic checks' exception and message.  A chart row that no rate
     of the friction field reads (the sleigh's x and y: it is invariant
     under translations of the plane) is left out of ``compare`` and
-    ``manifold`` runs, NaN in their samples, so the realization, the
-    adapted frame and the nh model must not read it either; a report that
-    reads one exits 4.  ``manifold`` reads what h1 needs (the adapted
-    frame's metric, connection and friction eta-block, and the potential
-    force) once per rung, so these must be the same at every q, as the
-    sleigh's are by its invariance under rigid motions of the plane; a few
-    per-row checks refuse a frame whose h1 varies with q.
+    ``manifold`` runs, NaN in their samples, so the nh model and the
+    ``slow_graph`` must not read it either; a report that reads one exits
+    4.  An adapted frame with a ``slow_graph``, its first-order graph in
+    closed form, has ``manifold`` support.
     """
 
     param_defaults: dict
@@ -537,6 +543,9 @@ class SystemEntry:
     # (params: dict) -> (change, inverse): the realization's frame times
     # change is the adapted frame, at every q
     change_of_frame: Callable = None
+    # (params: dict) -> ExpansionData: the graph eta = eps h1(q, xi) of the
+    # slow manifold to first order, in the adapted frame
+    slow_graph: Callable = None
     # eps -> angular frequency of the friction model's stiff oscillation,
     # for a realization without a Rayleigh form
     oscillation_rate: Callable = None
@@ -628,6 +637,7 @@ def _sleigh_entry() -> SystemEntry:
         relaxation_rate=lambda params: sleigh_relaxation_rate(SleighParams(**params)),
         adapted_frame=lambda params: sleigh_ortho_frame(SleighParams(**params)),
         change_of_frame=lambda params: sleigh_change_of_frame(SleighParams(**params)),
+        slow_graph=lambda params: sleigh_slow_graph(SleighParams(**params)),
     )
 
 

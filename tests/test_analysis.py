@@ -5,9 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nonholib.analysis import (
-    INVARIANCE_ROWS,
     DegenerateFit,
-    FrameNotInvariant,
     LadderTooShort,
     NonFiniteValue,
     TransientTooShort,
@@ -16,11 +14,10 @@ from nonholib.analysis import (
     estimate_order,
     fit_slope_through_origin,
     manifold_fit,
-    one_point_graph,
     pseudo_solution_defect,
     sup_distance,
 )
-from nonholib.dynamics import ExpansionData, compute_h1
+from nonholib.dynamics import compute_h1
 from nonholib.geometry import BLOCK_ROWS
 from nonholib.ode import IntegratorConfig, Trajectory, integrate, transform_linear
 from nonholib.systems import REGISTRY, sleigh_friction_field, sleigh_nh_field
@@ -381,35 +378,6 @@ def test_manifold_fit_rows_past_one_block_equal_single_point_h1(sleigh_setup):
     assert len(fit.predicted) == 551 > BLOCK_ROWS
     rows = np.array([eps * expansion.h1(q, xi) for q, xi in zip(fit.qs, fit.xis)])
     assert fit.predicted.tobytes() == rows.tobytes()
-
-
-def test_one_point_graph_checks_samples_spread_over_the_stack():
-    # h1 = xi (1 + c sin(2 pi q0)) over q0 in [0, 1]: the first and the last
-    # samples agree, so only a check inside the stack sees the dependence
-    def graph(c, bad=None):
-        def h1(q, xi):
-            q, xi = np.asarray(q), np.asarray(xi)
-            out = xi * (1.0 + c * np.sin(2.0 * np.pi * q[..., :1]))
-            if bad is not None:
-                out = np.where(q[..., :1] > bad, np.nan, out)
-            return out
-
-        return ExpansionData(h1=h1)
-
-    rng = np.random.default_rng(5)
-    qs = np.column_stack([np.linspace(0.0, 1.0, 101), rng.normal(size=101)])
-    xis = rng.normal(size=(101, 2))
-    assert_allclose(graph(0.1).h1(qs[-1], xis), graph(0.1).h1(qs[0], xis), rtol=0, atol=1e-15)
-    with pytest.raises(FrameNotInvariant, match="the frame data depend on q"):
-        one_point_graph(graph(0.1)).h1(qs, xis)
-    assert one_point_graph(graph(0.0)).h1(qs, xis).tobytes() == graph(0.0).h1(qs, xis).tobytes()
-    # a one-point value that is finite where the per-row one is not
-    with pytest.raises(NonFiniteValue, match="per-row h1 at a checked sample"):
-        one_point_graph(graph(0.0, bad=0.5)).h1(qs, xis)
-    # a non-finite one-point value is left for manifold_fit to refuse
-    assert np.isnan(one_point_graph(graph(0.0, bad=-1.0)).h1(qs, xis)).all()
-    # a stack shorter than the checked samples repeats some of them
-    assert one_point_graph(graph(0.0)).h1(qs[:3], xis[:3]).shape == (3, 2) and INVARIANCE_ROWS > 3
 
 
 def test_manifold_fit_transient_too_short(sleigh_setup):

@@ -905,25 +905,26 @@ def test_manifold_outputs_equal_whole_runs(state, tmp_path, monkeypatch):
 
 
 def test_realization_reading_a_left_out_row_exits_4(tmp_path, monkeypatch, capsys):
-    # a sleigh whose metric reads x, which its friction text does not read
-    from nonholib import cli, ode, systems
+    # a sleigh realization whose declared slow graph reads x, which its
+    # friction text does not read: manifold's runs leave x out, so the
+    # graph is NaN
+    from nonholib import cli, ode
+    from nonholib.dynamics import ExpansionData
 
     sleigh = get_system("sleigh")
 
-    def realization(params):
-        sysm, frame, fric = sleigh.realization(params)
-        metric = lambda q: sysm.metric(q) * (1.0 + 0.0 * q[0])  # noqa: E731
-        return dataclasses.replace(sysm, metric=metric), frame, fric
+    def slow_graph(params):
+        h1 = sleigh.slow_graph(params).h1
+        return ExpansionData(h1=lambda qs, xis: h1(qs, xis) * (1.0 + 0.0 * qs[:, :1]))
 
-    bad = dataclasses.replace(sleigh, models=dict(sleigh.models), realization=realization)
-    monkeypatch.setitem(systems.REGISTRY, "x-metric-sleigh", bad)
-    argv = _SHORT_MANIFOLD + ["--system", "x-metric-sleigh"]
+    _sleigh_variant(monkeypatch, "x-graph-sleigh", slow_graph=slow_graph)
+    argv = _SHORT_MANIFOLD + ["--system", "x-graph-sleigh"]
     assert run(argv + ["--out", str(tmp_path / "bad" / "m")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
-    assert "metric has non-finite entries" in err
+    assert "the first-order graph eps * h1 holds a non-finite value" in err
     assert not (tmp_path / "bad").exists()
-    # whole runs give the metric a finite x, so only the left-out row is wrong
+    # whole runs give the graph a finite x, so only the left-out row is wrong
     monkeypatch.setattr(cli, "integrate", lambda f, x0, cfg, read=None: ode.integrate(f, x0, cfg))
     assert run(argv + ["--out", str(tmp_path / "whole" / "m")]) == 0
 
@@ -969,64 +970,22 @@ def _sleigh_variant(monkeypatch, name, **changes):
     return entry
 
 
-def test_q_dependent_adapted_frame_exits_4(tmp_path, monkeypatch, capsys):
-    # a sleigh whose metric carries a phi-dependent factor: manifold's
-    # one-point h1 must be refused, and no residual printed
-    sleigh = get_system("sleigh")
-
-    def realization(params):
-        sysm, frame, fric = sleigh.realization(params)
-        metric = lambda q: sysm.metric(q) * (1.0 + 0.1 * math.sin(q[2]))  # noqa: E731
-        return dataclasses.replace(sysm, metric=metric), frame, fric
-
-    _sleigh_variant(monkeypatch, "phi-metric-sleigh", realization=realization)
-    argv = _SHORT_MANIFOLD + ["--system", "phi-metric-sleigh"]
-    assert run(argv + ["--out", str(tmp_path / "bad" / "m")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("analysis precondition failed:") and len(err.splitlines()) == 1
-    assert "the frame data depend on q" in err
-    assert not (tmp_path / "bad").exists()
-
-
-def test_manifold_frame_reads_do_not_grow_with_the_samples(tmp_path, monkeypatch):
-    # h1's frame data are read a fixed number of times per rung, so a run of
-    # 951 samples per rung reads the adapted frame as often as one of 151
-    sleigh = get_system("sleigh")
-    calls = []
-
-    def adapted_frame(params):
-        frame = sleigh.adapted_frame(params)
-
-        def fields(q):
-            calls.append(q)
-            return frame.fields(q)
-
-        return dataclasses.replace(frame, fields=fields)
-
-    _sleigh_variant(monkeypatch, "counted-sleigh", adapted_frame=adapted_frame)
-    reads = []
-    for t1 in ("2", "10"):
-        calls.clear()
-        argv = _SHORT_MANIFOLD + ["--system", "counted-sleigh", "--t1", t1]
-        assert run(argv + ["--out", str(tmp_path / t1 / "m")]) == 0
-        reads.append(len(calls))
-    assert reads[0] == reads[1]
-
-
-def test_compare_calls_no_numpy_linalg_function(tmp_path, monkeypatch):
-    # the relaxation rate and the change of frame are declared in closed
-    # form, so compare's set-up, runs and report call no numpy.linalg
-    # function: the first LAPACK call of a process costs about 1.3 MB of
-    # peak RSS.  The reports are those of an unpatched run, byte for byte.
+def test_compare_and_manifold_call_no_numpy_linalg_function(tmp_path, monkeypatch):
+    # the relaxation rate, the change of frame and the slow graph are
+    # declared in closed form, so the set-up, runs and reports of compare
+    # and manifold call no numpy.linalg function: the first LAPACK call of a
+    # process costs about 1.3 MB of peak RSS.  The reports are those of an
+    # unpatched run, byte for byte.
     argvs = [
         ["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"],
         ["compare", "--system", "pendulum-friction", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"],
+        _SHORT_MANIFOLD,
     ]
     for argv in argvs:
         assert run(argv + ["--out", str(tmp_path / "free" / argv[2])]) == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("compare called numpy.linalg")
+        raise AssertionError("numpy.linalg was called")
 
     for name in np.linalg.__all__:
         if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
@@ -1034,7 +993,13 @@ def test_compare_calls_no_numpy_linalg_function(tmp_path, monkeypatch):
     for argv in argvs:
         assert run(argv + ["--out", str(tmp_path / "patched" / argv[2])]) == 0
     free = sorted((tmp_path / "free").iterdir())
-    assert [p.name for p in free] == ["pendulum-friction_compare.json", "sleigh_compare.json"]
+    assert [p.name for p in free] == [
+        "pendulum-friction_compare.json",
+        "sleigh_compare.json",
+        "sleigh_manifold.json",
+        "sleigh_manifold_eps0.005.csv",
+        "sleigh_manifold_eps0.01.csv",
+    ]
     for path in free:
         assert path.read_bytes() == (tmp_path / "patched" / path.name).read_bytes()
 

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from conftest import random_sleigh_q, text_of
 from nonholib import ode
-from nonholib.analysis import INVARIANCE_RTOL
 from nonholib.dynamics import compute_h1, friction_matrix
 from nonholib.geometry import COND_LIMIT, connection_coefficients, frame_metric
 from nonholib.ode import IntegratorConfig, integrate
@@ -853,8 +852,9 @@ def test_sleigh_geometry_equals_its_closed_forms():
 @pytest.mark.parametrize("params", SLEIGH_PARAMS)
 def test_sleigh_cyclic_rows_are_read_by_no_callback(params):
     # compare's and manifold's runs leave out the rows that no rate of the
-    # friction text reads, x and y (NaN); every callback h1 reads, and h1
-    # itself, must then return the very bits it returns at the whole q
+    # friction text reads, x and y (NaN); every callback the generic h1
+    # reads, the generic h1 and the declared one that manifold fits must
+    # then return the very bits they return at the whole q
     entry = get_system("sleigh")
     sysm, uvw, fric = entry.realization(params)
     rates_read = ode._rows_read(text_of(entry.models["friction"].build(params, 1e-2)))
@@ -873,15 +873,18 @@ def test_sleigh_cyclic_rows_are_read_by_no_callback(params):
         for fn in callbacks:
             assert np.asarray(fn(q_nan)).tobytes() == np.asarray(fn(q)).tobytes(), fn
     assert h1(left_out, xis).tobytes() == h1(qs, xis).tobytes()
+    declared = entry.slow_graph(params).h1
+    assert declared(left_out, xis).tobytes() == declared(qs, xis).tobytes()
 
 
 @pytest.mark.parametrize("params", SLEIGH_PARAMS)
 def test_sleigh_frame_data_are_the_same_at_every_q(params):
-    # manifold reads h1's frame data once per rung: at random q the frame
-    # metric, connection and friction eta-block must equal their q = 0 values
-    # to 1e-14 of their largest entry, and the one-point h1 the per-row h1
-    # within the bound of manifold's check
-    sysm, ortho, fric = get_system("sleigh").generic_builders(params)
+    # the declared slow graph holds at every q because h1's frame data do:
+    # at random q the frame metric, connection and friction eta-block must
+    # equal their q = 0 values to 1e-14 of their largest entry, and the
+    # declared h1 the generic one to 1e-14 of max(1, |h1|) at each entry
+    entry = get_system("sleigh")
+    sysm, ortho, fric = entry.generic_builders(params)
     k = ortho.k
 
     def frame_data(q):
@@ -897,13 +900,14 @@ def test_sleigh_frame_data_are_the_same_at_every_q(params):
         scale = max(1.0, np.max(np.abs(want)))
         assert_allclose(got, np.broadcast_to(want, got.shape), rtol=0.0, atol=1e-14 * scale)
     xis = rng.uniform(-1.2, 1.2, (200, 2))
-    h1 = compute_h1(sysm, ortho, fric).h1
-    rows = h1(qs, xis)
-    for q in qs[:5]:
-        one = h1(q, xis)
-        assert one.shape == rows.shape
-        bound = INVARIANCE_RTOL * max(1.0, np.max(np.abs(rows)))
-        assert np.max(np.abs(one - rows)) <= bound
+    want = compute_h1(sysm, ortho, fric).h1(qs, xis)
+    declared = entry.slow_graph(params).h1
+    got = declared(qs, xis)
+    assert got.shape == want.shape == (200, 1)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    # ExpansionData's other two shapes: one point, and one q with a stack
+    assert declared(qs[0], xis[0]).tobytes() == got[0].tobytes()
+    assert declared(qs[0], xis).tobytes() == got.tobytes()
 
 
 def test_sleigh_fast_model_moves_only_slip():
