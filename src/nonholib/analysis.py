@@ -146,13 +146,14 @@ def pseudo_solution_defect(traj: Trajectory, field_fn: Callable) -> float:
     produced by integrating the same field has zero defect by construction,
     while a projected large-friction trajectory tested against the
     constrained field has a defect proportional to eps.  The field gets
-    each state as a list of floats, as `integrate`'s fields do, and may be
-    handed states with non-finite columns it does not read; a difference
-    that is not finite raises NonFiniteValue.
+    each state as a list of floats, as `integrate`'s fields do, converted
+    one stored row at a time (no list of the whole window is built), and
+    may be handed states with non-finite columns it does not read; a
+    difference that is not finite raises NonFiniteValue.
     """
     diffs = np.empty_like(traj.states)
-    for i, row in enumerate(traj.states.tolist()):
-        diffs[i] = field_fn(row)
+    for i, row in enumerate(traj.states):
+        diffs[i] = field_fn(row.tolist())
     # elementwise, so bitwise the per-row difference
     np.subtract(traj.derivs, diffs, out=diffs)
     _finite(diffs, "the defect xdot - X(x)")

@@ -423,7 +423,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         )
     # with an adapted frame the compared rows are the reduced velocities xi,
     # rows n to n + k - 1 of the reduced state (q, xi); without one, every row
-    adapted = entry.adapted_frame is not None
+    adapted = entry.change_of_frame is not None
     to_reduced = entry.reduce_matrix(cfg.params) if adapted else None
     comps = tuple(range(to_reduced.shape[1] // 2, len(to_reduced))) if adapted else None
     nh_field = nh_spec.build(cfg.params, None)
@@ -496,7 +496,8 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         )
     graph = entry.slow_graph(cfg.params)
     to_frame = entry.frame_state_matrix(cfg.params)
-    n, k = len(to_frame) // 2, entry.adapted_frame(cfg.params).k
+    n = len(to_frame) // 2
+    k = len(entry.models["nh"].columns) - n
     fric_read = _friction_rows(to_frame, range(n, 2 * n))
 
     residuals, slopes, expected_slopes = [], [], []

@@ -355,9 +355,13 @@ def transform_linear(traj: Trajectory, matrix) -> Trajectory:
 
     Useful for projecting onto a subset of components or for constant
     changes of quasi-velocity coordinates; both commute with d/dt, so the
-    stored derivatives stay consistent.  A NaN (a row left out by
+    stored derivatives stay consistent.  Output j is the sum of
+    ``x[i] * matrix[j, i]`` over the nonzero entries of row j, added left
+    to right in column order and started from the first product, not from
+    0.0 (an all-zero row gives 0.0).  It calls no BLAS routine, so its bits
+    do not depend on the linked BLAS library.  A NaN (a row left out by
     `integrate`) makes NaN only the outputs whose map row has a nonzero
-    entry in its column; finite input gives the plain product bitwise.
+    entry in its column.
     """
     m = np.asarray(matrix, dtype=float)
     return Trajectory(traj.times, _apply(traj.states, m), _apply(traj.derivs, m))
@@ -365,8 +369,15 @@ def transform_linear(traj: Trajectory, matrix) -> Trajectory:
 
 def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     nan = np.isnan(x)
-    out = np.where(nan, 0.0, x) @ m.T
-    out[nan @ (m != 0).T] = np.nan
+    clean = np.where(nan, 0.0, x)
+    out = np.zeros((len(x), len(m)))
+    for j, row in enumerate(m):
+        cols = np.flatnonzero(row).tolist()
+        if cols:
+            out[:, j] = clean[:, cols[0]] * row[cols[0]]
+        for i in cols[1:]:
+            out[:, j] += clean[:, i] * row[i]
+    out[nan @ (m != 0).T] = np.nan  # a bool product: no BLAS call
     return out
 
 

@@ -277,9 +277,10 @@ _BLADE_PARTS = (
 def sleigh_uvw_frame(p: SleighParams) -> MovingFrame:
     """Blade-aligned frame with columns (u, v, omega), the friction model's
     velocity columns: (cos phi, sin phi, 0), (-sin phi, cos phi, 0) and
-    (0, 0, 1).  The registry derives the sleigh's fast model and
-    frame-state map from it; its frame metric couples v and omega, so the
-    generic slow-manifold fields use :func:`sleigh_ortho_frame`."""
+    (0, 0, 1).  The registry derives the sleigh's fast model from it (the
+    frame-state map derives from :func:`sleigh_change_of_frame`); its frame
+    metric couples v and omega, so the generic slow-manifold fields use
+    :func:`sleigh_ortho_frame`."""
     return MovingFrame(2, *_trig_field(*_BLADE_PARTS))
 
 
@@ -516,7 +517,9 @@ class SystemEntry:
     ``adapted_frame`` comes with its constant ``change_of_frame`` from the
     realization's frame, from which the frame-state, reduce and lift maps
     derive in closed form; without one the friction and constrained states
-    share one layout.  The rate refuses a chart metric, and the change an
+    share one layout.  The split rank k is read from the nh model's
+    columns (n + k of them), so ``adapted_frame`` is read only by
+    ``generic_builders``.  The rate refuses a chart metric, and the change an
     adapted frame, whose condition number exceeds geometry.COND_LIMIT, with
     the generic checks' exception and message.  A chart row that no rate
     of the friction field reads (the sleigh's x and y: it is invariant
@@ -577,16 +580,16 @@ class SystemEntry:
 
     def reduce_matrix(self, params: dict) -> np.ndarray:
         """Friction-model state -> reduced state (q, xi): the first n + k
-        rows of the frame-state map, which drop the slip components eta."""
-        m = self.frame_state_matrix(params)
-        return m[: len(m) // 2 + self.adapted_frame(params).k]
+        rows of the frame-state map, one per column of the nh model, which
+        drop the slip components eta."""
+        return self.frame_state_matrix(params)[: len(self.models["nh"].columns)]
 
     def lift_state(self, params: dict, reduced_state) -> np.ndarray:
         """Reduced state (q, xi) -> friction-model state with zero slip:
         q, then the velocities change @ (xi, 0).  Without an adapted frame
         the two states share one layout."""
         reduced = np.asarray(reduced_state, dtype=float)
-        if self.adapted_frame is None:
+        if self.change_of_frame is None:
             return reduced
         change, _ = self.change_of_frame(params)
         n = len(change)

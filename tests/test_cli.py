@@ -970,12 +970,19 @@ def _sleigh_variant(monkeypatch, name, **changes):
     return entry
 
 
-def test_compare_and_manifold_call_no_numpy_linalg_function(tmp_path, monkeypatch):
+def test_compare_and_manifold_call_no_numpy_linalg_function_and_build_no_generic_object(
+    tmp_path, monkeypatch
+):
     # the relaxation rate, the change of frame and the slow graph are
-    # declared in closed form, so the set-up, runs and reports of compare
-    # and manifold call no numpy.linalg function: the first LAPACK call of a
-    # process costs about 1.3 MB of peak RSS.  The reports are those of an
-    # unpatched run, byte for byte.
+    # declared in closed form, and the constraint rank is read from the nh
+    # layout, so the set-up, runs and reports of compare and manifold call
+    # no numpy.linalg function and build no generic system, frame or
+    # friction form: the first LAPACK call of a process costs about 1.3 MB
+    # of peak RSS, and the adapted frame's matrix products (the first BLAS
+    # product) about 0.4 MB.  The reports are those of an unpatched run,
+    # byte for byte.
+    from nonholib import systems
+
     argvs = [
         ["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"],
         ["compare", "--system", "pendulum-friction", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"],
@@ -987,9 +994,22 @@ def test_compare_and_manifold_call_no_numpy_linalg_function(tmp_path, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg was called")
 
+    def refuse_generic(*args, **kwargs):
+        raise AssertionError("a generic object was built")
+
     for name in np.linalg.__all__:
         if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
             monkeypatch.setattr(np.linalg, name, refuse)
+    for name in [
+        "sleigh_ortho_frame",
+        "sleigh_uvw_frame",
+        "sleigh_system",
+        "sleigh_friction_form",
+        "pendulum_system",
+        "pendulum_frame",
+        "pendulum_friction_form",
+    ]:
+        monkeypatch.setattr(systems, name, refuse_generic)
     for argv in argvs:
         assert run(argv + ["--out", str(tmp_path / "patched" / argv[2])]) == 0
     free = sorted((tmp_path / "free").iterdir())

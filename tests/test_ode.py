@@ -1271,8 +1271,18 @@ def test_transform_linear_bitwise_on_finite_input_and_nan_only_where_read():
     traj = Trajectory(np.arange(9.0), states, derivs)
     m = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 2.0, 0.0], [0.0, 0.0, 0.7, 1.3]])
     mapped = transform_linear(traj, m)
-    assert mapped.states.tobytes() == (states @ m.T).tobytes()
-    assert mapped.derivs.tobytes() == (derivs @ m.T).tobytes()
+
+    def documented_sum(x):  # each row's nonzero entries, left to right
+        return np.stack(
+            [x[:, 0] * 1.0, x[:, 1] * 0.5 + x[:, 2] * 2.0, x[:, 2] * 0.7 + x[:, 3] * 1.3],
+            axis=1,
+        )
+
+    assert mapped.states.tobytes() == documented_sum(states).tobytes()
+    assert mapped.derivs.tobytes() == documented_sum(derivs).tobytes()
+    # the sum starts from the first product, so a negative zero survives
+    signed = transform_linear(Trajectory(np.zeros(1), -np.zeros((1, 4)), np.zeros((1, 4))), m)
+    assert np.signbit(signed.states).all()
     # column 1 NaN throughout, column 3 at one sample: only outputs whose map
     # row reads that column (and, for column 3, only at that sample) are NaN
     holed = states.copy()
