@@ -37,6 +37,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +45,9 @@ import numpy as np
 
 from . import analysis
 from .geometry import SingularFrame, SingularMetric
+# The commands call runs and analysis passes through this module's names at
+# call time: perfbench's tracer and the tests rebind cli.integrate,
+# cli.transform_linear and cli.restrict_window.
 from .ode import (
     IntegratorConfig,
     NonFiniteState,
@@ -238,14 +242,13 @@ def _initial_state(cfg: ExperimentConfig, spec: ModelSpec) -> np.ndarray:
 
 
 def _fast_rate(cfg: ExperimentConfig, entry) -> Optional[tuple]:
-    """For a stiff friction run, (rate, rk4's stability bound for its mode),
-    rate(eps) being the fast rate at eps: a Rayleigh realization's declared
-    relaxation rate over eps, or a declared oscillation rate.  None for
-    other runs.  A relaxation rate is evaluated only where a check reads it
-    (rk4's step check, manifold's transient cutoff), so that its metric
-    check refuses no other run, as the generic route's did."""
-    if cfg.model != "friction":
-        return None
+    """For the system's friction model, (rate, rk4's stability bound for its
+    mode), rate(eps) being the fast rate at eps: a Rayleigh realization's
+    declared relaxation rate over eps, or a declared oscillation rate; None
+    if it declares neither.  The caller decides which run is stiff.  A
+    relaxation rate is evaluated only where a check reads it (rk4's step
+    check, manifold's transient cutoff), so that its metric check refuses
+    no other run, as the generic route's did."""
     if entry.oscillation_rate is not None:
         return entry.oscillation_rate, RK4_OSCILLATION_BOUND
     if entry.relaxation_rate is None:
@@ -279,6 +282,16 @@ def _integrator_config(cfg: ExperimentConfig, eps=None, fast=None) -> Integrator
                 f"past the stability bound {bound}; lower --dt"
             )
     return icfg
+
+
+def _runs(cfg: ExperimentConfig, entry, spec: ModelSpec) -> list:
+    """Every run of one model, [(eps, IntegratorConfig, field), ...]: one per
+    eps, or one at None for a model that needs no eps.  Checks every config and
+    builds every field before a command's first run; only friction is stiff."""
+    eps_list = cfg.eps if spec.needs_eps else (None,)
+    fast = _fast_rate(cfg, entry) if spec is entry.models.get("friction") else None
+    icfgs = [_integrator_config(cfg, eps, fast) for eps in eps_list]
+    return [(eps, icfg, spec.build(cfg.params, eps)) for eps, icfg in zip(eps_list, icfgs)]
 
 
 def _out_dir() -> Path:
@@ -351,19 +364,12 @@ TRAJECTORY_WRITERS = {"csv": write_trajectory_csv, "json": write_trajectory_json
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     entry, spec = _resolve_model(cfg)
     state = _initial_state(cfg, spec)
-    eps_list = list(cfg.eps) if spec.needs_eps else [None]
-    multi = len(eps_list) > 1
-    if multi:
-        _require_distinct_tags(eps_list)
-    # every run's step, size and field are checked before the first file is
-    # written
-    fast = _fast_rate(cfg, entry)
-    icfgs = [_integrator_config(cfg, eps, fast) for eps in eps_list]
-    fields = [spec.build(cfg.params, eps) for eps in eps_list]
-    for eps, icfg, field_fn in zip(eps_list, icfgs, fields):
+    if spec.needs_eps:
+        _require_distinct_tags(cfg.eps)
+    runs = _runs(cfg, entry, spec)
+    for eps, icfg, field_fn in runs:
         traj = integrate(field_fn, state, icfg)
-        tag = f"_eps{eps:g}" if (multi and eps is not None) else ""
-        path = _out_path(cfg, f".{cfg.fmt}", tag)
+        path = _out_path(cfg, f".{cfg.fmt}", f"_eps{eps:g}" if len(runs) > 1 else "")
         TRAJECTORY_WRITERS[cfg.fmt](path, traj, spec.columns)
         print(f"wrote {path}")
     return EXIT_OK
@@ -406,16 +412,11 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             f"compare window start must be after t0={cfg.t0:g}, got {cfg.window_start:g}"
         )
 
-    fric_spec = entry.models["friction"]
-    nh_spec = entry.models["nh"]
-    corr_spec = entry.models.get("corrected")
-
-    nh_state = _initial_state(cfg, nh_spec)
+    nh_state = _initial_state(cfg, entry.models["nh"])
     fric_state = entry.lift_state(cfg.params, nh_state)
-    fast = _fast_rate(cfg, entry)
-    fric_icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
-    fric_fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
-    nh_icfg = _integrator_config(cfg)
+    fric_runs = _runs(cfg, entry, entry.models["friction"])
+    ((_, nh_icfg, nh_field),) = _runs(cfg, entry, entry.models["nh"])
+    corr_runs = _runs(cfg, entry, entry.models["corrected"]) if "corrected" in entry.models else []
     # sup_distance's and restrict_window's refusals, before the first run: every run ends at t1
     if not cfg.window_start < cfg.t1:
         raise analysis.WindowMismatch(
@@ -426,13 +427,12 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     adapted = entry.change_of_frame is not None
     to_reduced = entry.reduce_matrix(cfg.params) if adapted else None
     comps = tuple(range(to_reduced.shape[1] // 2, len(to_reduced))) if adapted else None
-    nh_field = nh_spec.build(cfg.params, None)
     nh_traj = integrate(nh_field, nh_state, nh_icfg, read=comps)
     t1, t_end = cfg.window_start, cfg.t1
     fric_read = _friction_rows(to_reduced, comps) if adapted else None
 
     errors, defects, corr_errors = [], [], []
-    for eps, fric_icfg, fric_field in zip(cfg.eps, fric_icfgs, fric_fields):
+    for (_, fric_icfg, fric_field), corr in zip_longest(fric_runs, corr_runs):
         fric_traj = integrate(fric_field, fric_state, fric_icfg, read=fric_read)
         reduced = transform_linear(fric_traj, to_reduced) if adapted else fric_traj
         errors.append(analysis.sup_distance(reduced, nh_traj, t1, t_end, comps))
@@ -440,10 +440,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         defects.append(
             analysis.pseudo_solution_defect(restrict_window(reduced, t1, t_end), nh_field)
         )
-        if corr_spec is not None:
-            corr_traj = integrate(
-                corr_spec.build(cfg.params, eps), nh_state, nh_icfg, read=comps
-            )
+        if corr is not None:
+            _, corr_icfg, corr_field = corr
+            corr_traj = integrate(corr_field, nh_state, corr_icfg, read=comps)
             corr_errors.append(
                 analysis.sup_distance(reduced, corr_traj, t1, t_end, comps)
             )
@@ -477,18 +476,16 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     _require_decreasing(cfg.eps)
     _require_distinct_tags(cfg.eps)
     state = _initial_state(cfg, fric_spec)
-    fast = _fast_rate(cfg, entry)
     # The initial slip offset is O(eps) and the slow-manifold residual
     # O(eps^2): e^-10 of the offset is below eps^2 for every eps above 5e-5,
     # so the cutoff must cover 10 fast time constants at the largest eps.
-    constants = (cfg.transient_cutoff - cfg.t0) * fast[0](max(cfg.eps))
+    constants = (cfg.transient_cutoff - cfg.t0) * _fast_rate(cfg, entry)[0](max(cfg.eps))
     if not constants >= 10:
         raise ConfigError(
             f"manifold transient cutoff {cfg.transient_cutoff:g} covers {constants:.3g}"
             f" fast time constants after t0={cfg.t0:g} at eps={max(cfg.eps):g}; needs 10"
         )
-    icfgs = [_integrator_config(cfg, eps, fast) for eps in cfg.eps]
-    fields = [fric_spec.build(cfg.params, eps) for eps in cfg.eps]
+    runs = _runs(cfg, entry, fric_spec)
     # manifold_fit's refusal, before the first run: every run ends at t1
     if cfg.t1 < cfg.transient_cutoff:
         raise analysis.TransientTooShort(
@@ -501,7 +498,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     fric_read = _friction_rows(to_frame, range(n, 2 * n))
 
     residuals, slopes, expected_slopes = [], [], []
-    for eps, icfg, field in zip(cfg.eps, icfgs, fields):
+    for eps, icfg, field in runs:
         traj = integrate(field, state, icfg, read=fric_read)
         frame_traj = transform_linear(traj, to_frame)
         fit = analysis.manifold_fit(frame_traj, graph, eps, cfg.transient_cutoff, n, k)

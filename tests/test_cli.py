@@ -471,8 +471,9 @@ def test_failures_exit_with_one_line(tmp_path, argv, code):
         (["simulate", "--system", "sleigh", "--model", "friction", "--method", "rkf45",
           "--param", "I=1e-20", "--param", "m=1e-20", "--eps", "1e20", "--eps",
           "1e-300", "--t1", "0.05"], "must be finite"),
+        (["compare", "--system", "sleigh", "--eps", "1e-2,5e-3,1e-12"], "rk4 steps"),
     ],
-    ids=["simulate", "manifold", "simulate-unbuildable-rung"],
+    ids=["simulate", "manifold", "simulate-unbuildable-rung", "compare"],
 )
 def test_too_long_rung_refused_before_the_first_run(
     argv, reason, tmp_path, monkeypatch, capsys
@@ -484,6 +485,29 @@ def test_too_long_rung_refused_before_the_first_run(
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_builds_every_field_before_the_first_run(tmp_path, monkeypatch, capsys):
+    # a corrected field that cannot be built is refused before the nh run
+    # and the first rung, not after them
+    from nonholib import cli
+    from nonholib.systems import InvalidParameter
+
+    def unbuildable(params, eps):
+        raise InvalidParameter("corrected field refused")
+
+    models = get_system("sleigh").models
+    monkeypatch.setitem(
+        models, "corrected", dataclasses.replace(models["corrected"], build=unbuildable)
+    )
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setenv("NONHOLIB_OUT_DIR", str(tmp_path))
+    assert run(["compare", "--system", "sleigh", "--eps", "8e-3,4e-3,2e-3", "--t1", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "corrected field refused" in err
+    assert calls == []
     assert list(tmp_path.iterdir()) == []
 
 
